@@ -261,6 +261,7 @@ def cmd_klpoly(args) -> int:
 
 def cmd_mult(args) -> int:
     datum = _datum(args)
+    cap = _config(args)["kl_cap"]
     zeta = _zeta(datum, args.zeta)
     lam = _weight(datum, args.weight)
     table = None
@@ -269,11 +270,11 @@ def cmd_mult(args) -> int:
     if args.mu is None and not args.length:
         raise SuperlinkError("mult needs --mu or --length")
     if args.length:
-        value = kl_mod.whittaker_length(datum, lam, zeta, table)
+        value = kl_mod.whittaker_length(datum, lam, zeta, table, cap)
         _emit(args, {"length": value}, str(value))
         return 0
     mu = _weight(datum, args.mu)
-    value = kl_mod.whittaker_mult(datum, lam, mu, zeta, table)
+    value = kl_mod.whittaker_mult(datum, lam, mu, zeta, table, cap)
     _emit(args, {"multiplicity": value}, str(value))
     return 0
 

@@ -2,14 +2,23 @@
 
 The KL engine works over a finite Weyl group presented as a parabolic
 subgroup of a datum's signed-permutation group (type A / type C products).
-Bruhat order uses the subword lifting property on reduced words; the KL
-recursion is the classical one on a left descent s of w:
+On first KL use a group numbers its elements by (length, images) and
+records, per element id, the left multiplications by simple reflections,
+the length and the left-descent bitmask; everything below runs on these
+integers.  Bruhat order keeps one lower ideal per element as a bitset, built
+by [e, w] = [e, sw] u s[e, sw] for a left descent s.  The KL recursion is the
+classical one on a left descent s of w:
 
     P_{x,w} = q^{1-c} P_{sx,sw} + q^c P_{x,sw}
               - sum_z mu(z, sw) q^{(l(w)-l(z))/2} P_{x,z}
 
 with c = 1 iff sx < x, the sum over x <= z <= sw with sz < z, and mu(z, v)
-the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.  An independent
+the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.  Only extremal pairs are
+stored: P_{x,w} = P_{sx,w} for every s in D_L(w), so x first climbs until
+D_L(w) lies in D_L(x) (then c = 1).  The z-sum runs over a per-v list of
+the z with mu(z, v) != 0, which by the same identity needs only the z with
+D_L(v) in D_L(z) or l(v) - l(z) = 1 (du Cloux, Experiment. Math. 11, 2002;
+Bjorner-Brenti, Combinatorics of Coxeter Groups, Ch. 5).  An independent
 R-polynomial inversion of the same table lives in the oracle module.
 
 Multiplicity conventions, pinned by the rank-1 sanity triple (an
@@ -23,43 +32,35 @@ Standard Whittaker multiplicities reduce to these: for integral mu the sum
     [M(lam, zeta) : L(mu, zeta)] = sum_gamma [M(lam) : L(gamma)]
 
 runs over W_zeta-anti-dominant gamma with mu in the W_zeta dot orbit, and
-that set is asserted to be a singleton.  Built-in tables exist only for
-reductive data with regular integral lam; anything else takes a
+that set is asserted to be a singleton.  Built-in multiplicities exist only
+for reductive data with regular integral lam; anything else takes a
 user-supplied table (`<weight> <weight> <count>` lines, `#` comments).
+Without a table, gamma = y . base for the anti-dominant base of lam's orbit
+and a unique y, and gamma is W_zeta-anti-dominant exactly when y has no left
+descent in zeta's support, so a multiplicity is one KL lookup and a length
+one row of at most |W| lookups.
 
-Concurrency: the per-group memo dicts are the only shared state.  Entries
-are pure values keyed by element images and are written through single
-atomic dict assignments, so concurrent calls return identical results;
-at worst two threads duplicate a computation before one wins the insert.
+Concurrency: the per-datum group cache (`shared_group`) is the only shared
+state.  It lives for the whole process, one Weyl group per datum, and
+everything a group memoizes (its index, ideals, polynomials, mu-lists) is a
+pure value written through single atomic assignments, so concurrent calls
+return identical results; at worst two threads duplicate a computation
+before one wins the insert.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (CapExceededError, MissingTableEntryError, SuperlinkError,
                      UnsupportedInputError)
 from .root_data import Root, RootDatum, build_reductive, is_integral
 from .weights import Weight
-from .weyl import (WeylElement, antidominant_rep, is_antidominant, length,
-                   longest_element, orbit_dot, reduced_word,
+from .weyl import (WeylElement, antidominant_rep, is_antidominant, orbit_dot,
                    reflection_element, stabilizer_roots, weyl_order)
 
 KL_GROUP_CAP = 40320  # memory guard on |W| for the memoized recursion
-
-
-def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    m = max(len(a), len(b))
-    return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(m))
-
-
-def _pshift(a: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return ((0,) * k + a) if a != () else ()
-
-
-def _pscale(a: tuple[int, ...], c: int) -> tuple[int, ...]:
-    return tuple(c * v for v in a)
 
 
 def _pnorm(a: Iterable[int]) -> tuple[int, ...]:
@@ -108,8 +109,142 @@ class KLPolynomial:
         return " + ".join(terms)
 
 
+def _left_mult(s: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of s x for signed-permutation images s and x (WeylElement.compose
+    without the per-element validation, for building an index)."""
+    return tuple(s[v - 1] if v > 0 else -s[-v - 1] for v in x)
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+class _Index:
+    """A group's elements as integer ids 0..n-1, ordered by (length, images).
+
+    Id 0 is the identity and id n-1 the longest element.  `lmul[i][x]` is
+    the id of s_i x, `desc[x]` the left-descent bitmask and `first[x]` its
+    lowest set bit (-1 at the identity); `w0x[x]` is the id of w0 x.
+    """
+
+    def __init__(self, reflections: Sequence[WeylElement], identity: WeylElement):
+        gens = [g.images for g in reflections]
+        levels = [[identity.images]]  # BFS distance from e is the Coxeter length
+        seen = set(levels[0])
+        while True:
+            nxt = {y for x in levels[-1] for y in (_left_mult(g, x) for g in gens)
+                   if y not in seen}
+            if not nxt:
+                break
+            seen |= nxt
+            levels.append(sorted(nxt))
+        self.images = [x for level in levels for x in level]
+        self.ids = {x: i for i, x in enumerate(self.images)}
+        self.n = len(self.images)
+        self.length = [k for k, level in enumerate(levels) for _ in level]
+        self.lmul = [[self.ids[_left_mult(g, x)] for x in self.images] for g in gens]
+        L = self.length
+        self.desc = [sum(1 << i for i, row in enumerate(self.lmul) if L[row[x]] < L[x])
+                     for x in range(self.n)]
+        self.first = [(d & -d).bit_length() - 1 for d in self.desc]
+        self.w0x = list(range(self.n))
+        for i in reversed(self.word(self.n - 1)):  # w0 = s_{i_1} ... s_{i_k}
+            row = self.lmul[i]
+            self.w0x = [row[y] for y in self.w0x]
+        self._ideal: list[int | None] = [1] + [None] * (self.n - 1)
+        self._kl: dict[int, tuple[int, ...]] = {}
+        self._mu: dict[int, list[tuple[int, int]]] = {}
+
+    def word(self, x: int) -> list[int]:
+        """Reduced word of x (x = s_{i_1} s_{i_2} ...) by lowest left descents."""
+        out = []
+        while x:
+            i = self.first[x]
+            out.append(i)
+            x = self.lmul[i][x]
+        return out
+
+    def ideal(self, y: int) -> int:
+        """Bitset of the Bruhat interval [e, y]."""
+        b = self._ideal[y]
+        if b is None:
+            row = self.lmul[self.first[y]]
+            b = below = self.ideal(row[y])
+            for z in _bits(below):
+                b |= 1 << row[z]
+            self._ideal[y] = b
+        return b
+
+    def leq(self, x: int, y: int) -> bool:
+        if self.length[x] >= self.length[y]:
+            return x == y
+        return self.ideal(y) >> x & 1 == 1
+
+    def kl(self, x: int, w: int) -> tuple[int, ...]:
+        """Coefficients of P_{x,w}, constant first."""
+        desc, lmul = self.desc, self.lmul
+        up = desc[w] & ~desc[x]
+        while up:  # P_{x,w} = P_{sx,w} for s in D_L(w)
+            x = lmul[(up & -up).bit_length() - 1][x]
+            up = desc[w] & ~desc[x]
+        if x == w:
+            return (1,)
+        key = x * self.n + w
+        p = self._kl.get(key)
+        if p is None:
+            p = self._kl[key] = self._recurse(x, w) if self.leq(x, w) else ()
+        return p
+
+    def _recurse(self, x: int, w: int) -> tuple[int, ...]:
+        """P_{x,w} for x < w with D_L(w) inside D_L(x), so c = 1."""
+        L = self.length
+        i = self.first[w]
+        v = self.lmul[i][w]
+        acc = [0] * ((L[w] - L[x]) // 2 + 1)
+        for k, c in enumerate(self.kl(self.lmul[i][x], v)):
+            acc[k] += c
+        for k, c in enumerate(self.kl(x, v)):
+            acc[k + 1] += c
+        for z, m in self.mu(v):
+            if self.desc[z] >> i & 1 and self.leq(x, z):
+                shift = (L[w] - L[z]) // 2
+                for k, c in enumerate(self.kl(x, z)):
+                    acc[k + shift] -= m * c
+        coeffs = _pnorm(acc)
+        if any(c < 0 for c in coeffs):
+            raise SuperlinkError(f"negative KL coefficient at "
+                                 f"{(self.images[x], self.images[w])}: {coeffs}")
+        return coeffs
+
+    def mu(self, v: int) -> list[tuple[int, int]]:
+        """The (z, mu(z, v)) with z < v and mu(z, v) != 0."""
+        out = self._mu.get(v)
+        if out is None:
+            out = []
+            lv, dv = self.length[v], self.desc[v]
+            for z in _bits(self.ideal(v)):
+                gap = lv - self.length[z]
+                if gap % 2 == 0:
+                    continue
+                if gap == 1:
+                    out.append((z, 1))
+                elif not dv & ~self.desc[z]:  # else P_{z,v} = P_{sz,v} has lower degree
+                    p = self.kl(z, v)
+                    k = (gap - 1) // 2
+                    if k < len(p) and p[k]:
+                        out.append((z, p[k]))
+            self._mu[v] = out
+        return out
+
+    def value(self, x: int, w: int) -> int:
+        """P_{x,w}(1)."""
+        return sum(self.kl(x, w))
+
+
 class FiniteWeylGroup:
-    """A parabolic Weyl group with cached lengths, words and KL data."""
+    """A parabolic Weyl group; its reflections, integer index and KL data
+    are built on first use."""
 
     def __init__(self, datum: RootDatum, sub: Sequence[Root] | None = None,
                  cap: int = KL_GROUP_CAP):
@@ -119,14 +254,8 @@ class FiniteWeylGroup:
         if self.order > cap:
             raise CapExceededError(f"|W| = {self.order} exceeds the cap {cap}")
         self.simple = list(self.sub)
-        self.reflections = [reflection_element(datum, r) for r in self.simple]
         self.identity = WeylElement.identity(datum.dim)
-        self._pos = frozenset(r.weight for r in datum.even_positive)
         self._elements: list[WeylElement] | None = None
-        self._length: dict[tuple[int, ...], int] = {}
-        self._word: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-        self._kl: dict[tuple[tuple[int, ...], tuple[int, ...]], KLPolynomial] = {}
 
     @staticmethod
     def symmetric(n: int) -> "FiniteWeylGroup":
@@ -138,35 +267,34 @@ class FiniteWeylGroup:
         """The hyperoctahedral group of rank n."""
         return FiniteWeylGroup(build_reductive([("C", n)]))
 
+    @cached_property
+    def reflections(self) -> list[WeylElement]:
+        return [reflection_element(self.datum, r) for r in self.simple]
+
+    @cached_property
+    def _index(self) -> _Index:
+        return _Index(self.reflections, self.identity)
+
+    def _id(self, w: WeylElement) -> int:
+        try:
+            return self._index.ids[w.images]
+        except KeyError:
+            raise UnsupportedInputError(f"{w!r} is not an element of the group") from None
+
+    def _mask(self, roots: Iterable[Root]) -> int:
+        return sum(1 << self.simple.index(r) for r in roots)
+
     def elements(self) -> list[WeylElement]:
         if self._elements is None:
-            seen = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for g in self.reflections:
-                        prod = g.compose(w)
-                        if prod not in seen:
-                            seen.add(prod)
-                            nxt.append(prod)
-                frontier = nxt
-            self._elements = sorted(seen, key=lambda w: (self.length(w), w.images))
+            self._elements = [WeylElement(x) for x in self._index.images]
         return self._elements
 
     def length(self, w: WeylElement) -> int:
-        key = w.images
-        if key not in self._length:
-            self._length[key] = length(self.datum, w, self.sub)
-        return self._length[key]
+        return self._index.length[self._id(w)]
 
     def word(self, w: WeylElement) -> tuple[int, ...]:
         """Reduced word as indices into the simple list."""
-        key = w.images
-        if key not in self._word:
-            roots = reduced_word(self.datum, w, self.sub)
-            self._word[key] = tuple(self.simple.index(r) for r in roots)
-        return self._word[key]
+        return tuple(self._index.word(self._id(w)))
 
     def from_word(self, word: Iterable[int]) -> WeylElement:
         w = self.identity
@@ -181,79 +309,35 @@ class FiniteWeylGroup:
         return self.reflections[i].compose(w)
 
     def left_descent(self, w: WeylElement) -> int | None:
-        """Some i with l(s_i w) < l(w), or None for the identity."""
-        inv = w.inverse()
-        for i, alpha in enumerate(self.simple):
-            if inv.apply(alpha.weight) not in self._pos:
-                return i
-        return None
+        """The least i with l(s_i w) < l(w), or None for the identity."""
+        i = self._index.first[self._id(w)]
+        return None if i < 0 else i
 
     def longest(self) -> WeylElement:
-        return longest_element(self.datum, self.sub)
+        return WeylElement(self._index.images[-1])
+
+
+_GROUPS: dict[RootDatum, FiniteWeylGroup] = {}
+
+
+def shared_group(datum: RootDatum, cap: int = KL_GROUP_CAP) -> FiniteWeylGroup:
+    """The process-wide Weyl group of the datum, built on first use."""
+    W = _GROUPS.get(datum)
+    if W is None:
+        W = _GROUPS.setdefault(datum, FiniteWeylGroup(datum, cap=cap))
+    elif W.order > cap:
+        raise CapExceededError(f"|W| = {W.order} exceeds the cap {cap}")
+    return W
 
 
 def bruhat_leq(W: FiniteWeylGroup, x: WeylElement, y: WeylElement) -> bool:
-    """Bruhat order via the lifting property on a reduced word of y."""
-    key = (x.images, y.images)
-    if key in W._bruhat:
-        return W._bruhat[key]
-    lx, ly = W.length(x), W.length(y)
-    if lx > ly:
-        result = False
-    elif x == y:
-        result = True
-    elif lx == ly:
-        result = False
-    else:
-        i = W.left_descent(y)
-        yy = W.left_mult(i, y)
-        sx = W.left_mult(i, x)
-        if W.length(sx) < lx:
-            result = bruhat_leq(W, sx, yy)
-        else:
-            result = bruhat_leq(W, x, yy)
-    W._bruhat[key] = result
-    return result
+    """Bruhat order, read off the lower ideal of y."""
+    return W._index.leq(W._id(x), W._id(y))
 
 
 def kl_polynomial(W: FiniteWeylGroup, x: WeylElement, w: WeylElement) -> KLPolynomial:
     """The Kazhdan-Lusztig polynomial P_{x,w}, memoized per group."""
-    key = (x.images, w.images)
-    cached = W._kl.get(key)
-    if cached is not None:
-        return cached
-    if not bruhat_leq(W, x, w):
-        result = KLPolynomial.of(())
-    elif x == w:
-        result = KLPolynomial.of((1,))
-    else:
-        i = W.left_descent(w)
-        v = W.left_mult(i, w)
-        sx = W.left_mult(i, x)
-        c = 1 if W.length(sx) < W.length(x) else 0
-        acc = _padd(_pshift(kl_polynomial(W, sx, v).coeffs, 1 - c),
-                    _pshift(kl_polynomial(W, x, v).coeffs, c))
-        lw, lv = W.length(w), W.length(v)
-        for z in W.elements():
-            lz = W.length(z)
-            if lz > lv or (lv - lz) % 2 == 0:
-                continue
-            if W.length(W.left_mult(i, z)) >= lz:
-                continue
-            if not (bruhat_leq(W, x, z) and bruhat_leq(W, z, v)):
-                continue
-            mu = kl_polynomial(W, z, v).coeffs
-            deg = (lv - lz - 1) // 2
-            mu_c = mu[deg] if deg < len(mu) else 0
-            if mu_c == 0:
-                continue
-            term = _pscale(_pshift(kl_polynomial(W, x, z).coeffs, (lw - lz) // 2), -mu_c)
-            acc = _padd(acc, term)
-        result = KLPolynomial.of(acc)
-        if result.coeffs and any(cf < 0 for cf in result.coeffs):
-            raise SuperlinkError(f"negative KL coefficient at {key}: {result.coeffs}")
-    W._kl[key] = result
-    return result
+    return KLPolynomial(W._index.kl(W._id(x), W._id(w)))
 
 
 @dataclass
@@ -273,48 +357,53 @@ class MultTable:
         return sorted(g for (l, g) in self.entries if l == lam)
 
 
+def _require_reductive(datum: RootDatum) -> None:
+    if datum.family != "reductive":
+        raise UnsupportedInputError(
+            "built-in multiplicity tables exist only for reductive data; "
+            "supply a table for super families")
+
+
+def _require_regular(datum: RootDatum, lam: Weight) -> None:
+    if stabilizer_roots(datum, lam):
+        raise UnsupportedInputError("singular orbits are out of scope; weight must be regular")
+
+
 def _require_regular_antidominant(datum: RootDatum, lam: Weight) -> None:
     if not is_integral(datum, lam):
         raise UnsupportedInputError("multiplicities need an integral weight")
-    if stabilizer_roots(datum, lam):
-        raise UnsupportedInputError("singular orbits are out of scope; weight must be regular")
+    _require_regular(datum, lam)
     if not is_antidominant(datum, lam):
         raise UnsupportedInputError("the base weight must be anti-dominant")
+
+
+def _position(datum: RootDatum, W: FiniteWeylGroup, mu: Weight) -> tuple[Weight, int]:
+    """(base, k): the anti-dominant base of mu's dot orbit and the id k of
+    w0 y, where y . base = mu; then [M(mu) : L(gamma)] = P_{k(mu),k(gamma)}(1)."""
+    base, witness = antidominant_rep(datum, mu)
+    return base, W._index.w0x[W._id(witness.inverse())]
 
 
 def verma_mult(datum: RootDatum, lam: Weight, w: WeylElement, x: WeylElement) -> int:
     """[M(w . lam) : L(x . lam)] for anti-dominant regular integral lam."""
     _require_regular_antidominant(datum, lam)
-    W = FiniteWeylGroup(datum)
-    w0 = W.longest()
-    return kl_polynomial(W, w0.compose(w), w0.compose(x)).evaluate(1)
+    W = shared_group(datum)
+    ix = W._index
+    return ix.value(ix.w0x[W._id(w)], ix.w0x[W._id(x)])
 
 
 def builtin_verma_table(datum: RootDatum, lam: Weight) -> MultTable:
     """The KL-backed table over the full dot orbit of a regular integral
     weight of a reductive datum."""
-    if datum.family != "reductive":
-        raise UnsupportedInputError(
-            "built-in multiplicity tables exist only for reductive data; "
-            "supply a table for super families")
+    _require_reductive(datum)
     if not is_integral(datum, lam):
         raise UnsupportedInputError("multiplicities need an integral weight")
-    if stabilizer_roots(datum, lam):
-        raise UnsupportedInputError("singular orbits are out of scope; weight must be regular")
+    _require_regular(datum, lam)
+    W = shared_group(datum)
     base, _ = antidominant_rep(datum, lam)
-    W = FiniteWeylGroup(datum)
-    w0 = W.longest()
-    orbit = sorted(orbit_dot(datum, base))
-    towards: dict[Weight, WeylElement] = {}
-    for mu in orbit:
-        _, witness = antidominant_rep(datum, mu)
-        towards[mu] = witness.inverse()  # mu = towards[mu] . base
-    entries = {}
-    for mu in orbit:
-        for gamma in orbit:
-            value = kl_polynomial(W, w0.compose(towards[mu]),
-                                  w0.compose(towards[gamma])).evaluate(1)
-            entries[(mu, gamma)] = value
+    ks = {mu: _position(datum, W, mu)[1] for mu in sorted(orbit_dot(datum, base))}
+    entries = {(mu, gamma): W._index.value(k, j)
+               for mu, k in ks.items() for gamma, j in ks.items()}
     return MultTable(entries, provenance="builtin-KL")
 
 
@@ -326,8 +415,11 @@ def gamma_summation_set(datum: RootDatum, mu: Weight, zeta) -> list[Weight]:
 
 
 def whittaker_mult(datum: RootDatum, lam: Weight, mu: Weight, zeta,
-                   table: MultTable | None = None) -> int:
-    """[M(lam, zeta) : L(mu, zeta)] by reduction to highest-weight data."""
+                   table: MultTable | None = None, cap: int = KL_GROUP_CAP) -> int:
+    """[M(lam, zeta) : L(mu, zeta)] by reduction to highest-weight data.
+
+    Without a table the built-in multiplicities are used; `cap` bounds |W|.
+    """
     if not is_integral(datum, lam) or not is_integral(datum, mu):
         raise UnsupportedInputError("Whittaker multiplicities need integral weights")
     gammas = gamma_summation_set(datum, mu, zeta)
@@ -335,7 +427,14 @@ def whittaker_mult(datum: RootDatum, lam: Weight, mu: Weight, zeta,
         raise SuperlinkError(
             f"gamma summation set is not a singleton for integral input: {gammas}")
     if table is None:
-        table = builtin_verma_table(datum, lam)
+        _require_reductive(datum)
+        _require_regular(datum, lam)
+        W = shared_group(datum, cap=cap)
+        base, k = _position(datum, W, lam)
+        gamma_base, j = _position(datum, W, gammas[0])
+        if gamma_base != base:
+            raise MissingTableEntryError([(lam, gammas[0])])
+        return W._index.value(k, j)
     missing = [(lam, g) for g in gammas if (lam, g) not in table.entries]
     if missing:
         raise MissingTableEntryError(missing)
@@ -343,12 +442,21 @@ def whittaker_mult(datum: RootDatum, lam: Weight, mu: Weight, zeta,
 
 
 def whittaker_length(datum: RootDatum, lam: Weight, zeta,
-                     table: MultTable | None = None) -> int:
-    """Composition length of the standard Whittaker module at (lam, zeta)."""
+                     table: MultTable | None = None, cap: int = KL_GROUP_CAP) -> int:
+    """Composition length of the standard Whittaker module at (lam, zeta).
+
+    Without a table the built-in multiplicities are used; `cap` bounds |W|.
+    """
     if not is_integral(datum, lam):
         raise UnsupportedInputError("Whittaker multiplicities need integral weights")
     if table is None:
-        table = builtin_verma_table(datum, lam)
+        _require_reductive(datum)
+        _require_regular(datum, lam)
+        W = shared_group(datum, cap=cap)
+        ix = W._index
+        k = _position(datum, W, lam)[1]
+        J = W._mask(zeta.support)
+        return sum(ix.value(k, ix.w0x[y]) for y in range(ix.n) if not ix.desc[y] & J)
     total = 0
     for gamma in table.gammas_for(lam):
         if is_antidominant(datum, gamma, zeta.support):

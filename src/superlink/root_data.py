@@ -66,6 +66,11 @@ class RootDatum:
     blocks: tuple[Block, ...]
     literal_seps: tuple[tuple[int, str], ...]  # block markers for weight literals
 
+    def __hash__(self) -> int:
+        # these fields determine the rest; hashing every root would cost
+        # tens of microseconds per lookup of a datum-keyed cache
+        return hash((self.family, self.params, self.blocks))
+
     def describe(self) -> str:
         if self.family == "gl":
             return f"gl({self.params[0]}|{self.params[1]})"

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import SuperlinkError, UnsupportedInputError
 from .root_data import RootDatum, is_integral, pairing_coroot
@@ -208,7 +207,10 @@ class VermaModel:
         self.lam = lam
         self.real = realize(datum)
         self.pos_roots = [r.weight for r in datum.even_positive]
+        # per-instance memos: a model and its caches die with the last reference
         self._act_cache: dict = {}
+        self._monomial_cache: dict = {}
+        self._expressible_cache: dict = {}
 
     # -- generator actions ------------------------------------------------
     def _apply_parts(self, parts, mono):
@@ -267,9 +269,11 @@ class VermaModel:
         return result
 
     # -- weight spaces -----------------------------------------------------
-    @lru_cache(maxsize=None)
     def _monomials(self, beta: Weight) -> tuple[tuple[int, ...], ...]:
         """All PBW monomials of weight -beta (beta a nonnegative root sum)."""
+        cached = self._monomial_cache.get(beta)
+        if cached is not None:
+            return cached
         out = []
 
         def rec(remaining: Weight, max_idx: int, acc):
@@ -283,7 +287,8 @@ class VermaModel:
                     rec(nxt, i, acc + [i])
 
         rec(beta, len(self.pos_roots) - 1, [])
-        return tuple(out)
+        result = self._monomial_cache[beta] = tuple(out)
+        return result
 
     def _plausible(self, remaining: Weight, max_idx: int) -> bool:
         # cheap cone test: remaining must stay expressible over allowed roots
@@ -293,8 +298,14 @@ class VermaModel:
                      for a in self.datum.even_positive)
         return height >= 0 and self._expressible(remaining, max_idx)
 
-    @lru_cache(maxsize=None)
     def _expressible(self, remaining: Weight, max_idx: int) -> bool:
+        key = (remaining, max_idx)
+        cached = self._expressible_cache.get(key)
+        if cached is None:
+            cached = self._expressible_cache[key] = self._search(remaining, max_idx)
+        return cached
+
+    def _search(self, remaining: Weight, max_idx: int) -> bool:
         if remaining.is_zero():
             return True
         for i in range(max_idx, -1, -1):

@@ -163,6 +163,17 @@ def test_config_overrides(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_mult_honours_kl_cap(capsys, tmp_path):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("kl_cap=1\n")
+    for query in (["--length"], ["--mu=-3,0,4"]):
+        code, out, err = run(capsys, ["mult", "--family", "reductive", "--factors", "A2",
+                                      "--weight=-3,0,4", "--zeta", "none", *query,
+                                      "--config", str(cfg)])
+        assert code == 3 and out == ""
+        assert "cap" in err
+
+
 def test_per_coordinate_box(capsys):
     payload = run_json(capsys, ["enumerate-block", "--family", "p", "--n", "2",
                                 "--weight", "0,0", "--box", " -2..2, -1..1"])

@@ -234,3 +234,78 @@ def test_whittaker_length_with_user_table_for_super(gl21):
     # only the W_zeta-anti-dominant gamma counts toward the length
     assert whittaker_length(gl21, lam, z1, table) == 1
     assert whittaker_mult(gl21, lam, rep, z1, table) == 1
+
+
+# -- the indexed engine ---------------------------------------------------------
+
+def _zetas(datum):
+    import itertools
+    simple = datum.simple_even
+    for mask in itertools.product([0, 1], repeat=len(simple)):
+        yield WhittakerCharacter.make(datum, [r for r, m in zip(simple, mask) if m])
+
+
+@pytest.mark.parametrize("factors,base,mu_step", [
+    ("A2", "-2,0,2", 1), ("C2", "-4,-2", 1), ("A1xC2", "-1,1|-4,-2", 8),
+    # all 16 mu of A1xC2 are slow: gamma_summation_set dominates every call
+    pytest.param("A1xC2", "-1,1|-4,-2", 1, marks=pytest.mark.slow)])
+def test_table_free_whittaker_matches_builtin_table(factors, base, mu_step):
+    """Every lam of the orbit, every zeta subset and every mu_step-th mu."""
+    from superlink import build_root_datum, orbit_dot
+    datum = build_root_datum("reductive", factors=factors)
+    base = datum.parse_weight(base)
+    table = builtin_verma_table(datum, base)
+    orbit = sorted(orbit_dot(datum, base))
+    assert len(table.entries) == len(orbit) ** 2
+    for zeta in _zetas(datum):
+        for lam in orbit:
+            assert whittaker_length(datum, lam, zeta) == whittaker_length(datum, lam, zeta, table)
+            for mu in orbit[::mu_step]:
+                assert (whittaker_mult(datum, lam, mu, zeta)
+                        == whittaker_mult(datum, lam, mu, zeta, table))
+
+
+def test_table_free_refusals_keep_their_order(red_a2, gl21):
+    from superlink.errors import CapExceededError
+    z0 = WhittakerCharacter.from_indices(red_a2, "none")
+    lam = Weight([-3, 0, 4])
+    with pytest.raises(MissingTableEntryError) as err:
+        whittaker_mult(red_a2, lam, Weight([-3, 0, 5]), z0)  # another orbit
+    assert err.value.missing == [(lam, Weight([-3, 0, 5]))]
+    # a non-integral weight is refused before anything else
+    with pytest.raises(UnsupportedInputError, match="integral"):
+        whittaker_mult(gl21, gl21.parse_weight("1/2,0|0"), gl21.parse_weight("0,0|0"),
+                       WhittakerCharacter.from_indices(gl21, "none"))
+    with pytest.raises(UnsupportedInputError, match="reductive"):
+        whittaker_length(gl21, gl21.parse_weight("0,-2|5"),
+                         WhittakerCharacter.from_indices(gl21, "1"))
+    with pytest.raises(UnsupportedInputError, match="singular"):
+        whittaker_mult(red_a2, Weight([-1, 0, 1]), Weight([-3, 0, 4]), z0)
+    with pytest.raises(CapExceededError):
+        whittaker_length(red_a2, lam, z0, cap=5)
+    with pytest.raises(CapExceededError):
+        whittaker_mult(red_a2, lam, lam, z0, cap=5)
+
+
+def test_groups_are_shared_per_datum(red_a2):
+    from superlink import build_root_datum
+    from superlink.kl import shared_group
+    again = build_root_datum("reductive", factors="A2")
+    assert shared_group(red_a2) is shared_group(again)
+    assert shared_group(red_a2) is not shared_group(build_root_datum("reductive", factors="C2"))
+
+
+@pytest.mark.parametrize("make", [lambda: FiniteWeylGroup.symmetric(4),
+                                  lambda: FiniteWeylGroup.type_c(3)], ids=["S4", "C3"])
+def test_kl_identities_on_all_pairs(make):
+    """P_{x,w} = P_{x^-1,w^-1}, and P_{x,w} = P_{sx,w} for s in D_L(w)."""
+    W = make()
+    elements = W.elements()
+    for w in elements:
+        descents = [i for i in range(len(W.simple))
+                    if W.length(W.left_mult(i, w)) < W.length(w)]
+        for x in elements:
+            p = kl_polynomial(W, x, w)
+            assert p == kl_polynomial(W, x.inverse(), w.inverse())
+            for i in descents:
+                assert p == kl_polynomial(W, W.left_mult(i, x), w)

@@ -70,3 +70,26 @@ def test_c2_gram_symmetry_spotcheck():
     monos = model._monomials(beta)
     assert len(monos) == model.verma_dim(beta)
     assert 0 <= model.simple_dim(beta) <= model.verma_dim(beta)
+
+
+def test_models_die_with_the_call(monkeypatch):
+    """No cache outlives a VermaModel: every model built inside
+    verma_multiplicities is freed once the call returns."""
+    import gc
+    import weakref
+
+    from superlink import verma_oracle
+
+    refs = []
+
+    class Tracked(VermaModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(verma_oracle, "VermaModel", Tracked)
+    datum = build_root_datum("reductive", factors="A2")
+    verma_oracle.verma_multiplicities(datum, Weight([-2, 0, 2]))
+    gc.collect()
+    assert len(refs) == 6
+    assert all(ref() is None for ref in refs)
