@@ -281,9 +281,6 @@ class FiniteWeylGroup:
         except KeyError:
             raise UnsupportedInputError(f"{w!r} is not an element of the group") from None
 
-    def _mask(self, roots: Iterable[Root]) -> int:
-        return sum(1 << self.simple.index(r) for r in roots)
-
     def elements(self) -> list[WeylElement]:
         if self._elements is None:
             self._elements = [WeylElement(x) for x in self._index.images]
@@ -455,7 +452,7 @@ def whittaker_length(datum: RootDatum, lam: Weight, zeta,
         W = shared_group(datum, cap=cap)
         ix = W._index
         k = _position(datum, W, lam)[1]
-        J = W._mask(zeta.support)
+        J = sum(1 << W.simple.index(r) for r in zeta.support)
         return sum(ix.value(k, ix.w0x[y]) for y in range(ix.n) if not ix.desc[y] & J)
     total = 0
     for gamma in table.gammas_for(lam):
