@@ -1,21 +1,27 @@
-"""Byte-for-byte replay of recorded `klpoly` / `mult` CLI invocations.
+"""Byte-for-byte replay of recorded CLI invocations.
 
-The corpus in `golden/kl_cli.json` pins the stdout and exit code of each
-invocation.  Re-record it (only when an output change is intended) with
+Two corpora pin the stdout and exit code of each invocation:
+`golden/kl_cli.json` (`klpoly` / `mult`) and `golden/box_cli.json`
+(`typicality`, `block-label`, `validate`, `enumerate-block`).  Re-record
+them (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden_kl_cli.py
+    PYTHONPATH=src python tests/test_golden_kl_cli.py [kl_cli] [box_cli]
+
+which records the named corpora, or both when none is named.
 """
 import contextlib
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from superlink.cli import main
 
-CORPUS = Path(__file__).resolve().parent / "golden" / "kl_cli.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPORA = ("kl_cli", "box_cli")
 
 
 def _invoke(argv):
@@ -25,25 +31,42 @@ def _invoke(argv):
     return code, out.getvalue()
 
 
-def _load():
-    return json.loads(CORPUS.read_text(encoding="utf-8"))
+def _load(name):
+    return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
 
 
-# an absent corpus fails test_corpus_covers_refusals, not the import (which
-# the recorder needs)
-@pytest.mark.parametrize("case", _load() if CORPUS.exists() else [], ids=lambda c: " ".join(c["argv"]))
+def _all_cases():
+    return [case for name in CORPORA if (GOLDEN / f"{name}.json").exists()
+            for case in _load(name)]
+
+
+# an absent corpus fails its coverage test, not the import (which the
+# recorder needs)
+@pytest.mark.parametrize("case", _all_cases(), ids=lambda c: " ".join(c["argv"]))
 def test_replay(case):
     code, stdout = _invoke(case["argv"])
     assert (code, stdout) == (case["exit"], case["stdout"])
 
 
 def test_corpus_covers_refusals():
-    cases = _load()
+    cases = _load("kl_cli")
     assert sum(c["exit"] == 3 for c in cases) >= 3
     assert {c["argv"][0] for c in cases} == {"klpoly", "mult"}
 
 
-# -- recording ----------------------------------------------------------------
+def test_box_corpus_coverage():
+    cases = _load("box_cli")
+    assert {c["argv"][0] for c in cases} == {"typicality", "block-label", "validate",
+                                             "enumerate-block"}
+    assert any("--no-enlarge" in c["argv"] for c in cases)
+    assert any("text" in c["argv"] for c in cases)
+    assert any(c["exit"] == 3 for c in cases)
+    degrees = {json.loads(c["stdout"]).get("degree") for c in cases
+               if c["argv"][0] == "typicality" and c["exit"] == 0 and "text" not in c["argv"]}
+    assert {1, 2, 3, 4} <= degrees
+
+
+# -- recording: kl_cli ----------------------------------------------------------
 
 # pairs with nontrivial polynomials, which random words rarely reach
 KLPOLY_PINNED = [("a", 3, "2", "2,1,3,2"), ("a", 3, "e", "2,1,3,2"),
@@ -114,16 +137,144 @@ REFUSALS = [
 ]
 
 
-def record() -> None:
-    rng = random.Random(20211008)
-    argvs = _klpoly_cases(rng) + _mult_cases(rng) + REFUSALS
+
+# -- recording: box_cli ---------------------------------------------------------
+
+GL_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 4)]
+
+
+def _flags(family, m=None, n=None, factors=None):
+    out = ["--family", family]
+    if m is not None:
+        out += ["--m", str(m)]
+    if n is not None:
+        out += ["--n", str(n)]
+    if factors is not None:
+        out += ["--factors", factors]
+    return out
+
+
+def _shifted(datum, coords):
+    """The literal of lam with lam + rho = coords."""
+    from superlink.weights import Weight
+    return datum.format_weight(Weight(coords) - datum.rho)
+
+
+def _typicality_cases(rng):
+    from fractions import Fraction
+    from superlink import build_root_datum
     cases = []
-    for argv in argvs:
-        code, stdout = _invoke(argv)
-        cases.append({"argv": argv, "exit": code, "stdout": stdout})
-    CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+
+    def add(flags, datum, coords):
+        cases.append(["typicality", *flags, f"--weight={_shifted(datum, coords)}"])
+
+    for m, n in GL_SHAPES:
+        flags = _flags("gl", m=m, n=n)
+        datum = build_root_datum("gl", m=m, n=n)
+        for _ in range(4):  # small range: many coincidences a_i = -b_j
+            add(flags, datum, [rng.randrange(-2, 3) for _ in range(m + n)])
+        for _ in range(2):  # half-integers
+            add(flags, datum, [Fraction(rng.randrange(-4, 5), 2) for _ in range(m + n)])
+        add(flags, datum, [Fraction(rng.randrange(-4, 5), 3) for _ in range(m + n)])
+        if m == n:
+            a = rng.sample(range(-6, 7), m)
+            add(flags, datum, a + [-c for c in rng.sample(a, m)])  # degree m
+            add(flags, datum, [0] * (m + n))
+    cases[-1] += ["--format", "text"]
+    for n in (1, 2):
+        flags = _flags("osp2", n=n)
+        datum = build_root_datum("osp2", n=n)
+        for _ in range(3):
+            add(flags, datum, [rng.randrange(-3, 4) for _ in range(n + 1)])
+        d = [rng.randrange(-3, 4) for _ in range(n)]
+        add(flags, datum, [-d[-1]] + d)  # |x| = |d_n|
+        add(flags, datum, [Fraction(rng.randrange(-5, 6), 2) for _ in range(n + 1)])
+        add(flags, datum, [Fraction(1, 2), Fraction(-1, 2)] + [Fraction(1, 3)] * (n - 1))
+    datum = build_root_datum("osp32")
+    for a, b in [(Fraction(1, 2), Fraction(-1, 2)), (Fraction(-3, 2), Fraction(-3, 2)),
+                 (Fraction(1, 2), Fraction(3, 2)), (Fraction(2), Fraction(-2)),
+                 (Fraction(1, 3), Fraction(1)), (Fraction(0), Fraction(0))]:
+        add(["--family", "osp32"], datum, [a, b])
+    for n in (2, 3):
+        cases.append(["typicality", *_flags("p", n=n), "--weight=" + ",".join("0" * n)])
+    cases.append(["typicality", *_flags("p", n=2), "--weight=1/2,-3/2", "--format", "text"])
+    cases.append(["typicality", *_flags("reductive", factors="A2"), "--weight=3,1,0"])
+    cases.append(["typicality", *_flags("reductive", factors="A1xC2"), "--weight=0,0|0,0"])
+    cases.append(["typicality", *_flags("gl", m=2, n=1), "--weight=0,0"])  # wrong dim
+    return cases
+
+
+def _block_label_cases(rng):
+    cases = []
+    for m, n in GL_SHAPES[:4]:
+        flags = _flags("gl", m=m, n=n)
+        for _ in range(3):
+            lam = ",".join(str(rng.randrange(-3, 4)) for _ in range(m + n))
+            cases.append(["block-label", *flags, f"--weight={lam}"])
+    cases.append(["block-label", *_flags("gl", m=1, n=1), "--weight=1/2,0"])
+    for n in (1, 2):
+        for _ in range(3):
+            lam = ",".join(str(rng.randrange(-3, 4)) for _ in range(n + 1))
+            cases.append(["block-label", *_flags("osp2", n=n), f"--weight={lam}"])
+    for n in (2, 3):
+        for _ in range(3):
+            lam = ",".join(str(rng.randrange(-3, 4)) for _ in range(n))
+            cases.append(["block-label", *_flags("p", n=n), f"--weight={lam}"])
+    cases.append(["block-label", *_flags("p", n=2), "--weight=1/2,-3/2"])
+    cases.append(["block-label", *_flags("p", n=2), "--weight=0,1/2"])
+    for a, b in [(0, "-1/2"), (1, "1/2"), (-2, "3/2"), (3, "-5/2")]:
+        cases.append(["block-label", "--family", "osp32", f"--weight={a},{b}"])
+    cases.append(["block-label", *_flags("reductive", factors="A2"), "--weight=2,-1,0"])
+    cases.append(["block-label", *_flags("reductive", factors="C2"), "--weight=1,-3",
+                  "--format", "text"])
+    return cases
+
+
+VALIDATE_BOXES = [
+    (_flags("p", n=2), " -3..3"), (_flags("p", n=3), " -2..2"),
+    (_flags("gl", m=2, n=1), " -2..2"), (_flags("gl", m=2, n=1), " -2..1, -1..2, 0..2"),
+    (_flags("gl", m=1, n=1), " -1..4, -3..0"),
+    (_flags("osp2", n=1), " -3..3"), (["--family", "osp32"], " -3..3"),
+]
+
+ENUMERATE_BLOCKS = [
+    (_flags("p", n=2), "0,0", " -3..3"), (_flags("p", n=3), "0,1,0", " -1..1"),
+    (_flags("gl", m=2, n=1), "0,0,0", " -2..2"), (_flags("osp2", n=1), "2;-1", " -3..3"),
+    (["--family", "osp32"], "0,-1/2", " -3..3"),
+    (_flags("reductive", factors="A1"), "0,0", " -2..2"),
+    (_flags("gl", m=1, n=1), "1/2,0", " -1..1"),
+]
+
+
+def _box_cases():
+    cases = []
+    for flags, box in VALIDATE_BOXES:
+        cases.append(["validate", *flags, f"--box={box}"])
+        cases.append(["validate", *flags, f"--box={box}", "--no-enlarge"])
+    cases[-1] += ["--format", "text"]
+    for flags, lam, box in ENUMERATE_BLOCKS:
+        cases.append(["enumerate-block", *flags, f"--weight={lam}", f"--box={box}"])
+    cases[-2] += ["--format", "text"]
+    return cases
+
+
+def _argvs(name):
+    rng = random.Random(20211008 if name == "kl_cli" else 20211018)
+    if name == "kl_cli":
+        return _klpoly_cases(rng) + _mult_cases(rng) + REFUSALS
+    return _typicality_cases(rng) + _block_label_cases(rng) + _box_cases()
+
+
+def record(names=CORPORA) -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in names:
+        cases = []
+        for argv in _argvs(name):
+            code, stdout = _invoke(argv)
+            cases.append({"argv": argv, "exit": code, "stdout": stdout})
+        (GOLDEN / f"{name}.json").write_text(json.dumps(cases, indent=1) + "\n",
+                                             encoding="utf-8")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:] or CORPORA)
