@@ -33,11 +33,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import UnsupportedInputError
-from .root_data import RootDatum, bilinear, is_integral
-from .weights import Weight, format_rational
+from .root_data import RootDatum, is_integral
+from .weights import Weight, _fractional, format_rational
 from .weyl import antidominant_rep, reflect
 
 
@@ -91,46 +90,36 @@ class BlockLabel:
         return json.dumps(self.to_json(), separators=(",", ":"))
 
 
-def _isotropic_positive(datum: RootDatum):
-    return [r for r in datum.odd_positive if r.isotropic]
-
-
 def typicality(datum: RootDatum, lam: Weight) -> Typicality:
     """Typical/atypical with exact atypicality degree.
 
     The degree is the largest number of mutually orthogonal isotropic roots
-    annihilating lam + rho, found by backtracking over the positive
-    isotropic roots.  p(n) carries no such notion here and reports
-    not-applicable.
+    annihilating lam + rho.  Distinct isotropic roots of these families are
+    orthogonal exactly when their two-coordinate supports are disjoint, so
+    the degree has a closed form.  gl(m|n): on lam + rho = (a | b) it is
+    the maximal matching a_i = -b_j, the cancellation count of the block
+    label.  osp(2|2n) and osp(3|2): every isotropic root meets the leading
+    coordinate, so the degree is 1 when |x| equals some |d_i| (|a| = |b|
+    for osp(3|2)) and 0 otherwise.  Reductive data are typical, and p(n)
+    carries no such notion here and reports not-applicable.  Weights need
+    not be integral.
     """
     datum.check_dim(lam)
     if datum.family == "p":
         return Typicality("not-applicable")
-    shifted = lam + datum.rho
-    candidates = [r.weight for r in _isotropic_positive(datum)
-                  if bilinear(datum, shifted, r.weight) == 0]
-    best = 0
-
-    def extend(chosen: list[Weight], rest: list[Weight]):
-        nonlocal best
-        best = max(best, len(chosen))
-        for i, w in enumerate(rest):
-            if all(bilinear(datum, w, c) == 0 for c in chosen):
-                extend(chosen + [w], rest[i + 1:])
-
-    extend([], candidates)
-    if best == 0:
-        return Typicality("typical")
-    return Typicality("atypical", best)
+    mu = (lam + datum.rho).coords
+    degree = 0
+    if datum.family == "gl":
+        m = datum.params[0]
+        degree = _cancel(mu[:m], [-c for c in mu[m:]])[2]
+    elif datum.family in ("osp2", "osp32"):
+        degree = int(abs(mu[0]) in {abs(c) for c in mu[1:]})
+    return Typicality("atypical", degree) if degree else Typicality("typical")
 
 
 def _require_integral(datum: RootDatum, lam: Weight) -> None:
     if not is_integral(datum, lam):
         raise UnsupportedInputError("block labels are defined for integral weights")
-
-
-def _fractional(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
 
 
 def _cancel(a_vals, b_vals):

@@ -46,8 +46,7 @@ def _datum(args) -> RootDatum:
 
 
 def _config(args) -> dict:
-    out = {"box_cap": oracle_mod.BOX_CAP, "kl_cap": kl_mod.KL_GROUP_CAP,
-           "subgroup_cap": 10080}
+    out = {"box_cap": oracle_mod.BOX_CAP, "kl_cap": kl_mod.KL_GROUP_CAP}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
             for raw in handle:
@@ -227,9 +226,8 @@ def cmd_enumerate_block(args) -> int:
     lam = _weight(datum, args.weight)
     target = block_label(datum, lam)
     box = _parse_box(datum, args.box, args.anchor)
-    points = list(box.points(cap=cfg["box_cap"]))
-    labels = oracle_mod._labels_for(datum, points, args.jobs)
-    matches = sorted(w for w in points if labels[w] == target)
+    matches = sorted(w for w in box.points(cap=cfg["box_cap"])
+                     if block_label(datum, w) == target)
     payload = {"label": target.to_json(),
                "count": len(matches),
                "weights": [datum.format_weight(w) for w in matches]}
@@ -286,8 +284,7 @@ def cmd_validate(args) -> int:
     if box.count() > cfg["box_cap"]:
         raise SuperlinkError(f"box exceeds configured cap {cfg['box_cap']}")
     gens = oracle_mod.default_generators(datum)
-    report = oracle_mod.partition_box(datum, box, gens,
-                                      enlarge=not args.no_enlarge, jobs=args.jobs)
+    report = oracle_mod.partition_box(datum, box, gens, enlarge=not args.no_enlarge)
     payload = report.to_json(datum)
     payload["schema"] = SCHEMA_VERSION
     text = (f"{len(report.components)} components over "
@@ -367,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--box", required=True)
     p.add_argument("--anchor", help="lattice origin (default: integral lattice)")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = subs.add_parser("klpoly", help="Kazhdan-Lusztig polynomial")
     p.add_argument("--type", choices=["a", "c"], required=True)
@@ -388,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("validate", cmd_validate, help="box oracle: components vs labels")
     p.add_argument("--box", required=True)
     p.add_argument("--anchor", help="lattice origin (default: integral lattice)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-enlarge", action="store_true")
 
     return parser

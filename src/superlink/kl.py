@@ -57,7 +57,7 @@ from .errors import (CapExceededError, MissingTableEntryError, SuperlinkError,
                      UnsupportedInputError)
 from .root_data import Root, RootDatum, build_reductive, is_integral
 from .weights import Weight
-from .weyl import (WeylElement, antidominant_rep, is_antidominant, orbit_dot,
+from .weyl import (WeylElement, _closure, antidominant_rep, is_antidominant, orbit_dot,
                    reflection_element, stabilizer_roots, weyl_order)
 
 KL_GROUP_CAP = 40320  # memory guard on |W| for the memoized recursion
@@ -130,15 +130,9 @@ class _Index:
 
     def __init__(self, reflections: Sequence[WeylElement], identity: WeylElement):
         gens = [g.images for g in reflections]
-        levels = [[identity.images]]  # BFS distance from e is the Coxeter length
-        seen = set(levels[0])
-        while True:
-            nxt = {y for x in levels[-1] for y in (_left_mult(g, x) for g in gens)
-                   if y not in seen}
-            if not nxt:
-                break
-            seen |= nxt
-            levels.append(sorted(nxt))
+        # BFS distance from e is the Coxeter length
+        levels = [sorted(level) for level in
+                  _closure(identity.images, lambda x: (_left_mult(g, x) for g in gens))]
         self.images = [x for level in levels for x in level]
         self.ids = {x: i for i, x in enumerate(self.images)}
         self.n = len(self.images)

@@ -36,6 +36,7 @@ from .kl import FiniteWeylGroup, KLPolynomial, MultTable, bruhat_leq, kl_polynom
 from .root_data import RootDatum, bilinear
 from .verma_oracle import verma_multiplicities
 from .weights import Weight
+from .weyl import _closure
 
 BOX_CAP = 10 ** 6
 
@@ -163,17 +164,8 @@ def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox,
     """The connected component of seed under gens, restricted to the box."""
     if not box.contains(seed):
         raise UnsupportedInputError("seed lies outside the box")
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for img in gens.neighbors(datum, w, box):
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return sorted(seen)
+    levels = _closure(seed, lambda w: gens.neighbors(datum, w, box))
+    return sorted(itertools.chain.from_iterable(levels))
 
 
 @dataclass
@@ -206,16 +198,15 @@ class PartitionReport:
 
 
 def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
-                  enlarge: bool = True, jobs: int = 1) -> PartitionReport:
+                  enlarge: bool = True) -> PartitionReport:
     """Partition the box into linkage components and audit the labels.
 
     Reports (a) components carrying more than one closed-form label (a
     soundness failure) and (b) labels split across several components,
-    annotated with whether one enlargement pass merges them.  The partition
-    is independent of `jobs`; the flag only shards label computation.
+    annotated with whether one enlargement pass merges them.
     """
     points = list(box.points())
-    labels = _labels_for(datum, points, jobs)
+    labels = {w: block_label(datum, w) for w in points}
     unvisited = set(points)
     components: list[list[Weight]] = []
     comp_labels: list[BlockLabel] = []
@@ -253,15 +244,6 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
             entry["merged_after_enlargement"] = all(r in reached for r in reps[1:])
         splits.append(entry)
     return PartitionReport(box, components, comp_labels, failures, splits)
-
-
-def _labels_for(datum: RootDatum, points: list[Weight], jobs: int):
-    if jobs <= 1 or len(points) < 64:
-        return {w: block_label(datum, w) for w in points}
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        computed = list(pool.map(lambda w: block_label(datum, w), points))
-    return dict(zip(points, computed))
 
 
 # -- KL cross-check ---------------------------------------------------------

@@ -21,12 +21,21 @@ _SEP = re.compile(r"[|;]")
 
 
 def rational(text: str) -> Fraction:
-    """Parse a `p` or `p/q` literal into an exact rational.
+    """Parse a `p` or `p/q` literal into an exact rational; a malformed
+    literal, a zero denominator included, raises ValueError.
 
     >>> rational("-3/2")
     Fraction(-3, 2)
     """
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
+def _fractional(x: Fraction) -> Fraction:
+    """x minus its floor, in [0, 1)."""
+    return x - (x.numerator // x.denominator)
 
 
 def format_rational(value: Fraction) -> str:

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
@@ -397,41 +398,43 @@ def reduced_word(datum: RootDatum, w: WeylElement, sub=None) -> list[Root]:
     return word
 
 
+def _closure(seed, moves, cap=None) -> list[list]:
+    """The BFS levels of seed's closure under moves.
+
+    levels[k] lists, in discovery order, the points first reached after k
+    moves; moves(x) yields the neighbours of x.  Reaching a point beyond
+    the first cap raises CapExceededError.
+    """
+    seen = {seed}
+    levels = [[seed]]
+    while True:
+        nxt = []
+        for x in levels[-1]:
+            for y in moves(x):
+                if y not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise CapExceededError(f"closure exceeded cap {cap}")
+                    seen.add(y)
+                    nxt.append(y)
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
 def orbit_dot(datum: RootDatum, lam: Weight, sub=None) -> frozenset[Weight]:
     """The dot orbit of lam under the parabolic subgroup (BFS closure)."""
     sub = _resolve_sub(datum, sub)
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for alpha in sub:
-                img = dot_reflection(datum, alpha, mu)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
+    levels = _closure(lam, lambda mu: (dot_reflection(datum, alpha, mu) for alpha in sub))
+    return frozenset(chain.from_iterable(levels))
 
 
 def enumerate_subgroup(datum: RootDatum, generators: Iterable[Root],
                        cap: int = SUBGROUP_CAP) -> list[WeylElement]:
     """All elements of the subgroup generated by the given reflections."""
     gens = [reflection_element(datum, r) for r in generators]
-    seen = {WeylElement.identity(datum.dim)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                prod = g.compose(w)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(f"subgroup enumeration exceeded cap {cap}")
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return sorted(seen, key=lambda w: w.images)
+    levels = _closure(WeylElement.identity(datum.dim),
+                      lambda w: (g.compose(w) for g in gens), cap)
+    return sorted(chain.from_iterable(levels), key=lambda w: w.images)
 
 
 def weyl_order(datum: RootDatum, sub=None) -> int:

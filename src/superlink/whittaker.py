@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .errors import UnsupportedInputError
 from .root_data import Root, RootDatum, is_integral, pairing_coroot
-from .weights import Weight
+from .weights import Weight, _fractional
 from .weyl import WeylElement, antidominant_rep, is_antidominant, is_dominant
 
 
@@ -109,10 +109,6 @@ def upsilon_of(datum: RootDatum, nu: Weight) -> tuple[Root, ...]:
     shifted = nu + datum.rho0
     return tuple(a for a in datum.simple_even
                  if pairing_coroot(datum, shifted, a) == 0)
-
-
-def _fractional(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
 
 
 def dominant_partner(datum: RootDatum, zeta: WhittakerCharacter) -> Weight:

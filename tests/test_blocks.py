@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from superlink import (LinkStatus, UnsupportedInputError, block_label, dot,
-                       same_block, typicality)
+from superlink import (LinkStatus, Typicality, UnsupportedInputError, block_label,
+                       build_root_datum, dot, same_block, typicality)
 from superlink.blocks import chi_label_osp32, linkage_reflection
 from superlink.root_data import bilinear
 from superlink.weights import Weight
@@ -42,6 +42,54 @@ def test_typicality_degree_bounds(gl22, osp24, osp32):
 
 def test_typicality_reductive_always_typical(red_a2):
     assert typicality(red_a2, Weight([3, 1, 0])).kind == "typical"
+
+
+def _typicality_by_search(datum, lam):
+    """Reference oracle: the most mutually orthogonal positive isotropic
+    roots annihilating lam + rho, by exhaustive backtracking."""
+    if datum.family == "p":
+        return Typicality("not-applicable")
+    shifted = lam + datum.rho
+    candidates = [r.weight for r in datum.odd_positive
+                  if r.isotropic and bilinear(datum, shifted, r.weight) == 0]
+    best = 0
+
+    def extend(chosen, rest):
+        nonlocal best
+        best = max(best, len(chosen))
+        for i, w in enumerate(rest):
+            if all(bilinear(datum, w, c) == 0 for c in chosen):
+                extend(chosen + [w], rest[i + 1:])
+
+    extend([], candidates)
+    return Typicality("atypical", best) if best else Typicality("typical")
+
+
+SEARCH_DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}),
+               ("gl", {"m": 3, "n": 2}), ("gl", {"m": 3, "n": 3}), ("gl", {"m": 4, "n": 4}),
+               ("osp2", {"n": 1}), ("osp2", {"n": 2}), ("osp2", {"n": 3}), ("osp32", {}),
+               ("p", {"n": 2}), ("p", {"n": 3}), ("reductive", {"factors": "A2"}),
+               ("reductive", {"factors": "A1xC2"})]
+
+
+@pytest.mark.parametrize("family,params", SEARCH_DATA,
+                         ids=[f"{f}-{'-'.join(map(str, p.values()))}" for f, p in SEARCH_DATA])
+def test_typicality_matches_backtracking(family, params):
+    datum = build_root_datum(family, **params)
+    rng = random.Random(f"{family}{sorted(params.items())}")
+    for k in range(40):
+        # lam + rho from a small range, so coincidences |a_i| = |b_j| are
+        # frequent; integers, half-integers, then a mix with thirds
+        denom = (1, 2, 3)[k % 3]
+        mu = Weight([Fraction(rng.randrange(-3, 4), rng.choice((1, denom)))
+                     for _ in range(datum.dim)])
+        lam = mu - datum.rho
+        assert typicality(datum, lam) == _typicality_by_search(datum, lam), lam
+
+
+def test_typicality_gl66_maximally_atypical():
+    gl66 = build_root_datum("gl", m=6, n=6)
+    assert typicality(gl66, -gl66.rho) == Typicality("atypical", 6)
 
 
 def test_gl_label_cancellation(gl21):

@@ -133,34 +133,34 @@ def test_validate_exits_zero_and_reports(capsys):
     assert len(payload["components"]) == 3
 
 
-def test_validate_jobs_flag_deterministic(capsys):
-    _, out1, _ = run(capsys, ["validate", "--family", "p", "--n", "2",
-                              "--box", " -3..3", "--jobs", "1"])
-    _, out2, _ = run(capsys, ["validate", "--family", "p", "--n", "2",
-                              "--box", " -3..3", "--jobs", "3"])
-    assert out1 == out2
-
-
 def test_unsupported_exits_3(capsys):
-    code, _, err = run(capsys, ["block-label", "--family", "p", "--n", "2",
-                                "--weight", "0,1/2"])
-    assert code == 3
-    assert "error" in err
+    # a zero denominator in a weight or a box literal is malformed input too
+    for argv in (["block-label", "--family", "p", "--n", "2", "--weight", "0,1/2"],
+                 ["block-label", "--family", "p", "--n", "2", "--weight", "1/0,0"],
+                 ["validate", "--family", "p", "--n", "2", "--box= 0..1/0"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
 
 
 def test_usage_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["block-label", "--family", "nosuch", "--weight", "0"])
-    assert exc.value.code == 2
+    for argv in (["block-label", "--family", "nosuch", "--weight", "0"],
+                 # --jobs was removed: the label pass is single-threaded
+                 ["validate", "--family", "p", "--n", "2", "--box", "0..1", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_config_overrides(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
-    cfg.write_text("box_cap=10\n")
-    code, _, err = run(capsys, ["validate", "--family", "p", "--n", "2",
-                                "--box", " -6..6", "--config", str(cfg)])
-    assert code == 3
-    assert "cap" in err
+    # box_cap is enforced; subgroup_cap is no longer a config key
+    for text in ("box_cap=10\n", "subgroup_cap=10\n"):
+        cfg.write_text(text)
+        code, _, err = run(capsys, ["validate", "--family", "p", "--n", "2",
+                                    "--box", " -6..6", "--config", str(cfg)])
+        assert code == 3
+        assert "cap" in err
 
 
 def test_mult_honours_kl_cap(capsys, tmp_path):

@@ -104,14 +104,6 @@ def test_partition_slab_splits_merge_after_enlargement(osp24):
     assert all(s["merged_after_enlargement"] for s in report.label_splits)
 
 
-def test_partition_jobs_deterministic(p2):
-    box = WeightBox.cube(2, -4, 4)
-    a = partition_box(p2, box, default_generators(p2), jobs=1)
-    b = partition_box(p2, box, default_generators(p2), jobs=4)
-    assert [sorted(c) for c in a.components] == [sorted(c) for c in b.components]
-    assert a.to_json(p2) == b.to_json(p2)
-
-
 def test_report_json_round_trip(p2):
     import json
     report = partition_box(p2, WeightBox.cube(2, -3, 3), default_generators(p2))

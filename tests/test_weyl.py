@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from superlink import (UnsupportedInputError, antidominant_rep, build_root_datum,
-                       dot, enumerate_subgroup, is_antidominant, is_dominant,
-                       longest_element, orbit_dot, reduced_word, reflect,
+from superlink import (CapExceededError, UnsupportedInputError, antidominant_rep,
+                       build_root_datum, dot, enumerate_subgroup, is_antidominant,
+                       is_dominant, longest_element, orbit_dot, reduced_word, reflect,
                        reflection_element, stabilizer_roots, weyl_order)
 from superlink.weights import Weight
 from superlink.weyl import WeylElement, dot_reflection, length, validate_element
@@ -72,6 +72,12 @@ def test_stabilizer_examples(p2, p3, osp22):
     roots = stabilizer_roots(p3, lam)
     group = enumerate_subgroup(p3, roots)
     assert all(dot(p3, w, lam) == lam for w in group)
+
+
+def test_enumerate_subgroup_honours_cap(p3):
+    assert len(enumerate_subgroup(p3, p3.simple_even, cap=6)) == 6
+    with pytest.raises(CapExceededError):
+        enumerate_subgroup(p3, p3.simple_even, cap=5)
 
 
 def test_longest_element_and_words(p3, osp24):
