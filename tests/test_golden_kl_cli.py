@@ -14,11 +14,14 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from superlink import build_root_datum, orbit_dot
 from superlink.cli import main
+from superlink.weights import Weight
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPORA = ("kl_cli", "box_cli")
@@ -100,7 +103,6 @@ def _klpoly_cases(rng):
 
 
 def _mult_cases(rng):
-    from superlink import build_root_datum, orbit_dot
     cases = []
     for factors, base, partial in MULT_TYPES:
         datum = build_root_datum("reductive", factors=factors)
@@ -137,7 +139,6 @@ REFUSALS = [
 ]
 
 
-
 # -- recording: box_cli ---------------------------------------------------------
 
 GL_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 4)]
@@ -156,13 +157,10 @@ def _flags(family, m=None, n=None, factors=None):
 
 def _shifted(datum, coords):
     """The literal of lam with lam + rho = coords."""
-    from superlink.weights import Weight
     return datum.format_weight(Weight(coords) - datum.rho)
 
 
 def _typicality_cases(rng):
-    from fractions import Fraction
-    from superlink import build_root_datum
     cases = []
 
     def add(flags, datum, coords):
