@@ -64,6 +64,8 @@ def test_box_corpus_coverage():
     assert any("--no-enlarge" in c["argv"] for c in cases)
     assert any("text" in c["argv"] for c in cases)
     assert any(c["exit"] == 3 for c in cases)
+    anchored = [c for c in cases if any(a.startswith("--anchor=") for a in c["argv"])]
+    assert {c["exit"] for c in anchored if c["argv"][0] == "validate"} == {0, 3}
     degrees = {json.loads(c["stdout"]).get("degree") for c in cases
                if c["argv"][0] == "typicality" and c["exit"] == 0 and "text" not in c["argv"]}
     assert {1, 2, 3, 4} <= degrees
@@ -244,6 +246,23 @@ ENUMERATE_BLOCKS = [
 ]
 
 
+# (datum flags, box, anchor or None): the anchor and the box bounds fix the
+# common denominator of the box oracle's integer frame
+ANCHORED_BOXES = [
+    (_flags("p", n=3), " -2..2", "1/3,1/3,1/3"), (_flags("p", n=2), " -3..3", "1/2,1/2"),
+    (_flags("gl", m=1, n=1), " -2..2", "1/2,0"),  # half-integer points, exit 0
+    (_flags("osp2", n=1), " -3..3", "1/2;0"), (_flags("osp2", n=2), " -1..2", "-1/2;0,1"),
+    (["--family", "osp32"], " -3..3", "0,0"), (["--family", "osp32"], " -2..3", "1,1/2"),
+    (_flags("reductive", factors="A2"), " -2..2", None),
+    (_flags("reductive", factors="A2"), " -1..2", "1/2,1/2,1/2"),
+    (_flags("reductive", factors="A1xC1"), " -2..2, -1..1, -2..2", "1/3,1/3|0"),
+    (_flags("gl", m=2, n=1), " -3/2..3/2, -1..2, 1/2..2", "1/2,1/2|1/2"),
+    # refusals: the anchor puts every point off the integral lattice
+    (_flags("p", n=2), " -3..3", "1/2,0"), (_flags("gl", m=2, n=1), " -2..2", "1/2,0|0"),
+    (_flags("reductive", factors="A2"), " -1..1", "1/2,0,0"),
+]
+
+
 def _box_cases():
     cases = []
     for flags, box in VALIDATE_BOXES:
@@ -253,6 +272,12 @@ def _box_cases():
     for flags, lam, box in ENUMERATE_BLOCKS:
         cases.append(["enumerate-block", *flags, f"--weight={lam}", f"--box={box}"])
     cases[-2] += ["--format", "text"]
+    for flags, box, anchor in ANCHORED_BOXES:
+        anchored = [] if anchor is None else [f"--anchor={anchor}"]
+        cases.append(["validate", *flags, f"--box={box}", *anchored])
+        cases.append(["validate", *flags, f"--box={box}", *anchored, "--format", "text"])
+    cases.append(["enumerate-block", *_flags("p", n=2), "--weight=1/2,1/2", "--box= -2..2",
+                  "--anchor=1/2,1/2"])
     return cases
 
 
