@@ -137,15 +137,22 @@ def _cancel(a_vals, b_vals):
 def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
     """The family's canonical linkage invariant of an integral weight."""
     datum.check_dim(lam)
-    if datum.family == "gl":
+    if datum.family in ("gl", "osp2", "p", "osp32"):
         _require_integral(datum, lam)
+    return _label(datum, lam)
+
+
+def _label(datum: RootDatum, lam: Weight) -> BlockLabel:
+    """block_label without its integrality check, for callers that have
+    proved lam integral; the reductive branch still checks, through
+    antidominant_rep."""
+    if datum.family == "gl":
         m = datum.params[0]
         mu = lam + datum.rho
         a = mu.coords[:m]
         neg_b = tuple(-c for c in mu.coords[m:])
         return BlockLabel("gl", _cancel(a, neg_b))
     if datum.family == "osp2":
-        _require_integral(datum, lam)
         mu = lam + datum.rho
         x, d = mu[0], [abs(c) for c in mu.coords[1:]]
         if abs(x) in d:
@@ -153,7 +160,6 @@ def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
             return BlockLabel("osp2", (tuple(sorted(d)), _fractional(x), 1))
         return BlockLabel("osp2", (tuple(sorted(d)), x, 0))
     if datum.family == "p":
-        _require_integral(datum, lam)
         shift = _fractional(lam[0])
         omega = Weight([1] * datum.dim)
         normalized = lam - omega.scale(shift)
@@ -164,7 +170,10 @@ def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
         j = sum(1 for c in mu if c.numerator % 2 != 0)
         return BlockLabel("p", (j, shift))
     if datum.family == "osp32":
-        return chi_label_osp32(datum, lam)
+        a, b = (lam + datum.rho).coords
+        if abs(a) == abs(b):
+            return BlockLabel("osp32", (1, _fractional(abs(a))))
+        return BlockLabel("osp32", (0, (abs(a), abs(b))))
     if datum.family == "reductive":
         rep, _ = antidominant_rep(datum, lam)
         return BlockLabel("reductive", rep.coords)
@@ -182,10 +191,7 @@ def chi_label_osp32(datum: RootDatum, lam: Weight) -> BlockLabel:
     if datum.family != "osp32":
         raise UnsupportedInputError("chi labels in this form exist only for osp(3|2)")
     _require_integral(datum, lam)
-    a, b = (lam + datum.rho).coords
-    if abs(a) == abs(b):
-        return BlockLabel("osp32", (1, _fractional(abs(a))))
-    return BlockLabel("osp32", (0, (abs(a), abs(b))))
+    return _label(datum, lam)
 
 
 def linkage_reflection(datum: RootDatum, alpha, lam: Weight) -> Weight:

@@ -29,11 +29,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .blocks import BlockLabel, block_label, linkage_reflection
+from .blocks import BlockLabel, _label, block_label
 from .errors import CapExceededError, UnsupportedInputError
 from .kl import FiniteWeylGroup, KLPolynomial, MultTable, bruhat_leq, kl_polynomial
-from .root_data import RootDatum, bilinear
+from .root_data import RootDatum
 from .verma_oracle import verma_multiplicities
 from .weights import Weight
 from .weyl import _closure
@@ -110,6 +111,96 @@ class WeightBox:
                          tuple(h + pad for h in self.hi), self.step, self.anchor)
 
 
+def _integer_vector(w: Weight) -> tuple[tuple[int, int], ...]:
+    """The nonzero entries (i, w_i) of an integer vector, sparse."""
+    if any(c.denominator != 1 for c in w):
+        raise UnsupportedInputError("the box oracle needs integer roots and coroots")
+    return tuple((i, c.numerator) for i, c in enumerate(w) if c)
+
+
+def _coroot(datum: RootDatum, alpha: Weight) -> tuple[tuple[int, int], ...]:
+    """alpha^vee = 2 alpha / <alpha, alpha> as the coefficient vector c of the
+    pairing <lam, alpha^vee> = sum_i c_i lam_i, sparse."""
+    sig = datum.form_signature
+    norm = sum(s * a * a for s, a in zip(sig, alpha))
+    return _integer_vector(Weight(2 * s * a / norm for s, a in zip(sig, alpha)))
+
+
+class _Frame:
+    """A box's lattice in integer coordinates N = D lam.
+
+    D is the least common denominator of the box's bounds, step and anchor
+    and of rho0 and rho, so box points and rho-shifts are integer vectors.
+    Roots and coroots are integer vectors in every supported family (this is
+    checked), so each linkage move is integer arithmetic on N, and lam is
+    integral exactly when D divides sum_i c_i N_i for every even positive
+    coroot c.  Ordering N orders lam, since D > 0.
+    """
+
+    def __init__(self, datum: RootDatum, box: WeightBox):
+        anchor = box._anchor()
+        rho0, rho = datum.rho0.coords, datum.rho.coords
+        D = math.lcm(*(c.denominator for c in
+                       (*box.lo, *box.hi, box.step, *anchor, *rho0, *rho)))
+        self.D, self.dim = D, datum.dim
+        self.lo = tuple(int(c * D) for c in box.lo)
+        self.hi = tuple(int(c * D) for c in box.hi)
+        self.anchor = tuple(int(c * D) for c in anchor)
+        self.step = abs(int(box.step * D))  # the lattice A + S Z ignores the sign of S
+        self.values: dict[int, Fraction] = {}  # v -> v / D, filled as points convert back
+        # lam -> s(lam + shift) - shift is N -> N - p a, p = k + sum_i c_i N_i
+        shift = [int(c * D) for c in (rho if datum.family == "osp32" else rho0)]
+        self.reflections = []
+        for root in datum.simple_even:
+            c = _coroot(datum, root.weight)
+            self.reflections.append((_integer_vector(root.weight), c,
+                                     sum(ci * shift[i] for i, ci in c)))
+        # one entry per isotropic line {a, -a}: a, the form against a
+        # (<lam + rho, a> = 0 reads k + sum_i f_i N_i = 0), and k
+        self.lines = []
+        seen = set()
+        for root in datum.isotropic_roots:
+            a = root.weight
+            key = min(a.coords, (-a).coords)
+            if key in seen:
+                continue
+            seen.add(key)
+            form = tuple((i, int(datum.form_signature[i]) * ai)
+                         for i, ai in _integer_vector(a))
+            self.lines.append((_integer_vector(a), form,
+                               sum(f * int(rho[i] * D) for i, f in form)))
+        self.coroots = [_coroot(datum, r.weight) for r in datum.even_positive]
+
+    def fits(self, i: int, v: int) -> bool:
+        """Whether coordinate i may take the value v inside the box."""
+        return self.lo[i] <= v <= self.hi[i] and (v - self.anchor[i]) % self.step == 0
+
+    def contains(self, n: tuple[int, ...]) -> bool:
+        return all(self.fits(i, v) for i, v in enumerate(n))
+
+    def integral(self, n: tuple[int, ...]) -> bool:
+        D = self.D
+        return all(sum(c * n[i] for i, c in coroot) % D == 0 for coroot in self.coroots)
+
+    def lattice(self, w: Weight) -> tuple[int, ...] | None:
+        """D w, or None when w has the wrong length or D w is not integral."""
+        D = self.D
+        if len(w) != self.dim or any(D % c.denominator for c in w):
+            return None
+        return tuple(c.numerator * (D // c.denominator) for c in w)
+
+    def weight(self, n: tuple[int, ...]) -> Weight:
+        """The weight n / D."""
+        values = self.values
+        return Weight([values[v] if v in values else values.setdefault(v, Fraction(v, self.D))
+                       for v in n])
+
+
+@lru_cache(maxsize=16)
+def _frame(datum: RootDatum, box: WeightBox) -> _Frame:
+    return _Frame(datum, box)
+
+
 @dataclass(frozen=True)
 class LinkageGenerators:
     """The move set closing the family's linkage relation inside a box."""
@@ -122,37 +213,41 @@ class LinkageGenerators:
     def none() -> "LinkageGenerators":
         return LinkageGenerators(False, False, False)
 
-    def neighbors(self, datum: RootDatum, lam: Weight, box: WeightBox):
+    def neighbors(self, datum: RootDatum, n: tuple[int, ...], frame: _Frame):
+        """The images inside the frame's box of the box point N = n.
+
+        Only the coordinates a move changes are tested against the box, so
+        n itself must lie in the box.
+        """
+        fits = frame.fits
         if self.reflection_moves:
-            for alpha in datum.simple_even:
-                img = linkage_reflection(datum, alpha, lam)
-                if box.contains(img):
-                    yield img
-        if self.isotropic_shifts and datum.isotropic_roots:
-            shifted = lam + datum.rho
-            seen_lines = set()
-            for root in datum.isotropic_roots:
-                a = root.weight
-                key = min(a.coords, (-a).coords)
-                if key in seen_lines:
+            for root, coroot, k in frame.reflections:
+                p = k + sum(c * n[i] for i, c in coroot)
+                img = list(n)
+                for i, a in root:
+                    img[i] -= p * a
+                if all(fits(i, img[i]) for i, _ in root):
+                    yield tuple(img)
+        if self.isotropic_shifts:
+            for root, form, k in frame.lines:
+                if k + sum(f * n[i] for i, f in form):
                     continue
-                seen_lines.add(key)
-                if bilinear(datum, shifted, a) != 0:
-                    continue
-                for direction in (a, -a):
+                for step in (frame.D, -frame.D):  # lam - c a, then lam + c a
                     c = 1
                     while True:
-                        img = lam - direction.scale(c)
-                        if not box.contains(img):
+                        img = list(n)
+                        for i, a in root:
+                            img[i] -= c * step * a
+                        if not all(fits(i, img[i]) for i, _ in root):
                             break
-                        yield img
+                        yield tuple(img)
                         c += 1
         if self.p_shifts and datum.family == "p":
-            for k in range(datum.dim):
-                for sign in (2, -2):
-                    img = lam.replace(k, lam[k] + sign)
-                    if box.contains(img):
-                        yield img
+            for k in range(len(n)):
+                for step in (2 * frame.D, -2 * frame.D):
+                    v = n[k] + step
+                    if fits(k, v):
+                        yield n[:k] + (v,) + n[k + 1:]
 
 
 def default_generators(datum: RootDatum) -> LinkageGenerators:
@@ -162,10 +257,12 @@ def default_generators(datum: RootDatum) -> LinkageGenerators:
 def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox,
                         gens: LinkageGenerators) -> list[Weight]:
     """The connected component of seed under gens, restricted to the box."""
-    if not box.contains(seed):
+    frame = _frame(datum, box)
+    n = frame.lattice(seed)
+    if n is None or not frame.contains(n):
         raise UnsupportedInputError("seed lies outside the box")
-    levels = _closure(seed, lambda w: gens.neighbors(datum, w, box))
-    return sorted(itertools.chain.from_iterable(levels))
+    levels = _closure(n, lambda x: gens.neighbors(datum, x, frame))
+    return [frame.weight(x) for x in sorted(itertools.chain.from_iterable(levels))]
 
 
 @dataclass
@@ -206,30 +303,36 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
     annotated with whether one enlargement pass merges them.
     """
     points = list(box.points())
-    labels = {w: block_label(datum, w) for w in points}
-    unvisited = set(points)
+    frame = _frame(datum, box)
+    lattice = [frame.lattice(w) for w in points]
+    # block_label's own integrality check, and its refusals, only where the
+    # frame cannot prove the point integral
+    labels = {n: _label(datum, w) if n is not None and frame.integral(n)
+              else block_label(datum, w) for w, n in zip(points, lattice)}
+    unvisited = set(labels)
     components: list[list[Weight]] = []
     comp_labels: list[BlockLabel] = []
+    comp_keys: list[str] = []
     failures: list[dict] = []
-    comp_of: dict[Weight, int] = {}
-    for seed in points:
-        if seed not in unvisited:
+    for seed, n in zip(points, lattice):
+        if n not in unvisited:
             continue
         comp = bfs_linkage_closure(datum, seed, box, gens)
-        for w in comp:
-            unvisited.discard(w)
-            comp_of[w] = len(components)
-        seen_labels = sorted({labels[w].json_str() for w in comp})
+        members = [frame.lattice(w) for w in comp]
+        unvisited.difference_update(members)
+        keys = {lbl: lbl.json_str() for lbl in {labels[m] for m in members}}
+        seen_labels = sorted(set(keys.values()))
         if len(seen_labels) > 1:
             failures.append({
                 "representative": datum.format_weight(comp[0]),
                 "labels": seen_labels,
             })
         components.append(comp)
-        comp_labels.append(labels[comp[0]])
+        comp_labels.append(labels[members[0]])
+        comp_keys.append(keys[comp_labels[-1]])
     by_label: dict[str, list[int]] = {}
-    for i, lbl in enumerate(comp_labels):
-        by_label.setdefault(lbl.json_str(), []).append(i)
+    for i, key in enumerate(comp_keys):
+        by_label.setdefault(key, []).append(i)
     splits = []
     for key, comps in sorted(by_label.items()):
         if len(comps) <= 1:

@@ -1,13 +1,18 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
-from superlink import (CapExceededError, UnsupportedInputError, block_label,
-                       build_root_datum, dot, verma_mult, verma_series_rank_small)
+from superlink import (CapExceededError, SuperlinkError, UnsupportedInputError,
+                       block_label, build_root_datum, dot, verma_mult,
+                       verma_series_rank_small)
+from superlink.blocks import linkage_reflection
 from superlink.kl import FiniteWeylGroup, kl_polynomial
-from superlink.oracle import (LinkageGenerators, WeightBox, bfs_linkage_closure,
-                              default_generators, kl_cross_check, kl_via_inversion,
-                              partition_box)
+from superlink.oracle import (BOX_CAP, LinkageGenerators, WeightBox, _frame,
+                              bfs_linkage_closure, default_generators, kl_cross_check,
+                              kl_via_inversion, partition_box)
+from superlink.root_data import bilinear, is_integral
 from superlink.weights import Weight
 from superlink.weyl import antidominant_rep, reflection_element
 
@@ -63,6 +68,123 @@ def test_bfs_seed_outside_box(p2):
     with pytest.raises(UnsupportedInputError):
         bfs_linkage_closure(p2, Weight([9, 9]), WeightBox.cube(2, -1, 1),
                             default_generators(p2))
+
+
+# -- the integer frame against the Fraction moves it replaced -----------------
+
+def _reference_neighbors(gens, datum, lam, box):
+    """The box moves in Fraction arithmetic, as the oracle computed them
+    before it moved to integer coordinates."""
+    if gens.reflection_moves:
+        for alpha in datum.simple_even:
+            img = linkage_reflection(datum, alpha, lam)
+            if box.contains(img):
+                yield img
+    if gens.isotropic_shifts and datum.isotropic_roots:
+        shifted = lam + datum.rho
+        seen_lines = set()
+        for root in datum.isotropic_roots:
+            a = root.weight
+            key = min(a.coords, (-a).coords)
+            if key in seen_lines:
+                continue
+            seen_lines.add(key)
+            if bilinear(datum, shifted, a) != 0:
+                continue
+            for direction in (a, -a):
+                c = 1
+                while True:
+                    img = lam - direction.scale(c)
+                    if not box.contains(img):
+                        break
+                    yield img
+                    c += 1
+    if gens.p_shifts and datum.family == "p":
+        for k in range(datum.dim):
+            for sign in (2, -2):
+                img = lam.replace(k, lam[k] + sign)
+                if box.contains(img):
+                    yield img
+
+
+def _reference_closure(datum, seed, box, gens):
+    seen, todo = {seed}, [seed]
+    while todo:
+        for w in _reference_neighbors(gens, datum, todo.pop(), box):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return sorted(seen)
+
+
+FRAME_DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 1}), ("osp2", {"n": 1}),
+              ("osp2", {"n": 2}), ("p", {"n": 2}), ("p", {"n": 3}), ("osp32", {}),
+              ("reductive", {"factors": "A2"}), ("reductive", {"factors": "A1xC1"})]
+FRAME_GENS = [LinkageGenerators(), LinkageGenerators(True, False, True),
+              LinkageGenerators(False, True, True)]
+
+
+def _random_boxes(rng, dim, count=8):
+    """Boxes of 8 to 100 points with fractional bounds, anchors and steps."""
+    boxes = []
+    while len(boxes) < count:
+        step = rng.choice([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2)])
+        anchor = tuple(rng.choice([0, 0, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)])
+                       for _ in range(dim))
+        lo = tuple(Fraction(rng.randint(-6, 0), rng.choice([1, 1, 2, 3])) for _ in range(dim))
+        hi = tuple(l + step * rng.randint(2, 5) + rng.choice([0, Fraction(1, 2)])
+                   for l in lo)
+        box = WeightBox(lo, hi, step, rng.choice([None, anchor]))
+        if 8 <= box.count() <= 100:
+            boxes.append(box)
+    return boxes
+
+
+@pytest.mark.parametrize("family,params", FRAME_DATA, ids=lambda v: str(v))
+def test_frame_moves_match_fraction_moves(family, params):
+    datum = build_root_datum(family, **params)
+    rng = random.Random(f"frame:{family}:{sorted(params.items())}")
+    for box in _random_boxes(rng, datum.dim):
+        frame = _frame(datum, box)
+        gens = rng.choice(FRAME_GENS)
+        reference = {}  # every move is reversible, so closures partition the box
+        for w in box.points():
+            n = frame.lattice(w)
+            assert frame.integral(n) == is_integral(datum, w)
+            # the same images in the same order: the BFS edge count is unchanged
+            assert [frame.weight(x) for x in gens.neighbors(datum, n, frame)] \
+                == list(_reference_neighbors(gens, datum, w, box))
+            if w not in reference:
+                comp = _reference_closure(datum, w, box, gens)
+                reference.update(dict.fromkeys(comp, comp))
+            assert bfs_linkage_closure(datum, w, box, gens) == reference[w]
+
+
+def test_frame_refuses_fractional_roots(p2):
+    root = p2.simple_even[0]
+    halved = dataclasses.replace(root, weight=root.weight.scale(Fraction(1, 2)))
+    datum = dataclasses.replace(p2, simple_even=(halved,))
+    with pytest.raises(UnsupportedInputError, match="integer roots and coroots"):
+        bfs_linkage_closure(datum, Weight([0, 0]), WeightBox.cube(2, -1, 1),
+                            default_generators(datum))
+
+
+def test_partition_refusals_keep_type_and_message(p2, gl21, red_a2):
+    half = Fraction(1, 2)
+    off_lattice = [(p2, (half, 0)), (gl21, (half, 0, 0)), (red_a2, (half, 0, 0))]
+    for datum, anchor in off_lattice:
+        box = WeightBox.cube(datum.dim, -2, 2)
+        box = WeightBox(box.lo, box.hi, box.step, anchor)
+        with pytest.raises(SuperlinkError) as expected:
+            block_label(datum, next(box.points()))
+        with pytest.raises(SuperlinkError) as got:
+            partition_box(datum, box, default_generators(datum))
+        assert (type(got.value), str(got.value)) \
+            == (type(expected.value), str(expected.value))
+    big = WeightBox.cube(4, -100, 100)
+    with pytest.raises(CapExceededError) as got:
+        partition_box(build_root_datum("p", n=4), big, LinkageGenerators())
+    assert str(got.value) == f"box holds {big.count()} points, cap is {BOX_CAP}"
 
 
 def test_partition_p2(p2):
