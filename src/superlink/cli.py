@@ -72,25 +72,26 @@ def _default_anchor(datum: RootDatum) -> tuple[Fraction, ...]:
     return tuple(Fraction(0) for _ in range(datum.dim))
 
 
-def _parse_box(datum: RootDatum, text: str, anchor_text: str | None = None,
-               step=1) -> oracle_mod.WeightBox:
-    """`lo..hi` for all coordinates, or comma-separated per-coordinate ranges."""
+def _box_ranges(text: str) -> list[tuple[str, str]]:
+    """The `--box` value split into (lo, hi) literals: `lo..hi` for all
+    coordinates, or comma-separated per-coordinate ranges."""
+    ranges = [r.split("..") for r in text.split(",") if r.strip()]
+    if any(len(r) != 2 for r in ranges):
+        raise argparse.ArgumentTypeError(f"each range must read lo..hi, got {text!r}")
+    return [(lo, hi) for lo, hi in ranges]
+
+
+def _parse_box(datum: RootDatum, ranges: list[tuple[str, str]],
+               anchor_text: str | None = None, step=1) -> oracle_mod.WeightBox:
     anchor = (_default_anchor(datum) if anchor_text is None
               else datum.parse_weight(anchor_text).coords)
-    ranges = [r for r in text.split(",") if r.strip()]
     if len(ranges) == 1:
-        lo, hi = ranges[0].split("..")
-        return oracle_mod.WeightBox(
-            tuple(rational(lo) for _ in range(datum.dim)),
-            tuple(rational(hi) for _ in range(datum.dim)), Fraction(step), anchor)
-    if len(ranges) != datum.dim:
+        ranges = ranges * datum.dim
+    elif len(ranges) != datum.dim:
         raise SuperlinkError(f"box needs 1 or {datum.dim} ranges, got {len(ranges)}")
-    los, his = [], []
-    for r in ranges:
-        lo, hi = r.split("..")
-        los.append(rational(lo))
-        his.append(rational(hi))
-    return oracle_mod.WeightBox(tuple(los), tuple(his), Fraction(step), anchor)
+    return oracle_mod.WeightBox(tuple(rational(lo) for lo, _ in ranges),
+                                tuple(rational(hi) for _, hi in ranges),
+                                Fraction(step), anchor)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -247,7 +248,11 @@ def cmd_klpoly(args) -> int:
     def word_of(text: str):
         if text.strip() in ("e", ""):
             return []
-        return [int(t) - 1 for t in text.replace(",", " ").split()]
+        letters = [int(t) for t in text.replace(",", " ").split()]
+        for t in letters:
+            if not 1 <= t <= len(W.simple):
+                raise SuperlinkError(f"word letter {t} out of range 1..{len(W.simple)}")
+        return [t - 1 for t in letters]
 
     x = W.from_word(word_of(args.x))
     w = W.from_word(word_of(args.w))
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("enumerate-block", cmd_enumerate_block,
             help="box weights sharing a block label")
     p.add_argument("--weight", required=True)
-    p.add_argument("--box", required=True)
+    p.add_argument("--box", required=True, type=_box_ranges)
     p.add_argument("--anchor", help="lattice origin (default: integral lattice)")
 
     p = subs.add_parser("klpoly", help="Kazhdan-Lusztig polynomial")
@@ -382,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mult-table", dest="mult_table")
 
     p = sub("validate", cmd_validate, help="box oracle: components vs labels")
-    p.add_argument("--box", required=True)
+    p.add_argument("--box", required=True, type=_box_ranges)
     p.add_argument("--anchor", help="lattice origin (default: integral lattice)")
     p.add_argument("--no-enlarge", action="store_true")
 

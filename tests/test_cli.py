@@ -143,13 +143,32 @@ def test_unsupported_exits_3(capsys):
         assert err.startswith("error:")
 
 
-def test_usage_exits_2():
+def test_usage_exits_2(capsys):
     for argv in (["block-label", "--family", "nosuch", "--weight", "0"],
                  # --jobs was removed: the label pass is single-threaded
                  ["validate", "--family", "p", "--n", "2", "--box", "0..1", "--jobs", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+    # a range without exactly one ".." is a malformed flag, named in the message
+    for argv in (["validate", "--family", "p", "--n", "2", "--box=4"],
+                 ["validate", "--family", "p", "--n", "2", "--box=0..1, 2"],
+                 ["enumerate-block", "--family", "p", "--n", "2", "--weight=0,0",
+                  "--box=0..1..2"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --box" in capsys.readouterr().err
+
+
+def test_klpoly_letter_out_of_range(capsys):
+    # letters are 1-based on the command line, and so is the message
+    for x, message in (("7", "word letter 7 out of range 1..2"),
+                       ("1,0", "word letter 0 out of range 1..2")):
+        code, out, err = run(capsys, ["klpoly", "--type", "a", "--rank", "2",
+                                      "--x", x, "--w", "e"])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_config_overrides(capsys, tmp_path):
