@@ -19,6 +19,9 @@ Generator moves, per family:
   intermediate points staying inside the box);
 * p(n): lam -> lam +- 2 e_k.
 
+Both the moves and the integrality test run on integer coordinates
+N = D lam over one common denominator D per (datum, box) (see _Frame).
+
 The KL cross-check recomputes every polynomial through the R-polynomial
 inversion identity q^l P(1/q) - P(q) = sum_z R_{x,z} P_{z,w} and diffs the
 two tables; it shares no code path with the KL recursion.
@@ -159,16 +162,15 @@ class _Frame:
         # (<lam + rho, a> = 0 reads k + sum_i f_i N_i = 0), and k
         self.lines = []
         seen = set()
-        for root in datum.isotropic_roots:
-            a = root.weight
+        for iso in datum.isotropic_roots:
+            a = iso.weight
             key = min(a.coords, (-a).coords)
             if key in seen:
                 continue
             seen.add(key)
-            form = tuple((i, int(datum.form_signature[i]) * ai)
-                         for i, ai in _integer_vector(a))
-            self.lines.append((_integer_vector(a), form,
-                               sum(f * int(rho[i] * D) for i, f in form)))
+            root = _integer_vector(a)
+            form = tuple((i, int(datum.form_signature[i]) * ai) for i, ai in root)
+            self.lines.append((root, form, sum(f * int(rho[i] * D) for i, f in form)))
         self.coroots = [_coroot(datum, r.weight) for r in datum.even_positive]
 
     def fits(self, i: int, v: int) -> bool:
