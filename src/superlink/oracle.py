@@ -114,8 +114,8 @@ class WeightBox:
                          tuple(h + pad for h in self.hi), self.step, self.anchor)
 
 
-def _integer_vector(w: Weight) -> tuple[tuple[int, int], ...]:
-    """The nonzero entries (i, w_i) of an integer vector, sparse."""
+def _integer_vector(w) -> tuple[tuple[int, int], ...]:
+    """The nonzero entries (i, w_i) of a vector of integral Fractions, sparse."""
     if any(c.denominator != 1 for c in w):
         raise UnsupportedInputError("the box oracle needs integer roots and coroots")
     return tuple((i, c.numerator) for i, c in enumerate(w) if c)
@@ -126,7 +126,7 @@ def _coroot(datum: RootDatum, alpha: Weight) -> tuple[tuple[int, int], ...]:
     pairing <lam, alpha^vee> = sum_i c_i lam_i, sparse."""
     sig = datum.form_signature
     norm = sum(s * a * a for s, a in zip(sig, alpha))
-    return _integer_vector(Weight(2 * s * a / norm for s, a in zip(sig, alpha)))
+    return _integer_vector([2 * s * a / norm for s, a in zip(sig, alpha)])
 
 
 class _Frame:
