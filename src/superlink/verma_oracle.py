@@ -5,9 +5,10 @@ Kazhdan-Lusztig input:
 
 1. realize the datum's Lie algebra by explicit matrices (gl blocks for
    type A factors, sp blocks for type C) and read all structure constants
-   off exact matrix brackets;
+   off exact matrix brackets, once per datum (see _Frame);
 2. realize Verma-module weight spaces as PBW monomials in the negative
-   root vectors and straighten products recursively;
+   root vectors, found by a search on integer root-lattice coordinates,
+   and straighten products recursively;
 3. the weight multiplicities of a simple module are the ranks of the
    contravariant (transpose) form's Gram matrices on the Verma weight
    spaces, an exact rational rank computation;
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import SuperlinkError, UnsupportedInputError
 from .root_data import RootDatum, is_integral, pairing_coroot
@@ -194,19 +196,87 @@ def _decompose(datum: RootDatum, real: _Realization, mat: Matrix):
     return parts
 
 
+Generator = tuple[str, int]  # ("e" | "f", positive-root index) or ("h", coordinate)
+
+
+def _lattice(w: Weight) -> tuple[int, ...] | None:
+    """w as an int tuple, or None when a coordinate is not an integer.
+
+    Roots of a reductive datum are integer vectors, so such a w lies off the
+    root lattice.
+    """
+    if any(c.denominator != 1 for c in w):
+        return None
+    return tuple(c.numerator for c in w)
+
+
+class _Frame:
+    """Everything the Verma models of one datum share; none of it depends on lam.
+
+    * the audited matrix realization;
+    * the even positive roots as int tuples (PBW index order);
+    * the height functional mu -> sum_a <mu, a^vee> over the even positive
+      roots, as an integer vector (checked);
+    * the bracket table (x, i) -> [x, f_i] expanded over the generators,
+      for every generator x and positive-root index i.
+    """
+
+    def __init__(self, datum: RootDatum):
+        self.real = realize(datum)
+        self.weights = tuple(r.weight for r in datum.even_positive)
+        index = {w: i for i, w in enumerate(self.weights)}
+        units = [Weight([int(i == j) for j in range(datum.dim)]) for i in range(datum.dim)]
+        height = [sum(pairing_coroot(datum, u, a) for a in datum.even_positive) for u in units]
+        roots = [_lattice(w) for w in self.weights]
+        if None in roots or any(h.denominator != 1 for h in height):
+            raise SuperlinkError("the oracle needs integer roots and an integral height")
+        self.roots = tuple(roots)
+        self.height = tuple(h.numerator for h in height)
+
+        def matrix(key: Generator) -> Matrix:
+            kind, i = key
+            if kind == "h":
+                return self.real.cartan[i]
+            return self.real.root_matrix[self.weights[i] if kind == "e" else -self.weights[i]]
+
+        def generator(kind: str, data) -> Generator:
+            if kind == "h":
+                return ("h", data)
+            return ("e", index[data]) if data in index else ("f", index[-data])
+
+        keys = [(kind, i) for kind in "ef" for i in range(len(roots))]
+        keys += [("h", i) for i in range(datum.dim)]
+        self.brackets: dict[tuple[Generator, int], tuple[tuple[Generator, Fraction], ...]] = {
+            (key, head): tuple((generator(kind, data), c) for kind, data, c in
+                               _decompose(datum, self.real,
+                                          _bracket(matrix(key), matrix(("f", head)))))
+            for key in keys for head in range(len(roots))}
+
+
+@lru_cache(maxsize=16)
+def _frame(datum: RootDatum) -> _Frame:
+    return _Frame(datum)
+
+
+def _height_key(frame: _Frame, n: tuple[int, ...]) -> int:
+    return sum(h * c for h, c in zip(frame.height, n))
+
+
 class VermaModel:
     """Verma module over a small reductive datum, with exact PBW arithmetic.
 
     Weight-space vectors are dicts {monomial: coefficient} where a monomial
     is a nonincreasing tuple of positive-root indices (the PBW order), and
-    applying generators straightens products via matrix brackets.
+    applying generators straightens products via the datum's bracket table.
+    Weight spaces M(lam)_{lam - beta} are searched on the int tuple of beta.
     """
 
     def __init__(self, datum: RootDatum, lam: Weight):
         self.datum = datum
         self.lam = lam
-        self.real = realize(datum)
-        self.pos_roots = [r.weight for r in datum.even_positive]
+        self.frame = _frame(datum)
+        self.real = self.frame.real
+        self.pos_roots = self.frame.weights
         # per-instance memos: a model and its caches die with the last reference
         self._act_cache: dict = {}
         self._monomial_cache: dict = {}
@@ -215,25 +285,17 @@ class VermaModel:
     # -- generator actions ------------------------------------------------
     def _apply_parts(self, parts, mono):
         out: dict = {}
-        for kind, data, coeff in parts:
-            if kind == "h":
-                piece = self._act(("h", data), mono)
-            else:
-                w = data
-                if w in set(self.pos_roots):
-                    piece = self._act(("e", self.pos_roots.index(w)), mono)
-                else:
-                    piece = self._act(("f", self.pos_roots.index(-w)), mono)
-            for m, c in piece.items():
+        for key, coeff in parts:
+            for m, c in self._act(key, mono).items():
                 out[m] = out.get(m, Fraction(0)) + coeff * c
         return {m: c for m, c in out.items() if c != 0}
 
-    def _act(self, key, mono):
+    def _act(self, key: Generator, mono):
         cache_key = (key, mono)
-        if cache_key in self._act_cache:
-            return self._act_cache[cache_key]
+        result = self._act_cache.get(cache_key)
+        if result is not None:
+            return result
         kind, idx = key
-        result: dict
         if not mono:
             if kind == "f":
                 result = {(idx,): Fraction(1)}
@@ -248,21 +310,11 @@ class VermaModel:
                 result = {(idx,) + mono: Fraction(1)}
             else:
                 # x f_head = f_head x + [x, f_head]
-                if kind == "f":
-                    xmat = self.real.root_matrix[-self.pos_roots[idx]]
-                elif kind == "e":
-                    xmat = self.real.root_matrix[self.pos_roots[idx]]
-                else:
-                    xmat = self.real.cartan[idx]
-                fmat = self.real.root_matrix[-self.pos_roots[head]]
-                commuted = self._act(key, rest)
                 out: dict = {}
-                for m, c in commuted.items():
+                for m, c in self._act(key, rest).items():
                     for m2, c2 in self._act(("f", head), m).items():
                         out[m2] = out.get(m2, Fraction(0)) + c * c2
-                bracket_parts = _decompose(self.datum, self.real,
-                                           _bracket(xmat, fmat))
-                for m, c in self._apply_parts(bracket_parts, rest).items():
+                for m, c in self._apply_parts(self.frame.brackets[key, head], rest).items():
                     out[m] = out.get(m, Fraction(0)) + c
                 result = {m: c for m, c in out.items() if c != 0}
         self._act_cache[cache_key] = result
@@ -270,60 +322,61 @@ class VermaModel:
 
     # -- weight spaces -----------------------------------------------------
     def _monomials(self, beta: Weight) -> tuple[tuple[int, ...], ...]:
-        """All PBW monomials of weight -beta (beta a nonnegative root sum)."""
-        cached = self._monomial_cache.get(beta)
+        """All PBW monomials of weight -beta (none unless beta is a
+        nonnegative root sum)."""
+        if len(beta) != self.datum.dim:
+            raise ValueError("weight dimensions differ")
+        n = _lattice(beta)
+        if n is None:
+            return ()
+        cached = self._monomial_cache.get(n)
         if cached is not None:
             return cached
+        roots = self.frame.roots
         out = []
 
-        def rec(remaining: Weight, max_idx: int, acc):
-            if remaining.is_zero():
+        def rec(remaining: tuple[int, ...], max_idx: int, acc):
+            if not any(remaining):
                 out.append(tuple(reversed(acc)))  # PBW order: nondecreasing indices
                 return
             for i in range(max_idx, -1, -1):
-                root = self.pos_roots[i]
-                nxt = remaining - root
+                nxt = tuple(a - b for a, b in zip(remaining, roots[i]))
                 if self._plausible(nxt, i):
                     rec(nxt, i, acc + [i])
 
-        rec(beta, len(self.pos_roots) - 1, [])
-        result = self._monomial_cache[beta] = tuple(out)
+        rec(n, len(roots) - 1, [])
+        result = self._monomial_cache[n] = tuple(out)
         return result
 
-    def _plausible(self, remaining: Weight, max_idx: int) -> bool:
+    def _plausible(self, remaining: tuple[int, ...], max_idx: int) -> bool:
         # cheap cone test: remaining must stay expressible over allowed roots
-        if all(c == 0 for c in remaining):
+        if not any(remaining):
             return True
-        height = sum(pairing_coroot(self.datum, remaining, a)
-                     for a in self.datum.even_positive)
-        return height >= 0 and self._expressible(remaining, max_idx)
+        return _height_key(self.frame, remaining) >= 0 and self._expressible(remaining, max_idx)
 
-    def _expressible(self, remaining: Weight, max_idx: int) -> bool:
+    def _expressible(self, remaining: tuple[int, ...], max_idx: int) -> bool:
         key = (remaining, max_idx)
         cached = self._expressible_cache.get(key)
         if cached is None:
             cached = self._expressible_cache[key] = self._search(remaining, max_idx)
         return cached
 
-    def _search(self, remaining: Weight, max_idx: int) -> bool:
-        if remaining.is_zero():
+    def _search(self, remaining: tuple[int, ...], max_idx: int) -> bool:
+        if not any(remaining):
             return True
+        roots = self.frame.roots
         for i in range(max_idx, -1, -1):
-            nxt = remaining - self.pos_roots[i]
-            h = sum(pairing_coroot(self.datum, nxt, a)
-                    for a in self.datum.even_positive)
-            if h >= 0 and self._expressible(nxt, i):
+            nxt = tuple(a - b for a, b in zip(remaining, roots[i]))
+            if _height_key(self.frame, nxt) >= 0 and self._expressible(nxt, i):
                 return True
         return False
 
     def verma_dim(self, beta: Weight) -> int:
         return len(self._monomials(beta))
 
-    def simple_dim(self, beta: Weight) -> int:
-        """dim L(lam) at weight lam - beta: the rank of the contravariant Gram."""
+    def _gram(self, beta: Weight) -> list[list[Fraction]]:
+        """The contravariant form on M(lam)_{lam - beta} in the PBW basis."""
         monos = self._monomials(beta)
-        if not monos:
-            return 0
         gram = []
         for left in monos:
             row = []
@@ -337,7 +390,12 @@ class VermaModel:
                     vec = nxt
                 row.append(vec.get((), Fraction(0)))
             gram.append(row)
-        return _rank(gram)
+        return gram
+
+    def simple_dim(self, beta: Weight) -> int:
+        """dim L(lam) at weight lam - beta: the rank of the contravariant Gram."""
+        gram = self._gram(beta)
+        return _rank(gram) if gram else 0
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
@@ -360,10 +418,6 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _height_key(datum: RootDatum, mu: Weight) -> Fraction:
-    return sum(pairing_coroot(datum, mu, a) for a in datum.even_positive)
-
-
 def verma_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[Weight, Weight], int]:
     """[M(mu) : L(gamma)] for all mu, gamma in the dot orbit of lam.
 
@@ -377,7 +431,11 @@ def verma_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[Weight, We
         raise UnsupportedInputError("the brute-force oracle is capped at rank 2")
     if not is_integral(datum, lam):
         raise UnsupportedInputError("the brute-force oracle needs an integral weight")
-    orbit = sorted(orbit_dot(datum, lam), key=lambda w: (_height_key(datum, w), w.coords))
+    frame = _frame(datum)
+    # orbit points differ from lam by root-lattice vectors, so heights
+    # relative to lam order the orbit as absolute heights would
+    orbit = sorted(orbit_dot(datum, lam),
+                   key=lambda w: (_height_key(frame, _lattice(w - lam)), w.coords))
     models = {mu: VermaModel(datum, mu) for mu in orbit}
     r = len(orbit)
     # A[i][j] = dim M(orbit[i]) at weight orbit[j]; L likewise for simples
@@ -385,14 +443,8 @@ def verma_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[Weight, We
     L = [[0] * r for _ in range(r)]
     for i, mu in enumerate(orbit):
         for j, gamma in enumerate(orbit):
-            beta = mu - gamma
-            expansion_ok = models[mu]._expressible(beta, len(models[mu].pos_roots) - 1)
-            if not expansion_ok:
-                A[i][j] = 0
-                L[i][j] = 0
-                continue
-            A[i][j] = models[mu].verma_dim(beta)
-            L[i][j] = models[mu].simple_dim(beta)
+            A[i][j] = models[mu].verma_dim(mu - gamma)
+            L[i][j] = models[mu].simple_dim(mu - gamma)
     # forward-substitute D from A = D L (both lower triangular, unit diagonal)
     D = [[0] * r for _ in range(r)]
     for i in range(r):

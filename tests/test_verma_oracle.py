@@ -70,6 +70,82 @@ def test_c2_gram_symmetry_spotcheck():
     monos = model._monomials(beta)
     assert len(monos) == model.verma_dim(beta)
     assert 0 <= model.simple_dim(beta) <= model.verma_dim(beta)
+    # the contravariant form is symmetric on every weight space; check all
+    # of height <= 3 for an integral and a generic rational lam
+    for factors, lams in (("C2", ([-2, -1], [Fraction(1, 2), Fraction(-2, 3)])),
+                          ("A2", ([-2, 0, 2], [Fraction(1, 2), Fraction(-1, 3), 0]))):
+        datum = build_root_datum("reductive", factors=factors)
+        a1, a2 = (r.weight for r in datum.simple_even)
+        for lam in lams:
+            model = VermaModel(datum, Weight(lam))
+            for k in range(4):
+                for j in range(k + 1):
+                    beta = a1.scale(j) + a2.scale(k - j)
+                    gram = model._gram(beta)
+                    assert len(gram) == model.verma_dim(beta)
+                    assert all(row[c] == gram[c][r] for r, row in enumerate(gram)
+                               for c in range(len(row)))
+                    assert model.simple_dim(beta) <= len(gram)
+
+
+def test_off_lattice_weight_spaces_are_empty():
+    """A beta off the root lattice, or outside the positive root cone, has
+    no PBW monomials: it must never be rounded onto the lattice."""
+    for factors, lam, beta in (("A1", [3, 0], [Fraction(1, 2), Fraction(-1, 2)]),
+                               ("C2", [-2, -1], [Fraction(1, 2), Fraction(1, 2)])):
+        datum = build_root_datum("reductive", factors=factors)
+        model = VermaModel(datum, Weight(lam))
+        for b in (Weight(beta), -datum.simple_even[0].weight, -datum.even_positive[-1].weight):
+            assert model.verma_dim(b) == 0
+            assert model.simple_dim(b) == 0
+
+
+def test_realization_audited_once_per_datum(monkeypatch):
+    from superlink import verma_oracle
+
+    calls = []
+    audit = verma_oracle._check_realization
+
+    def counted(datum, real):
+        calls.append(datum)
+        audit(datum, real)
+
+    monkeypatch.setattr(verma_oracle, "_check_realization", counted)
+    verma_oracle._frame.cache_clear()  # earlier tests may have built A2's
+    datum = build_root_datum("reductive", factors="A2")
+    for lam in ([-2, 0, 2], [-3, 0, 2]):  # regular: six orbit points each
+        table = verma_oracle.verma_multiplicities(datum, Weight(lam))
+        assert len(table) == 36
+        assert len(calls) == 1
+
+
+def test_oracle_is_independent_of_kl():
+    """Neither the oracle nor any package module it imports reaches the KL
+    engine, so the oracle stays an independent check of it."""
+    import ast
+    from pathlib import Path
+
+    import superlink
+
+    package = Path(superlink.__file__).resolve().parent
+    seen, todo = set(), ["verma_oracle"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("superlink") for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                modules = [node.module] if node.module else [a.name for a in node.names]
+                todo += modules
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                assert "shared_group" not in (getattr(node, "id", None),
+                                              getattr(node, "attr", None))
+    assert "kl" not in seen
+    assert seen == {"verma_oracle", "errors", "root_data", "weights", "weyl"}
 
 
 def test_models_die_with_the_call(monkeypatch):
