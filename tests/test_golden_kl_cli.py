@@ -2,7 +2,8 @@
 
 Two corpora pin the stdout and exit code of each invocation:
 `golden/kl_cli.json` (`klpoly` / `mult`) and `golden/box_cli.json`
-(`typicality`, `block-label`, `validate`, `enumerate-block`).  Re-record
+(`typicality`, `block-label`, `same-block`, `validate`, `enumerate-block`).
+Re-record
 them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_kl_cli.py [kl_cli] [box_cli]
@@ -21,7 +22,8 @@ import pytest
 
 from superlink import build_root_datum, orbit_dot
 from superlink.cli import main
-from superlink.weights import Weight
+from superlink.oracle import WeightBox, bfs_linkage_closure, default_generators
+from superlink.weights import Weight, format_weight, rational
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPORA = ("kl_cli", "box_cli")
@@ -59,8 +61,8 @@ def test_corpus_covers_refusals():
 
 def test_box_corpus_coverage():
     cases = _load("box_cli")
-    assert {c["argv"][0] for c in cases} == {"typicality", "block-label", "validate",
-                                             "enumerate-block"}
+    assert {c["argv"][0] for c in cases} == {"typicality", "block-label", "same-block",
+                                             "validate", "enumerate-block"}
     assert any("--no-enlarge" in c["argv"] for c in cases)
     assert any("text" in c["argv"] for c in cases)
     assert any(c["exit"] == 3 for c in cases)
@@ -69,6 +71,20 @@ def test_box_corpus_coverage():
     degrees = {json.loads(c["stdout"]).get("degree") for c in cases
                if c["argv"][0] == "typicality" and c["exit"] == 0 and "text" not in c["argv"]}
     assert {1, 2, 3, 4} <= degrees
+    same = [c for c in cases if c["argv"][0] == "same-block"]
+    assert {c["argv"][2] for c in same} == {"gl", "osp2", "p", "osp32", "reductive"}
+    statuses = {json.loads(c["stdout"])["status"] for c in same
+                if c["exit"] == 0 and "text" not in c["argv"]}
+    assert statuses == {"linked", "not-linked", "linked-sufficient-only", "no-link-known"}
+    refused = [c["argv"] for c in same if c["exit"] == 3]
+    assert any("osp32" in argv for argv in refused)  # off the X(nu) grid
+    assert any("--weight=1/2,0|0" in argv for argv in refused)  # not integral
+    for c in ("1/2", "1/3"):  # p(n) weights in the coset c + Z
+        assert any(c in argv[-1] for argv in (c["argv"] for c in same) if "p" in argv)
+    labels = [c["argv"] for c in cases if c["argv"][0] == "block-label"]
+    assert sum("p" in argv and "/" in argv[-1] for argv in labels) >= 8
+    assert any("osp2" in argv and "/2;" in argv[-1] for argv in labels)
+    assert any("osp32" in argv and argv[-1] == "--weight=0,0" for argv in labels)
 
 
 # -- recording: kl_cli ----------------------------------------------------------
@@ -281,11 +297,95 @@ def _box_cases():
     return cases
 
 
+# (family, builder params) of the same-block cases: all five families
+SAME_BLOCK_DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}),
+                   ("osp2", {"n": 1}), ("osp2", {"n": 2}), ("p", {"n": 2}), ("p", {"n": 3}),
+                   ("reductive", {"factors": "A2"}), ("reductive", {"factors": "A1xC1"})]
+COSETS = (Fraction(1, 2), Fraction(1, 3))
+
+
+def _linked_pair(rng, datum, draw, anchor=None):
+    """A random lam = draw() and another weight the box oracle links to it;
+    lam itself when 30 draws found only one-point components."""
+    box = WeightBox.cube(datum.dim, -4, 4)
+    box = WeightBox(box.lo, box.hi, box.step, anchor)
+    for _ in range(30):
+        lam = draw()
+        others = [w for w in bfs_linkage_closure(datum, lam, box, default_generators(datum))
+                  if w != lam]
+        if others:
+            return lam, rng.choice(others)
+    return lam, lam
+
+
+def _same_block_cases(rng):
+    cases = []
+
+    def add(flags, datum, lam, mu):
+        cases.append(["same-block", *flags, f"--weight={datum.format_weight(lam)}",
+                      f"--mu={datum.format_weight(mu)}"])
+
+    for family, params in SAME_BLOCK_DATA:
+        datum = build_root_datum(family, **params)
+        flags = _flags(family, **params)
+        points = lambda c=0: Weight([c + rng.randrange(-2, 3) for _ in range(datum.dim)])
+        for _ in range(2):
+            add(flags, datum, points(), points())
+        lam, mu = _linked_pair(rng, datum, points)
+        add(flags, datum, lam, mu)
+        add(flags, datum, lam, lam)
+        if family == "p":  # the c + Z cosets, and a pair across two cosets
+            for c in COSETS:
+                lam, mu = _linked_pair(rng, datum, lambda: points(c), (c,) * datum.dim)
+                add(flags, datum, lam, mu)
+                add(flags, datum, lam, points(c))
+            add(flags, datum, points(COSETS[0]), points(COSETS[1]))
+    cases[-1] += ["--format", "text"]
+    osp32 = ["--family", "osp32"]
+    datum = build_root_datum("osp32")
+    # (lam + rho, mu + rho) on the grid a, b in -1/2 - Z_{>=0}; the last lam is off it
+    for a, b, c, d in [("-1/2", "-1/2", "-3/2", "-3/2"), ("-1/2", "-3/2", "-3/2", "-1/2"),
+                       ("-5/2", "-3/2", "-5/2", "-3/2"), ("-3/2", "-5/2", "-1/2", "-1/2"),
+                       ("1/2", "-1/2", "-1/2", "-1/2")]:
+        add(osp32, datum, Weight([rational(a), rational(b)]) - datum.rho,
+            Weight([rational(c), rational(d)]) - datum.rho)
+    # refusals: a non-integral weight, a mixed coset, a wrong dimension
+    cases += [["same-block", *_flags("gl", m=2, n=1), "--weight=1/2,0|0", "--mu=0,0|0"],
+              ["same-block", *_flags("p", n=2), "--weight=1/2,1/3", "--mu=1/2,1/2"],
+              ["same-block", *_flags("reductive", factors="A2"), "--weight=0,0,0",
+               "--mu=1/2,0,0"],
+              ["same-block", *osp32, "--weight=1/2,0", "--mu=0,-1/2"],
+              ["same-block", *_flags("osp2", n=1), "--weight=0;0", "--mu=0,0,0"]]
+    return cases
+
+
+def _coset_label_cases(rng):
+    """block-label on fractional p(n) cosets and half-integral osp coordinates."""
+    cases = []
+    for n in (2, 3, 4):
+        for c in (*COSETS, Fraction(2, 3), Fraction(-1, 4)):
+            lam = Weight([c + rng.randrange(-3, 4) for _ in range(n)])
+            cases.append(["block-label", *_flags("p", n=n), f"--weight={format_weight(lam)}"])
+    for n in (1, 2):
+        datum = build_root_datum("osp2", n=n)
+        for x in ("1/2", "-3/2", "5/2", "1/3"):
+            d = ",".join(str(rng.randrange(-3, 4)) for _ in range(n))
+            cases.append(["block-label", *_flags("osp2", n=n), f"--weight={x};{d}"])
+        d = [rng.randrange(-3, 4) for _ in range(n)]
+        lam = _shifted(datum, [Fraction(d[0])] + d)  # atypical, integral x + rho_x
+        cases.append(["block-label", *_flags("osp2", n=n), f"--weight={lam}"])
+    for lam in ("0,0", "1,0", "1,1", "-1,0", "2,-3", "-2,1", "3,-5/2"):
+        cases.append(["block-label", "--family", "osp32", f"--weight={lam}"])
+    cases[-1] += ["--format", "text"]
+    return cases
+
+
 def _argvs(name):
     rng = random.Random(20211008 if name == "kl_cli" else 20211018)
     if name == "kl_cli":
         return _klpoly_cases(rng) + _mult_cases(rng) + REFUSALS
-    return _typicality_cases(rng) + _block_label_cases(rng) + _box_cases()
+    return (_typicality_cases(rng) + _block_label_cases(rng) + _box_cases()
+            + _same_block_cases(rng) + _coset_label_cases(rng))
 
 
 def record(names=CORPORA) -> None:
