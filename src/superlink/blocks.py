@@ -26,17 +26,22 @@ For osp(3|2) the W-moves that preserve the label are the rho-shifted
 reflections lam -> s(lam + rho) - rho, not the rho0-dot action: rho1 is not
 W-invariant there, and the dot action genuinely changes the central
 character.  For every other supported family the two actions coincide.
+
+The labels of the four super families are computed on the integer vector
+D (lam + rho) over a common denominator D (see _label), which the box
+oracle also uses to label a whole box on its integer lattice.
 """
 from __future__ import annotations
 
 import json
-from collections import Counter
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .errors import UnsupportedInputError
 from .root_data import RootDatum, is_integral
-from .weights import Weight, _fractional, format_rational
+from .weights import Weight, format_rational
 from .weyl import antidominant_rep, reflect
 
 
@@ -124,60 +129,63 @@ def _require_integral(datum: RootDatum, lam: Weight) -> None:
 
 def _cancel(a_vals, b_vals):
     """Maximal multiset cancellation; returns (survivors_a, survivors_b, count)."""
-    count_a, count_b = Counter(a_vals), Counter(b_vals)
-    k = sum(min(count_a[v], count_b[v]) for v in count_a)
-    surv_a, surv_b = count_a.copy(), count_b.copy()
-    for v in count_a:
-        m = min(count_a[v], count_b[v])
-        surv_a[v] -= m
-        surv_b[v] -= m
-    return (tuple(sorted(surv_a.elements())), tuple(sorted(surv_b.elements())), k)
+    surv_a, surv_b = [], list(b_vals)
+    for v in a_vals:
+        if v in surv_b:
+            surv_b.remove(v)
+        else:
+            surv_a.append(v)
+    return (tuple(sorted(surv_a)), tuple(sorted(surv_b)), len(a_vals) - len(surv_a))
+
+
+def _label_shift(datum: RootDatum) -> Weight:
+    """What the label body adds to lam: rho, or rho0 for p(n)."""
+    return datum.rho0 if datum.family == "p" else datum.rho
 
 
 def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
     """The family's canonical linkage invariant of an integral weight."""
     datum.check_dim(lam)
-    if datum.family in ("gl", "osp2", "p", "osp32"):
-        _require_integral(datum, lam)
-    return _label(datum, lam)
-
-
-def _label(datum: RootDatum, lam: Weight) -> BlockLabel:
-    """block_label without its integrality check, for callers that have
-    proved lam integral; the reductive branch still checks, through
-    antidominant_rep."""
-    if datum.family == "gl":
-        m = datum.params[0]
-        mu = lam + datum.rho
-        a = mu.coords[:m]
-        neg_b = tuple(-c for c in mu.coords[m:])
-        return BlockLabel("gl", _cancel(a, neg_b))
-    if datum.family == "osp2":
-        mu = lam + datum.rho
-        x, d = mu[0], [abs(c) for c in mu.coords[1:]]
-        if abs(x) in d:
-            d.remove(abs(x))
-            return BlockLabel("osp2", (tuple(sorted(d)), _fractional(x), 1))
-        return BlockLabel("osp2", (tuple(sorted(d)), x, 0))
-    if datum.family == "p":
-        shift = _fractional(lam[0])
-        omega = Weight([1] * datum.dim)
-        normalized = lam - omega.scale(shift)
-        if any(c.denominator != 1 for c in normalized):
-            raise UnsupportedInputError(
-                "p(n) labels need coordinates in a common coset c + Z")
-        mu = normalized + datum.rho0
-        j = sum(1 for c in mu if c.numerator % 2 != 0)
-        return BlockLabel("p", (j, shift))
-    if datum.family == "osp32":
-        a, b = (lam + datum.rho).coords
-        if abs(a) == abs(b):
-            return BlockLabel("osp32", (1, _fractional(abs(a))))
-        return BlockLabel("osp32", (0, (abs(a), abs(b))))
     if datum.family == "reductive":
         rep, _ = antidominant_rep(datum, lam)
         return BlockLabel("reductive", rep.coords)
-    raise UnsupportedInputError(f"block labels are not defined for {datum.family!r}")
+    if datum.family not in ("gl", "osp2", "p", "osp32"):
+        raise UnsupportedInputError(f"block labels are not defined for {datum.family!r}")
+    _require_integral(datum, lam)
+    shift = _label_shift(datum)
+    D = math.lcm(*(c.denominator for c in (*lam, *shift)))
+    mu = [a.numerator * (D // a.denominator) + b.numerator * (D // b.denominator)
+          for a, b in zip(lam, shift)]
+    return BlockLabel(datum.family, _label(datum, D, mu, lambda v: Fraction(v, D)))
+
+
+def _label(datum: RootDatum, D: int, mu: list[int], q) -> tuple:
+    """The label payload of an integral weight lam of gl, osp(2|2n), p(n) or
+    osp(3|2), from mu = D (lam + shift) with shift = _label_shift(datum) and
+    D a positive integer.  Each rational entry r of the payload is written
+    q(D r): q(v) = v / D gives the payload, q = int an integer key equal for
+    two weights with the same D exactly when their labels are equal."""
+    family = datum.family
+    if family == "gl":
+        m = datum.params[0]
+        a, b, k = _cancel(mu[:m], [-c for c in mu[m:]])
+        return (tuple(map(q, a)), tuple(map(q, b)), k)
+    if family == "osp2":
+        x, d = mu[0], sorted(abs(c) for c in mu[1:])
+        if abs(x) in d:
+            d.remove(abs(x))
+            return (tuple(map(q, d)), q(x % D), 1)
+        return (tuple(map(q, d)), q(x), 0)
+    if family == "p":
+        # rho0 is integral for p(n), so lam + rho0 lies in lam's coset c + Z,
+        # c = s / D
+        s = mu[0] % D
+        if any((c - s) % D for c in mu):
+            raise UnsupportedInputError(
+                "p(n) labels need coordinates in a common coset c + Z")
+        return (sum((c - s) // D % 2 for c in mu), q(s))
+    a, b = abs(mu[0]), abs(mu[1])  # osp(3|2)
+    return (1, q(a % D)) if a == b else (0, (q(a), q(b)))
 
 
 def chi_label_osp32(datum: RootDatum, lam: Weight) -> BlockLabel:
@@ -190,8 +198,7 @@ def chi_label_osp32(datum: RootDatum, lam: Weight) -> BlockLabel:
     """
     if datum.family != "osp32":
         raise UnsupportedInputError("chi labels in this form exist only for osp(3|2)")
-    _require_integral(datum, lam)
-    return _label(datum, lam)
+    return block_label(datum, lam)
 
 
 def linkage_reflection(datum: RootDatum, alpha, lam: Weight) -> Weight:

@@ -14,6 +14,7 @@ signed cycles `(1 2)(3 -3)`; characters use 1-based indices into Pi_0
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -41,8 +42,14 @@ def _add_datum_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value lines overriding caps")
 
 
+@functools.lru_cache(maxsize=32)
+def _root_datum(family: str, m, n, factors) -> RootDatum:
+    # RootDatum is frozen, so calls may share one; a refusal is not cached
+    return build_root_datum(family, m=m, n=n, factors=factors)
+
+
 def _datum(args) -> RootDatum:
-    return build_root_datum(args.family, m=args.m, n=args.n, factors=args.factors)
+    return _root_datum(args.family, args.m, args.n, args.factors)
 
 
 def _config(args) -> dict:
@@ -394,9 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SuperlinkError as exc:

@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .blocks import BlockLabel, _label, block_label
+from .blocks import BlockLabel, _label, _label_shift, block_label
 from .errors import CapExceededError, UnsupportedInputError
 from .kl import FiniteWeylGroup, KLPolynomial, MultTable, bruhat_leq, kl_polynomial
 from .root_data import RootDatum
 from .verma_oracle import verma_multiplicities
-from .weights import Weight
+from .weights import Weight, format_rational
 from .weyl import _closure
 
 BOX_CAP = 10 ** 6
@@ -53,6 +53,16 @@ class WeightBox:
     hi: tuple[Fraction, ...]
     step: Fraction = Fraction(1)
     anchor: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self):
+        if self.step <= 0:
+            raise UnsupportedInputError(
+                f"box step must be positive, got {format_rational(self.step)}")
+        # every closure looks its frame up by the box: hash the Fractions once
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.step, self.anchor)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def cube(dim: int, lo, hi, step=1) -> "WeightBox":
@@ -87,11 +97,15 @@ class WeightBox:
             total *= int((hi - first) // self.step) + 1
         return total
 
+    def check_cap(self, cap: int = BOX_CAP) -> None:
+        """Raise CapExceededError when the box holds more than cap points."""
+        if self.count() > cap:
+            raise CapExceededError(f"box holds {self.count()} points, cap is {cap}")
+
     def points(self, cap: int = BOX_CAP):
         if any(l > h for l, h in zip(self.lo, self.hi)):
             return
-        if self.count() > cap:
-            raise CapExceededError(f"box holds {self.count()} points, cap is {cap}")
+        self.check_cap(cap)
         anchor = self._anchor()
         axes = []
         for a, lo, hi in zip(anchor, self.lo, self.hi):
@@ -137,7 +151,8 @@ class _Frame:
     Roots and coroots are integer vectors in every supported family (this is
     checked), so each linkage move is integer arithmetic on N, and lam is
     integral exactly when D divides sum_i c_i N_i for every even positive
-    coroot c.  Ordering N orders lam, since D > 0.
+    coroot c.  Ordering N orders lam, since D > 0.  Block labels of the
+    super families are read off N + D shift as well (see blocks._label).
     """
 
     def __init__(self, datum: RootDatum, box: WeightBox):
@@ -149,8 +164,9 @@ class _Frame:
         self.lo = tuple(int(c * D) for c in box.lo)
         self.hi = tuple(int(c * D) for c in box.hi)
         self.anchor = tuple(int(c * D) for c in anchor)
-        self.step = abs(int(box.step * D))  # the lattice A + S Z ignores the sign of S
-        self.values: dict[int, Fraction] = {}  # v -> v / D, filled as points convert back
+        self.step = int(box.step * D)
+        self.values: dict[int, Fraction] = {}  # v -> v / D, filled as values convert back
+        self.label_shift = tuple(int(c * D) for c in _label_shift(datum))
         # lam -> s(lam + shift) - shift is N -> N - p a, p = k + sum_i c_i N_i
         shift = [int(c * D) for c in (rho if datum.family == "osp32" else rho0)]
         self.reflections = []
@@ -173,6 +189,16 @@ class _Frame:
             self.lines.append((root, form, sum(f * int(rho[i] * D) for i, f in form)))
         self.coroots = [_coroot(datum, r.weight) for r in datum.even_positive]
 
+    def points(self) -> list[tuple[int, ...]]:
+        """The box's points N, in WeightBox.points order."""
+        if any(l > h for l, h in zip(self.lo, self.hi)):
+            return []
+        step = self.step
+        # each axis starts at a + step * ceil((lo - a) / step)
+        axes = [range(a - step * ((a - lo) // step), hi + 1, step)
+                for a, lo, hi in zip(self.anchor, self.lo, self.hi)]
+        return list(itertools.product(*axes))
+
     def fits(self, i: int, v: int) -> bool:
         """Whether coordinate i may take the value v inside the box."""
         return self.lo[i] <= v <= self.hi[i] and (v - self.anchor[i]) % self.step == 0
@@ -191,11 +217,14 @@ class _Frame:
             return None
         return tuple(c.numerator * (D // c.denominator) for c in w)
 
+    def value(self, v: int) -> Fraction:
+        """The rational v / D."""
+        values = self.values
+        return values[v] if v in values else values.setdefault(v, Fraction(v, self.D))
+
     def weight(self, n: tuple[int, ...]) -> Weight:
         """The weight n / D."""
-        values = self.values
-        return Weight([values[v] if v in values else values.setdefault(v, Fraction(v, self.D))
-                       for v in n])
+        return Weight._of(tuple(map(self.value, n)))
 
 
 @lru_cache(maxsize=16)
@@ -256,6 +285,13 @@ def default_generators(datum: RootDatum) -> LinkageGenerators:
     return LinkageGenerators()
 
 
+class _Component(list):
+    """A linkage component: its weights, sorted, with the same points as
+    integer vectors N = D lam in `lattice`."""
+
+    lattice: list[tuple[int, ...]]
+
+
 def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox,
                         gens: LinkageGenerators) -> list[Weight]:
     """The connected component of seed under gens, restricted to the box."""
@@ -264,7 +300,10 @@ def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox,
     if n is None or not frame.contains(n):
         raise UnsupportedInputError("seed lies outside the box")
     levels = _closure(n, lambda x: gens.neighbors(datum, x, frame))
-    return [frame.weight(x) for x in sorted(itertools.chain.from_iterable(levels))]
+    lattice = sorted(itertools.chain.from_iterable(levels))
+    comp = _Component(map(frame.weight, lattice))
+    comp.lattice = lattice
+    return comp
 
 
 @dataclass
@@ -286,9 +325,9 @@ class PartitionReport:
             "points": sum(len(c) for c in self.components),
             "components": [
                 {"size": len(comp),
-                 "label": self.component_labels[i].to_json(),
+                 "label": label.to_json(),
                  "representative": datum.format_weight(comp[0])}
-                for i, comp in enumerate(self.components)
+                for comp, label in zip(self.components, self.component_labels)
             ],
             "soundness_failures": self.soundness_failures,
             "label_splits": self.label_splits,
@@ -304,42 +343,48 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
     soundness failure) and (b) labels split across several components,
     annotated with whether one enlargement pass merges them.
     """
-    points = list(box.points())
+    box.check_cap()
     frame = _frame(datum, box)
-    lattice = [frame.lattice(w) for w in points]
-    # block_label's own integrality check, and its refusals, only where the
-    # frame cannot prove the point integral
-    labels = {n: _label(datum, w) if n is not None and frame.integral(n)
-              else block_label(datum, w) for w, n in zip(points, lattice)}
-    unvisited = set(labels)
+    D, shift = frame.D, frame.label_shift
+    on_lattice = datum.family != "reductive"
+    keys = {}  # N -> its label's key
+    labels = {}  # key -> BlockLabel, built once per distinct label
+    for n in frame.points():
+        # block_label's own integrality check, and its refusals, only where
+        # the frame cannot prove the point integral
+        if on_lattice and frame.integral(n):
+            mu = [a + b for a, b in zip(n, shift)]
+            key = _label(datum, D, mu, int)
+            if key not in labels:
+                labels[key] = BlockLabel(datum.family, _label(datum, D, mu, frame.value))
+        else:
+            key = block_label(datum, frame.weight(n))
+            labels.setdefault(key, key)
+        keys[n] = key
+    unvisited = set(keys)
     components: list[list[Weight]] = []
-    comp_labels: list[BlockLabel] = []
-    comp_keys: list[str] = []
+    comp_keys = []
     failures: list[dict] = []
-    for seed, n in zip(points, lattice):
+    for n in keys:
         if n not in unvisited:
             continue
-        comp = bfs_linkage_closure(datum, seed, box, gens)
-        members = [frame.lattice(w) for w in comp]
-        unvisited.difference_update(members)
-        keys = {lbl: lbl.json_str() for lbl in {labels[m] for m in members}}
-        seen_labels = sorted(set(keys.values()))
-        if len(seen_labels) > 1:
+        comp = bfs_linkage_closure(datum, frame.weight(n), box, gens)
+        unvisited.difference_update(comp.lattice)
+        seen = {keys[m] for m in comp.lattice}
+        if len(seen) > 1:
             failures.append({
                 "representative": datum.format_weight(comp[0]),
-                "labels": seen_labels,
+                "labels": sorted(labels[k].json_str() for k in seen),
             })
         components.append(comp)
-        comp_labels.append(labels[members[0]])
-        comp_keys.append(keys[comp_labels[-1]])
-    by_label: dict[str, list[int]] = {}
+        comp_keys.append(keys[comp.lattice[0]])
+    by_label: dict = {}
     for i, key in enumerate(comp_keys):
         by_label.setdefault(key, []).append(i)
     splits = []
-    for key, comps in sorted(by_label.items()):
-        if len(comps) <= 1:
-            continue
-        entry = {"label": key,
+    for text, comps in sorted((labels[key].json_str(), comps)
+                              for key, comps in by_label.items() if len(comps) > 1):
+        entry = {"label": text,
                  "component_count": len(comps),
                  "merged_after_enlargement": None}
         if enlarge:
@@ -348,7 +393,7 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
             reached = set(bfs_linkage_closure(datum, reps[0], big, gens))
             entry["merged_after_enlargement"] = all(r in reached for r in reps[1:])
         splits.append(entry)
-    return PartitionReport(box, components, comp_labels, failures, splits)
+    return PartitionReport(box, components, [labels[k] for k in comp_keys], failures, splits)
 
 
 # -- KL cross-check ---------------------------------------------------------

@@ -63,6 +63,14 @@ class Weight:
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
+    @classmethod
+    def _of(cls, coords: tuple[Fraction, ...]) -> "Weight":
+        """The weight with these coordinates, which must already be a tuple of
+        Fractions; skips the conversion __init__ makes."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "coords", coords)
+        return w
+
     @staticmethod
     def zero(dim: int) -> "Weight":
         return Weight([0] * dim)

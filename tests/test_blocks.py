@@ -1,13 +1,15 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from superlink import (LinkStatus, Typicality, UnsupportedInputError, block_label,
-                       build_root_datum, dot, same_block, typicality)
-from superlink.blocks import chi_label_osp32, linkage_reflection
-from superlink.root_data import bilinear
+from superlink import (LinkStatus, SuperlinkError, Typicality, UnsupportedInputError,
+                       block_label, build_root_datum, dot, same_block, typicality)
+from superlink.blocks import BlockLabel, chi_label_osp32, linkage_reflection
+from superlink.oracle import WeightBox, default_generators, partition_box
+from superlink.root_data import bilinear, is_integral
 from superlink.weights import Weight
 from superlink.weyl import dot_reflection
 
@@ -261,3 +263,151 @@ def test_label_json_is_canonical(p2, gl21):
     label = block_label(gl21, Weight([0, 0, 0]))
     assert label.json_str() == '{"family":"gl","coreA":["0"],"coreB":[],"atyp":1}'
     assert block_label(p2, Weight([0, 0])).json_str() == '{"family":"p","j":1}'
+
+
+# -- the integer label body against the Fraction bodies it replaced ------------
+
+def _reference_cancel(a_vals, b_vals):
+    count_a, count_b = Counter(a_vals), Counter(b_vals)
+    k = sum(min(count_a[v], count_b[v]) for v in count_a)
+    surv_a, surv_b = count_a.copy(), count_b.copy()
+    for v in count_a:
+        m = min(count_a[v], count_b[v])
+        surv_a[v] -= m
+        surv_b[v] -= m
+    return (tuple(sorted(surv_a.elements())), tuple(sorted(surv_b.elements())), k)
+
+
+def _fractional(x):
+    return x - (x.numerator // x.denominator)
+
+
+def _reference_label(datum, lam):
+    """block_label in Fraction arithmetic, as computed before the label body
+    moved to integer coordinates."""
+    datum.check_dim(lam)
+    if datum.family in ("gl", "osp2", "p", "osp32") and not is_integral(datum, lam):
+        raise UnsupportedInputError("block labels are defined for integral weights")
+    if datum.family == "gl":
+        m = datum.params[0]
+        mu = lam + datum.rho
+        neg_b = tuple(-c for c in mu.coords[m:])
+        return BlockLabel("gl", _reference_cancel(mu.coords[:m], neg_b))
+    if datum.family == "osp2":
+        mu = lam + datum.rho
+        x, d = mu[0], [abs(c) for c in mu.coords[1:]]
+        if abs(x) in d:
+            d.remove(abs(x))
+            return BlockLabel("osp2", (tuple(sorted(d)), _fractional(x), 1))
+        return BlockLabel("osp2", (tuple(sorted(d)), x, 0))
+    if datum.family == "p":
+        shift = _fractional(lam[0])
+        normalized = lam - Weight([1] * datum.dim).scale(shift)
+        if any(c.denominator != 1 for c in normalized):
+            raise UnsupportedInputError(
+                "p(n) labels need coordinates in a common coset c + Z")
+        mu = normalized + datum.rho0
+        return BlockLabel("p", (sum(1 for c in mu if c.numerator % 2 != 0), shift))
+    a, b = (lam + datum.rho).coords  # osp32
+    if abs(a) == abs(b):
+        return BlockLabel("osp32", (1, _fractional(abs(a))))
+    return BlockLabel("osp32", (0, (abs(a), abs(b))))
+
+
+# (family, builder params, the cosets of the coordinates integral weights may take)
+REFERENCE_DATA = [
+    ("gl", {"m": 1, "n": 1}, [Fraction(1, 2), Fraction(1, 3)]),
+    ("gl", {"m": 2, "n": 2}, [0]), ("gl", {"m": 3, "n": 2}, [0]),
+    ("osp2", {"n": 1}, [0]), ("osp2", {"n": 2}, [0]),
+    ("p", {"n": 2}, [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]),
+    ("p", {"n": 3}, [Fraction(1, 3), Fraction(2, 3)]), ("p", {"n": 4}, [Fraction(1, 2)]),
+    ("osp32", {}, [0]),
+]
+
+
+def _integral_weight(rng, datum, coset):
+    """A random integral weight near the origin, its coordinates (or, where
+    the family allows it, some of them) in coset + Z."""
+    coords = [coset + rng.randrange(-4, 5) for _ in range(datum.dim)]
+    if datum.family == "gl" and coset:  # one block in a coset, the other free
+        coords[0] = rng.choice([0, coset]) + rng.randrange(-4, 5)
+    if datum.family == "osp2":  # x is free, the d's integral
+        coords[0] = rng.choice([0, Fraction(1, 2), Fraction(-1, 3)]) + rng.randrange(-4, 5)
+    if datum.family == "osp32":  # d integral, e in (1/2) Z
+        coords[1] = Fraction(rng.randrange(-9, 10), 2)
+    lam = Weight(coords)
+    # a third of the weights atypical, where the family has atypicality
+    if datum.family in ("gl", "osp2", "osp32") and rng.random() < 0.35:
+        mu = (lam + datum.rho).coords
+        if datum.family == "gl":
+            m = datum.params[0]
+            i, j = rng.randrange(m), rng.randrange(m, datum.dim)
+            lam = lam.replace(j, -mu[i] - datum.rho[j])
+        elif datum.family == "osp2":
+            i = rng.randrange(1, datum.dim)
+            lam = lam.replace(0, rng.choice([1, -1]) * mu[i] - datum.rho[0])
+        else:
+            lam = lam.replace(1, rng.choice([1, -1]) * mu[0] - datum.rho[1])
+    assert is_integral(datum, lam)
+    return lam
+
+
+@pytest.mark.parametrize("family,params,cosets", REFERENCE_DATA, ids=lambda v: str(v))
+def test_label_matches_fraction_reference(family, params, cosets):
+    datum = build_root_datum(family, **params)
+    rng = random.Random(f"label:{family}:{sorted(params.items())}")
+    atypical = 0
+    for _ in range(150):
+        lam = _integral_weight(rng, datum, rng.choice(cosets))
+        label = block_label(datum, lam)
+        assert label == _reference_label(datum, lam)
+        assert label.json_str() == _reference_label(datum, lam).json_str()
+        atypical += typicality(datum, lam).kind == "atypical"
+    assert atypical > 20 or family == "p"
+
+
+def _non_integral_weights(rng, datum):
+    yield Weight([Fraction(1, 2)] * (datum.dim - 1))  # wrong dimension
+    for _ in range(10):
+        coords = [Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+                  for _ in range(datum.dim)]
+        if not is_integral(datum, Weight(coords)):
+            yield Weight(coords)
+
+
+@pytest.mark.parametrize("family,params,cosets", REFERENCE_DATA, ids=lambda v: str(v))
+def test_label_refusals_match_fraction_reference(family, params, cosets):
+    datum = build_root_datum(family, **params)
+    rng = random.Random(f"refusal:{family}:{sorted(params.items())}")
+    for lam in _non_integral_weights(rng, datum):
+        with pytest.raises(SuperlinkError) as expected:
+            _reference_label(datum, lam)
+        with pytest.raises(SuperlinkError) as got:
+            block_label(datum, lam)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+@pytest.mark.parametrize("family,params,cosets", REFERENCE_DATA, ids=lambda v: str(v))
+def test_partition_labels_match_fraction_reference(family, params, cosets):
+    datum = build_root_datum(family, **params)
+    rng = random.Random(f"partition:{family}:{sorted(params.items())}")
+    gens = default_generators(datum)
+    boxes = []
+    for coset in cosets:
+        anchor = _integral_weight(rng, datum, coset).coords  # an integral lattice
+        cube = WeightBox.cube(datum.dim, -2, 1 if datum.dim > 4 else 2)
+        boxes.append(WeightBox(cube.lo, cube.hi, Fraction(1), anchor))
+    for box in boxes:
+        report = partition_box(datum, box, gens, enlarge=False)
+        assert report.sound
+        for comp, label in zip(report.components, report.component_labels):
+            assert {_reference_label(datum, w) for w in comp} == {label}
+    if not datum.even_positive:  # gl(1|1): every weight is integral
+        return
+    # refusals: a lattice off the integral weights
+    off = WeightBox(box.lo, box.hi, Fraction(1), box.anchor[:-1] + (Fraction(1, 5),))
+    with pytest.raises(SuperlinkError) as expected:
+        _reference_label(datum, next(off.points()))
+    with pytest.raises(SuperlinkError) as got:
+        partition_box(datum, off, gens)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))

@@ -217,3 +217,36 @@ def test_explicit_anchor_flag(capsys):
     payload = run_json(capsys, ["validate", "--family", "p", "--n", "2",
                                 "--box", " -2..2", "--anchor", "0,0"])
     assert payload["sound"] is True
+
+
+def test_cli_caches_fill_lazily_once(capsys, monkeypatch):
+    """The parser is built on the first main call and reused; each datum is
+    built once per (family, m, n, factors); a refusal is not cached."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from superlink import cli
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import superlink.cli as c; "
+             "print(c._parser.cache_info().currsize, c._root_datum.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.stdout.split() == ["0", "0"], proc.stderr  # import builds neither
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    cli._root_datum.cache_clear()
+    try:
+        argv = ["block-label", "--family", "p", "--n", "2", "--weight=0,0"]
+        assert run(capsys, argv)[0] == run(capsys, argv)[0] == 0
+        assert built == [1]
+        assert cli._root_datum.cache_info()[:2] == (1, 1)  # one hit, one build
+        for _ in range(2):  # gl needs --m: exit 3 on every call
+            code, out, err = run(capsys, ["root-data", "--family", "gl", "--n", "1"])
+            assert (code, out, err) == (3, "", "error: gl(m|n) needs both m and n\n")
+        assert cli._root_datum.cache_info().currsize == 1
+    finally:
+        cli._parser.cache_clear()

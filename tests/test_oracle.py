@@ -28,6 +28,19 @@ def test_box_points_and_contains():
     assert [w.coords[0] for w in anchored.points()] == [Fraction(-1, 2), Fraction(1, 2)]
 
 
+def test_box_refuses_nonpositive_step():
+    """A step <= 0 once made points() loop forever (negative) or count()
+    divide by zero; the box now refuses it at construction."""
+    lo, hi = (Fraction(-2),) * 2, (Fraction(2),) * 2
+    for step in (Fraction(-1), Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(UnsupportedInputError, match="box step must be positive"):
+            WeightBox(lo, hi, step)
+    with pytest.raises(UnsupportedInputError, match="box step must be positive"):
+        WeightBox.cube(2, -2, 2, 0)
+    with pytest.raises(UnsupportedInputError, match="box step must be positive"):
+        dataclasses.replace(WeightBox(lo, hi), step=Fraction(-1))
+
+
 def test_box_cap():
     box = WeightBox.cube(4, -100, 100)
     with pytest.raises(CapExceededError):
