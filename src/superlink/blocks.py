@@ -45,6 +45,10 @@ from .weights import Weight, format_rational
 from .weyl import antidominant_rep, reflect
 
 
+# the families whose labels _label computes on integer coordinates
+_LATTICE_FAMILIES = ("gl", "osp2", "p", "osp32")
+
+
 class LinkStatus(Enum):
     LINKED = "linked"
     NOT_LINKED = "not-linked"
@@ -149,7 +153,7 @@ def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
     if datum.family == "reductive":
         rep, _ = antidominant_rep(datum, lam)
         return BlockLabel("reductive", rep.coords)
-    if datum.family not in ("gl", "osp2", "p", "osp32"):
+    if datum.family not in _LATTICE_FAMILIES:
         raise UnsupportedInputError(f"block labels are not defined for {datum.family!r}")
     _require_integral(datum, lam)
     shift = _label_shift(datum)

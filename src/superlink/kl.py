@@ -40,8 +40,9 @@ and a unique y, and gamma is W_zeta-anti-dominant exactly when y has no left
 descent in zeta's support, so a multiplicity is one KL lookup and a length
 one row of at most |W| lookups.
 
-Concurrency: the per-datum group cache (`shared_group`) is the only shared
-state.  It lives for the whole process, one Weyl group per datum, and
+Concurrency: the per-datum group cache (`shared_group`) is this module's
+only shared state; the package's other process-wide caches are listed in
+the README.  It lives for the whole process, one Weyl group per datum, and
 everything a group memoizes (its index, ideals, polynomials, mu-lists) is a
 pure value written through single atomic assignments, so concurrent calls
 return identical results; at worst two threads duplicate a computation

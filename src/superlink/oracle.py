@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .blocks import BlockLabel, _label, _label_shift, block_label
+from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, block_label
 from .errors import CapExceededError, UnsupportedInputError
 from .kl import FiniteWeylGroup, KLPolynomial, MultTable, bruhat_leq, kl_polynomial
 from .root_data import RootDatum
@@ -58,11 +58,6 @@ class WeightBox:
         if self.step <= 0:
             raise UnsupportedInputError(
                 f"box step must be positive, got {format_rational(self.step)}")
-        # every closure looks its frame up by the box: hash the Fractions once
-        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.step, self.anchor)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def cube(dim: int, lo, hi, step=1) -> "WeightBox":
@@ -97,7 +92,7 @@ class WeightBox:
             total *= int((hi - first) // self.step) + 1
         return total
 
-    def check_cap(self, cap: int = BOX_CAP) -> None:
+    def _check_cap(self, cap: int = BOX_CAP) -> None:
         """Raise CapExceededError when the box holds more than cap points."""
         if self.count() > cap:
             raise CapExceededError(f"box holds {self.count()} points, cap is {cap}")
@@ -105,7 +100,7 @@ class WeightBox:
     def points(self, cap: int = BOX_CAP):
         if any(l > h for l, h in zip(self.lo, self.hi)):
             return
-        self.check_cap(cap)
+        self._check_cap(cap)
         anchor = self._anchor()
         axes = []
         for a, lo, hi in zip(anchor, self.lo, self.hi):
@@ -343,10 +338,10 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
     soundness failure) and (b) labels split across several components,
     annotated with whether one enlargement pass merges them.
     """
-    box.check_cap()
+    box._check_cap()
     frame = _frame(datum, box)
     D, shift = frame.D, frame.label_shift
-    on_lattice = datum.family != "reductive"
+    on_lattice = datum.family in _LATTICE_FAMILIES
     keys = {}  # N -> its label's key
     labels = {}  # key -> BlockLabel, built once per distinct label
     for n in frame.points():
