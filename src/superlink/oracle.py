@@ -353,7 +353,7 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
             if key not in labels:
                 labels[key] = BlockLabel(datum.family, _label(datum, D, mu, frame.value))
         else:
-            key = block_label(datum, frame.weight(n))
+            key = block_label(datum, frame.weight(n))  # the label is its own key
             labels.setdefault(key, key)
         keys[n] = key
     unvisited = set(keys)

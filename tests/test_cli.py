@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from superlink import cli
 from superlink.cli import main
 
 
@@ -222,16 +227,11 @@ def test_explicit_anchor_flag(capsys):
 def test_cli_caches_fill_lazily_once(capsys, monkeypatch):
     """The parser is built on the first main call and reused; each datum is
     built once per (family, m, n, factors); a refusal is not cached."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    from superlink import cli
     src = Path(cli.__file__).resolve().parents[1]
     probe = ("import superlink.cli as c; "
              "print(c._parser.cache_info().currsize, c._root_datum.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={"PYTHONPATH": str(src)}, timeout=60)
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert proc.stdout.split() == ["0", "0"], proc.stderr  # import builds neither
 
     built = []
