@@ -42,7 +42,7 @@ one row of at most |W| lookups.
 
 Concurrency: the per-datum group cache (`shared_group`) is this module's
 only shared state; the package's other process-wide caches are listed in
-the README.  It lives for the whole process, one Weyl group per datum, and
+the README.  The group cache lives for the whole process, one Weyl group per datum, and
 everything a group memoizes (its index, ideals, polynomials, mu-lists) is a
 pure value written through single atomic assignments, so concurrent calls
 return identical results; at worst two threads duplicate a computation
