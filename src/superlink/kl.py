@@ -42,11 +42,11 @@ one row of at most |W| lookups.
 
 Concurrency: the per-datum group cache (`shared_group`) is this module's
 only shared state; the package's other process-wide caches are listed in
-the README.  The group cache lives for the whole process, one Weyl group per datum, and
-everything a group memoizes (its index, ideals, polynomials, mu-lists) is a
-pure value written through single atomic assignments, so concurrent calls
-return identical results; at worst two threads duplicate a computation
-before one wins the insert.
+the README.  The group cache lives for the whole process, one Weyl group
+per datum, and everything a group memoizes (its index, ideals,
+polynomials, mu-lists) is a pure value written through single atomic
+assignments, so concurrent calls return identical results; at worst two
+threads duplicate a computation before one wins the insert.
 """
 from __future__ import annotations
 
