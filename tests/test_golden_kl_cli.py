@@ -3,7 +3,8 @@
 Two corpora pin the stdout and exit code of each invocation:
 `golden/kl_cli.json` (`klpoly` / `mult`) and `golden/box_cli.json`
 (`typicality`, `block-label`, `same-block`, `validate`, `enumerate-block`).
-Re-record
+`enumerate-block`
+cases pin stderr as well, so each refusal keeps its message.  Re-record
 them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_kl_cli.py [kl_cli] [box_cli]
@@ -30,10 +31,13 @@ CORPORA = ("kl_cli", "box_cli")
 
 
 def _invoke(argv):
+    """Run the CLI on argv; a `--config=NAME` names a file in golden/."""
+    argv = [f"--config={GOLDEN / a[len('--config='):]}" if a.startswith("--config=") else a
+            for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _load(name):
@@ -49,8 +53,10 @@ def _all_cases():
 # recorder needs)
 @pytest.mark.parametrize("case", _all_cases(), ids=lambda c: " ".join(c["argv"]))
 def test_replay(case):
-    code, stdout = _invoke(case["argv"])
+    code, stdout, stderr = _invoke(case["argv"])
     assert (code, stdout) == (case["exit"], case["stdout"])
+    if "stderr" in case:
+        assert stderr == case["stderr"]
 
 
 def test_corpus_covers_refusals():
@@ -85,6 +91,22 @@ def test_box_corpus_coverage():
     assert sum("p" in argv and "/" in argv[-1] for argv in labels) >= 8
     assert any("osp2" in argv and "/2;" in argv[-1] for argv in labels)
     assert any("osp32" in argv and argv[-1] == "--weight=0,0" for argv in labels)
+    enum = [c for c in cases if c["argv"][0] == "enumerate-block"]
+    assert all("stderr" in c for c in enum)
+    refusals = {c["stderr"] for c in enum if c["exit"] == 3}
+    assert "error: block labels are defined for integral weights\n" in refusals
+    assert any(e.startswith("error: box holds ") for e in refusals)  # --config box_cap
+    assert any("--config=box_cap.conf" in c["argv"] and c["exit"] == 0 for c in enum)
+    assert any("p" in c["argv"] and "--weight=1/2,1/3" in c["argv"] for c in enum)
+    anchored = [c["argv"] for c in enum if c["exit"] == 0
+                and any(a.startswith("--anchor=") for a in c["argv"])]
+    for coset in ("1/2", "1/3", "-1/4"):  # fractional p(n) cosets
+        assert any("p" in argv and f"--anchor={coset}," in " ".join(argv) for argv in anchored)
+    for data in (["osp32"], ["gl", "--m", "2", "--n", "2"], ["osp2", "--n", "2"]):
+        assert any(c["argv"][2:2 + len(data)] == data and c["exit"] == 0 for c in enum)
+    assert any(c["argv"][2] == "osp32" and "/2" in c["argv"][3] for c in enum)
+    assert any(c["argv"][2] == "reductive" and "text" in c["argv"] and c["exit"] == 0
+               for c in enum)
 
 
 # -- recording: kl_cli ----------------------------------------------------------
@@ -261,6 +283,29 @@ ENUMERATE_BLOCKS = [
     (_flags("gl", m=1, n=1), "1/2,0", " -1..1"),
 ]
 
+# (datum flags, weight, box, extra flags): anchors, caps, refusals and the
+# larger data of enumerate-block
+ENUMERATE_MORE = [
+    # every box point is non-integral; the target is integral
+    (_flags("gl", m=2, n=1), "0,0|0", " -2..2", ["--anchor=1/2,0|0"]),
+    (_flags("p", n=2), "0,0", " -2..2", ["--anchor=1/2,0"]),  # mixed-coset points
+    (_flags("p", n=2), "1/2,1/3", " -1..1", []),  # a mixed-coset target
+    (_flags("p", n=2), "0,0", " -2..2", ["--config=box_cap.conf"]),  # 25 points, cap 10
+    (_flags("p", n=2), "0,0", " -1..1", ["--config=box_cap.conf"]),  # 9 points
+    (_flags("p", n=2), "0,0", " 2..1", []),  # an empty box
+    (_flags("p", n=3), "1/3,1/3,-2/3", " -2..2", ["--anchor=1/3,1/3,1/3"]),
+    (_flags("p", n=4), "-1/4,3/4,-1/4,-5/4", " -2..2", ["--anchor=-1/4,-1/4,-1/4,-1/4"]),
+    (_flags("p", n=2), "1/2,-3/2", " -3..3", ["--anchor=1/2,1/2", "--format", "text"]),
+    (["--family", "osp32"], "1,-3/2", " -3..3", []),  # the half-lattice anchor 0,-1/2
+    (["--family", "osp32"], "2,1/2", " -3..3", ["--format", "text"]),
+    (_flags("gl", m=2, n=2), "0,0|0,0", " -2..2", []),
+    (_flags("gl", m=2, n=2), "1,-1|0,2", " -2..2", []),
+    (_flags("osp2", n=2), "1;0,-1", " -2..2", []),
+    (_flags("osp2", n=2), "-1;2,0", " -3..3", []),
+    (_flags("reductive", factors="A2"), "0,0,0", " -2..2", ["--format", "text"]),
+    (_flags("reductive", factors="A1xC1"), "1,-1|0", " -2..2", ["--format", "text"]),
+]
+
 
 # (datum flags, box, anchor or None): the anchor and the box bounds fix the
 # common denominator of the box oracle's integer frame
@@ -294,6 +339,8 @@ def _box_cases():
         cases.append(["validate", *flags, f"--box={box}", *anchored, "--format", "text"])
     cases.append(["enumerate-block", *_flags("p", n=2), "--weight=1/2,1/2", "--box= -2..2",
                   "--anchor=1/2,1/2"])
+    for flags, lam, box, extra in ENUMERATE_MORE:
+        cases.append(["enumerate-block", *flags, f"--weight={lam}", f"--box={box}", *extra])
     return cases
 
 
@@ -393,8 +440,10 @@ def record(names=CORPORA) -> None:
     for name in names:
         cases = []
         for argv in _argvs(name):
-            code, stdout = _invoke(argv)
+            code, stdout, stderr = _invoke(argv)
             cases.append({"argv": argv, "exit": code, "stdout": stdout})
+            if argv[0] == "enumerate-block":
+                cases[-1]["stderr"] = stderr
         (GOLDEN / f"{name}.json").write_text(json.dumps(cases, indent=1) + "\n",
                                              encoding="utf-8")
 
