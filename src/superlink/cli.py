@@ -234,8 +234,7 @@ def cmd_enumerate_block(args) -> int:
     lam = _weight(datum, args.weight)
     target = block_label(datum, lam)
     box = _parse_box(datum, args.box, args.anchor)
-    matches = sorted(w for w in box.points(cap=cfg["box_cap"])
-                     if block_label(datum, w) == target)
+    matches = oracle_mod.block_members(datum, box, target, cfg["box_cap"])
     payload = {"label": target.to_json(),
                "count": len(matches),
                "weights": [datum.format_weight(w) for w in matches]}

@@ -58,6 +58,12 @@ class WeightBox:
         if self.step <= 0:
             raise UnsupportedInputError(
                 f"box step must be positive, got {format_rational(self.step)}")
+        # hashed once: each BFS closure looks its box up in the frame cache,
+        # and hashing every Fraction of the box costs more than the lookup
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.step, self.anchor)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def cube(dim: int, lo, hi, step=1) -> "WeightBox":
@@ -138,6 +144,27 @@ def _coroot(datum: RootDatum, alpha: Weight) -> tuple[tuple[int, int], ...]:
     return _integer_vector([2 * s * a / norm for s, a in zip(sig, alpha)])
 
 
+@lru_cache(maxsize=16)
+def _root_vectors(datum: RootDatum) -> tuple[list, list, list]:
+    """The datum's integer vectors, which no box changes: (root, coroot) per
+    simple even root, (a, the form against a) per isotropic line {a, -a}
+    (<lam + rho, a> = sum_i f_i (lam + rho)_i), and every even positive
+    coroot."""
+    reflections = [(_integer_vector(r.weight), _coroot(datum, r.weight))
+                   for r in datum.simple_even]
+    lines = []
+    seen = set()
+    for iso in datum.isotropic_roots:
+        a = iso.weight
+        key = min(a.coords, (-a).coords)
+        if key in seen:
+            continue
+        seen.add(key)
+        root = _integer_vector(a)
+        lines.append((root, tuple((i, int(datum.form_signature[i]) * ai) for i, ai in root)))
+    return reflections, lines, [_coroot(datum, r.weight) for r in datum.even_positive]
+
+
 class _Frame:
     """A box's lattice in integer coordinates N = D lam.
 
@@ -162,27 +189,14 @@ class _Frame:
         self.step = int(box.step * D)
         self.values: dict[int, Fraction] = {}  # v -> v / D, filled as values convert back
         self.label_shift = tuple(int(c * D) for c in _label_shift(datum))
+        reflections, lines, self.coroots = _root_vectors(datum)
         # lam -> s(lam + shift) - shift is N -> N - p a, p = k + sum_i c_i N_i
         shift = [int(c * D) for c in (rho if datum.family == "osp32" else rho0)]
-        self.reflections = []
-        for root in datum.simple_even:
-            c = _coroot(datum, root.weight)
-            self.reflections.append((_integer_vector(root.weight), c,
-                                     sum(ci * shift[i] for i, ci in c)))
-        # one entry per isotropic line {a, -a}: a, the form against a
-        # (<lam + rho, a> = 0 reads k + sum_i f_i N_i = 0), and k
-        self.lines = []
-        seen = set()
-        for iso in datum.isotropic_roots:
-            a = iso.weight
-            key = min(a.coords, (-a).coords)
-            if key in seen:
-                continue
-            seen.add(key)
-            root = _integer_vector(a)
-            form = tuple((i, int(datum.form_signature[i]) * ai) for i, ai in root)
-            self.lines.append((root, form, sum(f * int(rho[i] * D) for i, f in form)))
-        self.coroots = [_coroot(datum, r.weight) for r in datum.even_positive]
+        self.reflections = [(root, c, sum(ci * shift[i] for i, ci in c))
+                            for root, c in reflections]
+        # per isotropic line, <lam + rho, a> = 0 reads k + sum_i f_i N_i = 0
+        rho_n = [int(c * D) for c in rho]
+        self.lines = [(root, form, sum(f * rho_n[i] for i, f in form)) for root, form in lines]
 
     def points(self) -> list[tuple[int, ...]]:
         """The box's points N, in WeightBox.points order."""
@@ -194,12 +208,9 @@ class _Frame:
                 for a, lo, hi in zip(self.anchor, self.lo, self.hi)]
         return list(itertools.product(*axes))
 
-    def fits(self, i: int, v: int) -> bool:
-        """Whether coordinate i may take the value v inside the box."""
-        return self.lo[i] <= v <= self.hi[i] and (v - self.anchor[i]) % self.step == 0
-
     def contains(self, n: tuple[int, ...]) -> bool:
-        return all(self.fits(i, v) for i, v in enumerate(n))
+        return all(l <= v <= h and (v - a) % self.step == 0
+                   for l, h, a, v in zip(self.lo, self.hi, self.anchor, n))
 
     def integral(self, n: tuple[int, ...]) -> bool:
         D = self.D
@@ -243,36 +254,46 @@ class LinkageGenerators:
         """The images inside the frame's box of the box point N = n.
 
         Only the coordinates a move changes are tested against the box, so
-        n itself must lie in the box.
+        n itself must lie in the box.  A coordinate value v fits the box when
+        lo <= v <= hi and v lies on the anchor's lattice.
         """
-        fits = frame.fits
+        lo, hi, anchor, step = frame.lo, frame.hi, frame.anchor, frame.step
         if self.reflection_moves:
-            for root, coroot, k in frame.reflections:
-                p = k + sum(c * n[i] for i, c in coroot)
+            for root, coroot, p in frame.reflections:
+                for i, c in coroot:
+                    p += c * n[i]
                 img = list(n)
                 for i, a in root:
-                    img[i] -= p * a
-                if all(fits(i, img[i]) for i, _ in root):
+                    v = n[i] - p * a
+                    if not lo[i] <= v <= hi[i] or (v - anchor[i]) % step:
+                        break
+                    img[i] = v
+                else:
                     yield tuple(img)
         if self.isotropic_shifts:
+            D = frame.D
             for root, form, k in frame.lines:
-                if k + sum(f * n[i] for i, f in form):
+                for i, f in form:
+                    k += f * n[i]
+                if k:
                     continue
-                for step in (frame.D, -frame.D):  # lam - c a, then lam + c a
-                    c = 1
-                    while True:
-                        img = list(n)
+                for d in (D, -D):  # lam - c a for c = 1, 2, ..., then lam + c a
+                    img = list(n)
+                    while True:  # until the first image leaving the box
                         for i, a in root:
-                            img[i] -= c * step * a
-                        if not all(fits(i, img[i]) for i, _ in root):
-                            break
-                        yield tuple(img)
-                        c += 1
+                            v = img[i] - d * a
+                            if not lo[i] <= v <= hi[i] or (v - anchor[i]) % step:
+                                break
+                            img[i] = v
+                        else:
+                            yield tuple(img)
+                            continue
+                        break
         if self.p_shifts and datum.family == "p":
-            for k in range(len(n)):
-                for step in (2 * frame.D, -2 * frame.D):
-                    v = n[k] + step
-                    if fits(k, v):
+            d = 2 * frame.D
+            for k, x in enumerate(n):
+                for v in (x + d, x - d):
+                    if lo[k] <= v <= hi[k] and not (v - anchor[k]) % step:
                         yield n[:k] + (v,) + n[k + 1:]
 
 
@@ -330,15 +351,14 @@ class PartitionReport:
         }
 
 
-def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
-                  enlarge: bool = True) -> PartitionReport:
-    """Partition the box into linkage components and audit the labels.
+def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
+    """The box's frame, the label key of each box point N (in points order)
+    and the BlockLabel of each key, built once per distinct label.
 
-    Reports (a) components carrying more than one closed-form label (a
-    soundness failure) and (b) labels split across several components,
-    annotated with whether one enlargement pass merges them.
+    Refuses boxes above cap, and at the first point block_label refuses,
+    with block_label's error.
     """
-    box._check_cap()
+    box._check_cap(cap)
     frame = _frame(datum, box)
     D, shift = frame.D, frame.label_shift
     on_lattice = datum.family in _LATTICE_FAMILIES
@@ -356,6 +376,26 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
             key = block_label(datum, frame.weight(n))  # the label is its own key
             labels.setdefault(key, key)
         keys[n] = key
+    return frame, keys, labels
+
+
+def block_members(datum: RootDatum, box: WeightBox, target: BlockLabel,
+                  cap: int = BOX_CAP) -> list[Weight]:
+    """The box's weights whose block label is target, sorted."""
+    frame, keys, labels = _box_labels(datum, box, cap)
+    hits = {key for key, label in labels.items() if label == target}
+    return [frame.weight(n) for n in sorted(n for n, key in keys.items() if key in hits)]
+
+
+def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
+                  enlarge: bool = True) -> PartitionReport:
+    """Partition the box into linkage components and audit the labels.
+
+    Reports (a) components carrying more than one closed-form label (a
+    soundness failure) and (b) labels split across several components,
+    annotated with whether one enlargement pass merges them.
+    """
+    frame, keys, labels = _box_labels(datum, box)
     unvisited = set(keys)
     components: list[list[Weight]] = []
     comp_keys = []

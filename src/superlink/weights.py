@@ -38,15 +38,16 @@ def _fractional(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a rational as `p` or `p/q` (no spaces, no floats).
+def format_rational(value: Fraction | int) -> str:
+    """Render a Fraction or an int as `p` or `p/q` (no spaces, no floats).
 
     >>> format_rational(Fraction(-3, 2))
     '-3/2'
     >>> format_rational(Fraction(4, 2))
     '2'
+    >>> format_rational(-7)
+    '-7'
     """
-    value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

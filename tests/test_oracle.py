@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from superlink import (CapExceededError, SuperlinkError, UnsupportedInputError,
                        block_label, build_root_datum, dot, verma_mult,
                        verma_series_rank_small)
 from superlink.blocks import linkage_reflection
+from superlink import oracle
 from superlink.kl import FiniteWeylGroup, kl_polynomial
 from superlink.oracle import (BOX_CAP, LinkageGenerators, WeightBox, _frame,
                               bfs_linkage_closure, default_generators, kl_cross_check,
@@ -39,6 +41,38 @@ def test_box_refuses_nonpositive_step():
         WeightBox.cube(2, -2, 2, 0)
     with pytest.raises(UnsupportedInputError, match="box step must be positive"):
         dataclasses.replace(WeightBox(lo, hi), step=Fraction(-1))
+
+
+def test_box_hash_follows_equality(p2):
+    """A box keeps the hash it computed at construction: boxes built apart
+    are equal exactly when their hashes are, and share one frame."""
+    lo, hi = (Fraction(-2),) * 2, (Fraction(2),) * 2
+    small = WeightBox.cube(2, -1, 1)
+    same = [WeightBox.cube(2, -2, 2), WeightBox(lo, hi),
+            dataclasses.replace(small, lo=lo, hi=hi), small.enlarged(1)]
+    for box in same:
+        assert box == same[0] and hash(box) == hash(same[0])
+    _frame.cache_clear()
+    assert len({id(_frame(p2, box)) for box in same}) == 1
+    assert _frame.cache_info().currsize == 1
+    for other in (dataclasses.replace(same[0], hi=(Fraction(3), Fraction(2))), small,
+                  dataclasses.replace(same[0], step=Fraction(1, 2)),
+                  dataclasses.replace(same[0], anchor=(Fraction(1, 2), Fraction(0)))):
+        assert other != same[0] and hash(other) != hash(same[0])
+        assert _frame(p2, other) is not _frame(p2, same[0])
+
+
+def test_coroots_computed_once_per_datum(gl22, monkeypatch):
+    """The datum's coroot vectors do not depend on the box; frames of two
+    boxes share them."""
+    calls = []
+    coroot = oracle._coroot
+    monkeypatch.setattr(oracle, "_coroot", lambda datum, a: calls.append(a) or coroot(datum, a))
+    oracle._root_vectors.cache_clear()
+    first = oracle._Frame(gl22, WeightBox.cube(4, -1, 1))
+    second = oracle._Frame(gl22, WeightBox.cube(4, -2, 2, Fraction(1, 2)))
+    assert len(calls) == len(gl22.simple_even) + len(gl22.even_positive)
+    assert first.coroots is second.coroots
 
 
 def test_box_cap():
@@ -171,6 +205,19 @@ def test_frame_moves_match_fraction_moves(family, params):
                 comp = _reference_closure(datum, w, box, gens)
                 reference.update(dict.fromkeys(comp, comp))
             assert bfs_linkage_closure(datum, w, box, gens) == reference[w]
+
+
+@pytest.mark.parametrize("family,params", FRAME_DATA, ids=lambda v: str(v))
+def test_frame_moves_match_on_coarse_lattices(family, params):
+    """Box steps 3 and 3/2 divide neither the p(n) shift 2 nor most moves,
+    so the images of every kind of move need the box's lattice test."""
+    datum = build_root_datum(family, **params)
+    for lo, hi, step in ((-6, 6, 3), (-3, 3, Fraction(3, 2))):
+        box = WeightBox.cube(datum.dim, lo, hi, step)
+        frame = _frame(datum, box)
+        for gens, w in itertools.product(FRAME_GENS, box.points()):
+            assert [frame.weight(x) for x in gens.neighbors(datum, frame.lattice(w), frame)] \
+                == list(_reference_neighbors(gens, datum, w, box))
 
 
 def test_frame_refuses_fractional_roots(p2):

@@ -10,6 +10,14 @@ def test_rational_round_trip():
         assert format_rational(rational(text)) == text
 
 
+def test_format_rational_takes_fractions_and_ints():
+    for value, text in [(0, "0"), (7, "7"), (-7, "-7"), (Fraction(0, 5), "0"),
+                        (Fraction(6, 4), "3/2"), (Fraction(-6, 4), "-3/2"),
+                        (Fraction(4, 2), "2"), (Fraction(-4, -2), "2"),
+                        (Fraction(3, -9), "-1/3"), (Fraction(-12), "-12")]:
+        assert format_rational(value) == text
+
+
 def test_parse_accepts_block_separators():
     w = parse_weight("3,-1|2")
     assert w.coords == (Fraction(3), Fraction(-1), Fraction(2))
