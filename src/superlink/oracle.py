@@ -58,8 +58,7 @@ class WeightBox:
         if self.step <= 0:
             raise UnsupportedInputError(
                 f"box step must be positive, got {format_rational(self.step)}")
-        # hashed once: each BFS closure looks its box up in the frame cache,
-        # and hashing every Fraction of the box costs more than the lookup
+        # hashed once: every BFS closure looks the box up in the frame cache
         object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.step, self.anchor)))
 
     def __hash__(self) -> int:
@@ -145,13 +144,12 @@ def _coroot(datum: RootDatum, alpha: Weight) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=16)
-def _root_vectors(datum: RootDatum) -> tuple[list, list, list]:
+def _root_vectors(datum: RootDatum) -> tuple[tuple, tuple, tuple]:
     """The datum's integer vectors, which no box changes: (root, coroot) per
-    simple even root, (a, the form against a) per isotropic line {a, -a}
-    (<lam + rho, a> = sum_i f_i (lam + rho)_i), and every even positive
-    coroot."""
-    reflections = [(_integer_vector(r.weight), _coroot(datum, r.weight))
-                   for r in datum.simple_even]
+    simple even root, (a, f) per isotropic line {a, -a} with <mu, a> =
+    sum_i f_i mu_i, and every even positive coroot."""
+    reflections = tuple((_integer_vector(r.weight), _coroot(datum, r.weight))
+                        for r in datum.simple_even)
     lines = []
     seen = set()
     for iso in datum.isotropic_roots:
@@ -162,7 +160,8 @@ def _root_vectors(datum: RootDatum) -> tuple[list, list, list]:
         seen.add(key)
         root = _integer_vector(a)
         lines.append((root, tuple((i, int(datum.form_signature[i]) * ai) for i, ai in root)))
-    return reflections, lines, [_coroot(datum, r.weight) for r in datum.even_positive]
+    return (reflections, tuple(lines),
+            tuple(_coroot(datum, r.weight) for r in datum.even_positive))
 
 
 class _Frame:
@@ -353,11 +352,8 @@ class PartitionReport:
 
 def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
     """The box's frame, the label key of each box point N (in points order)
-    and the BlockLabel of each key, built once per distinct label.
-
-    Refuses boxes above cap, and at the first point block_label refuses,
-    with block_label's error.
-    """
+    and the BlockLabel of each key, built once per distinct label.  Refuses
+    boxes above cap, and the first point block_label refuses, as it does."""
     box._check_cap(cap)
     frame = _frame(datum, box)
     D, shift = frame.D, frame.label_shift

@@ -45,8 +45,6 @@ def format_rational(value: Fraction | int) -> str:
     '-3/2'
     >>> format_rational(Fraction(4, 2))
     '2'
-    >>> format_rational(-7)
-    '-7'
     """
     if value.denominator == 1:
         return str(value.numerator)
