@@ -102,10 +102,10 @@ class WeightBox:
         if self.count() > cap:
             raise CapExceededError(f"box holds {self.count()} points, cap is {cap}")
 
-    def points(self, cap: int = BOX_CAP):
+    def points(self):
         if any(l > h for l, h in zip(self.lo, self.hi)):
             return
-        self._check_cap(cap)
+        self._check_cap()
         anchor = self._anchor()
         axes = []
         for a, lo, hi in zip(anchor, self.lo, self.hi):

@@ -3,9 +3,8 @@
 Two corpora pin the stdout and exit code of each invocation:
 `golden/kl_cli.json` (`klpoly` / `mult`) and `golden/box_cli.json`
 (`typicality`, `block-label`, `same-block`, `validate`, `enumerate-block`).
-`enumerate-block`
-cases pin stderr as well, so each refusal keeps its message.  Re-record
-them (only when an output change is intended) with
+The `enumerate-block` cases pin stderr as well, so each refusal keeps its
+message.  Re-record them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_kl_cli.py [kl_cli] [box_cli]
 

@@ -8,8 +8,8 @@ import pytest
 from superlink import (CapExceededError, SuperlinkError, UnsupportedInputError,
                        block_label, build_root_datum, dot, verma_mult,
                        verma_series_rank_small)
-from superlink.blocks import linkage_reflection
 from superlink import oracle
+from superlink.blocks import linkage_reflection
 from superlink.kl import FiniteWeylGroup, kl_polynomial
 from superlink.oracle import (BOX_CAP, LinkageGenerators, WeightBox, _frame,
                               bfs_linkage_closure, default_generators, kl_cross_check,
