@@ -1,12 +1,16 @@
 """Byte-for-byte replay of recorded CLI invocations.
 
-Two corpora pin the stdout and exit code of each invocation:
-`golden/kl_cli.json` (`klpoly` / `mult`) and `golden/box_cli.json`
-(`typicality`, `block-label`, `same-block`, `validate`, `enumerate-block`).
-The `enumerate-block` cases pin stderr as well, so each refusal keeps its
-message.  Re-record them (only when an output change is intended) with
+Three corpora pin the stdout and exit code of each invocation:
+`golden/kl_cli.json` (`klpoly` / `mult`), `golden/box_cli.json`
+(`typicality`, `block-label`, `same-block`, `validate`, `enumerate-block`)
+and `golden/weyl_cli.json` (`root-data`, `dot`, `antidom`, `stab`,
+`classify`, `upsilon`, `in-x`).  The `enumerate-block` cases and every
+`weyl_cli` case pin stderr as well, so each refusal keeps its message; for
+a usage error (exit 2) only the last stderr line is pinned, since argparse
+wraps the usage text to the terminal width.  Re-record them (only when an
+output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden_kl_cli.py [kl_cli] [box_cli]
+    PYTHONPATH=src python tests/test_golden_kl_cli.py [kl_cli] [box_cli] [weyl_cli]
 
 which records the named corpora, or both when none is named.
 """
@@ -20,22 +24,28 @@ from pathlib import Path
 
 import pytest
 
-from superlink import build_root_datum, orbit_dot
+from superlink import (WhittakerCharacter, antidominant_rep, build_root_datum,
+                       dominant_partner, is_integral, orbit_dot, upsilon_of)
 from superlink.cli import main
 from superlink.oracle import WeightBox, bfs_linkage_closure, default_generators
 from superlink.weights import Weight, format_weight, rational
+from superlink.weyl import WeylElement
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CORPORA = ("kl_cli", "box_cli")
+CORPORA = ("kl_cli", "box_cli", "weyl_cli")
 
 
 def _invoke(argv):
-    """Run the CLI on argv; a `--config=NAME` names a file in golden/."""
+    """Run the CLI on argv; a `--config=NAME` names a file in golden/.  A
+    usage error returns argparse's exit code and the last line of stderr."""
     argv = [f"--config={GOLDEN / a[len('--config='):]}" if a.startswith("--config=") else a
             for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue().splitlines()[-1] + "\n"
     return code, out.getvalue(), err.getvalue()
 
 
@@ -106,6 +116,43 @@ def test_box_corpus_coverage():
     assert any(c["argv"][2] == "osp32" and "/2" in c["argv"][3] for c in enum)
     assert any(c["argv"][2] == "reductive" and "text" in c["argv"] and c["exit"] == 0
                for c in enum)
+
+
+def test_weyl_corpus_coverage():
+    cases = _load("weyl_cli")
+    commands = WEYL_COMMANDS
+    assert {c["argv"][0] for c in cases} == set(commands)
+    assert all("stderr" in c for c in cases)
+    families = {"gl", "osp2", "p", "osp32", "reductive"}
+    for command in commands:
+        mine = [c for c in cases if c["argv"][0] == command]
+        assert {c["argv"][2] for c in mine if c["exit"] == 0} == families, command
+        assert any(c["exit"] == 3 for c in mine), command
+        assert any("text" in c["argv"] for c in mine), command
+        if command != "root-data":  # fractional weights, answered and refused
+            answered = [c for c in mine if c["exit"] == 0]
+            assert any("/" in " ".join(c["argv"]) for c in answered), command
+    assert {c["exit"] for c in cases} == {0, 2, 3}
+    refusals = {c["stderr"] for c in cases if c["exit"] == 3}
+    for message in ("anti-dominant representatives need an integral weight",
+                    "simple-parameter classification needs an integral weight",
+                    "stabilizer roots are computed for integral weights",
+                    "upsilon is defined for integral weights",
+                    "upsilon is defined for dominant weights",
+                    "for osp(3|2) only the full-stabilizer nu = -rho0 is supported",
+                    "sign change outside a type C block",
+                    "element mixes coordinates across blocks"):
+        assert f"error: {message}\n" in refusals, message
+    zetas = {c["argv"][c["argv"].index("--zeta") + 1] for c in cases
+             if c["argv"][0] in ("antidom", "classify") and "--zeta" in c["argv"]}
+    assert {"none", "all"} < zetas and any("," in z for z in zetas)
+    in_x = [json.loads(c["stdout"]) for c in cases
+            if c["argv"][0] == "in-x" and c["exit"] == 0 and "text" not in c["argv"]]
+    assert {(a["in_x0"], a["in_x"]) for a in in_x} == {(True, True), (False, False),
+                                                       (False, True)}  # the osp(3|2) grid
+    singular = [c for c in cases if c["argv"][0] == "stab" and c["exit"] == 0
+                and "text" not in c["argv"] and json.loads(c["stdout"])["stabilizer_roots"]]
+    assert {c["argv"][2] for c in singular} == families
 
 
 # -- recording: kl_cli ----------------------------------------------------------
@@ -426,7 +473,177 @@ def _coset_label_cases(rng):
     return cases
 
 
+# -- recording: weyl_cli --------------------------------------------------------
+
+# (family, builder params): all five families, type A and C factors
+WEYL_DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}),
+             ("osp2", {"n": 1}), ("osp2", {"n": 2}), ("p", {"n": 2}), ("p", {"n": 3}),
+             ("osp32", {}), ("reductive", {"factors": "A2"}), ("reductive", {"factors": "C2"}),
+             ("reductive", {"factors": "A1xC2"}), ("reductive", {"factors": "A2xC2"})]
+COSET_SHIFTS = (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4))
+
+
+def _random_element(rng, datum):
+    """A random signed permutation respecting the datum's blocks."""
+    images = list(range(1, datum.dim + 1))
+    for kind, start, size in datum.blocks:
+        window = list(range(start, start + size))
+        rng.shuffle(window)
+        for i, j in zip(range(start, start + size), window):
+            images[i] = (j + 1) * (rng.choice((1, -1)) if kind == "C" else 1)
+    return WeylElement(tuple(images))
+
+
+def _weight_kinds(rng, datum):
+    """(integral, fractional-coset, non-integral or None) random weights.
+
+    The coset weight shifts each type A window by one fraction c (osp(3|2):
+    its e coordinate by 1/2), which keeps it integral; the non-integral one
+    moves a coordinate some even root touches by 1/3.  Data whose even roots
+    touch no coordinate have no non-integral weight."""
+    ints = [rng.randrange(-3, 4) for _ in range(datum.dim)]
+    integral = Weight(ints)
+    coset = list(ints)
+    for kind, start, size in datum.blocks:
+        if kind == "A":
+            c = rng.choice(COSET_SHIFTS)
+            for i in range(start, start + size):
+                coset[i] += c
+    if datum.family == "osp32":
+        coset[1] += Fraction(1, 2)
+    coset = Weight(coset)
+    touched = sorted({i for r in datum.even_positive for i, c in enumerate(r.weight) if c})
+    off = None
+    if touched:
+        off = Weight([c + (Fraction(1, 3) if i == touched[-1] else 0)
+                      for i, c in enumerate(ints)])
+        assert not is_integral(datum, off)
+    assert is_integral(datum, integral) and is_integral(datum, coset)
+    return integral, coset, off
+
+
+def _zeta_specs(rng, datum):
+    """none, all and two random proper subsets of the simple even roots."""
+    k = len(datum.simple_even)
+    specs = ["none", "all"]
+    for _ in range(2):
+        if k > 1:
+            subset = sorted(rng.sample(range(1, k + 1), rng.randrange(1, k)))
+            specs.append(",".join(map(str, subset)))
+    return list(dict.fromkeys(specs))
+
+
+def _weyl_datum_cases(rng, family, params):
+    datum = build_root_datum(family, **params)
+    flags = _flags(family, **params)
+    lit = lambda w: datum.format_weight(w)
+    cases = [["root-data", *flags]]
+    kinds = [_weight_kinds(rng, datum) for _ in range(2)]
+    weights = [w for triple in kinds for w in triple if w is not None]
+    for lam in weights:
+        for _ in range(2):
+            w = _random_element(rng, datum).to_cycles()
+            cases.append(["dot", *flags, "--w", w, f"--weight={lit(lam)}"])
+    zetas = _zeta_specs(rng, datum)
+    for integral, coset, off in kinds:
+        for lam in (integral, coset):
+            cases.append(["antidom", *flags, f"--weight={lit(lam)}"])
+            cases.append(["stab", *flags, f"--weight={lit(lam)}"])
+            for zeta in zetas:
+                cases.append(["antidom", *flags, f"--weight={lit(lam)}", "--zeta", zeta])
+                cases.append(["classify", *flags, "--zeta", zeta, f"--weight={lit(lam)}"])
+    off = kinds[0][2]
+    if off is not None:  # the refusals of a non-integral weight
+        cases += [["antidom", *flags, f"--weight={lit(off)}"],
+                  ["classify", *flags, "--zeta", "all", f"--weight={lit(off)}"],
+                  ["stab", *flags, f"--weight={lit(off)}"],
+                  ["upsilon", *flags, f"--nu={lit(off)}"]]
+    # a singular weight: lam + rho0 = 0 is fixed by the whole group
+    cases.append(["stab", *flags, f"--weight={lit(-datum.rho0)}"])
+    if datum.family == "osp32":
+        return cases + _osp32_in_x_cases(datum, flags)
+    for zeta in zetas:
+        nu = dominant_partner(datum, WhittakerCharacter.from_indices(datum, zeta))
+        cases.append(["upsilon", *flags, f"--nu={lit(nu)}"])
+        upsilon = upsilon_of(datum, nu)
+        for integral, coset, off in kinds:
+            # lam - nu integral, and its W_nu-anti-dominant representative
+            member = antidominant_rep(datum, nu + integral, upsilon)[0]
+            for lam in (nu + integral, member, coset, off):
+                if lam is not None:
+                    cases.append(["in-x", *flags, f"--nu={lit(nu)}", f"--weight={lit(lam)}"])
+    # a non-dominant nu is refused
+    lam = Weight([3 - 2 * i for i in range(datum.dim)]) - datum.rho0
+    nu = antidominant_rep(datum, lam)[0]
+    if nu != lam:
+        cases.append(["upsilon", *flags, f"--nu={lit(nu)}"])
+        cases.append(["in-x", *flags, f"--nu={lit(nu)}", f"--weight={lit(nu)}"])
+    if off is not None:
+        cases.append(["in-x", *flags, f"--nu={lit(off)}", f"--weight={lit(off)}"])
+    return cases
+
+
+def _osp32_in_x_cases(datum, flags):
+    """X(nu) of osp(3|2): the grid lam + rho in (-1/2 - Z_{>=0})^2 at
+    nu = -rho0, points off it, and a refused nu."""
+    nu = datum.format_weight(-datum.rho0)
+    cases = [["upsilon", *flags, f"--nu={nu}"]]
+    for a, b in [("-1/2", "-1/2"), ("-3/2", "-5/2"), ("1/2", "-1/2"), ("-1/2", "0"),
+                 ("-2", "-3/2"), ("-5/2", "1/3")]:
+        lam = Weight([rational(a), rational(b)]) - datum.rho
+        cases.append(["in-x", *flags, f"--nu={nu}", f"--weight={datum.format_weight(lam)}"])
+    cases.append(["in-x", *flags, "--nu=0,0", "--weight=0,0"])
+    return cases
+
+
+WEYL_REFUSALS = [
+    ["root-data", "--family", "gl", "--m", "1"],
+    ["root-data", "--family", "p", "--n", "1"],
+    ["root-data", "--family", "osp2", "--n", "0"],
+    ["root-data", "--family", "reductive", "--factors", "B2"],
+    ["root-data", "--family", "reductive"],
+    ["root-data", "--family", "q", "--n", "2"],  # usage: exit 2
+    ["dot", "--family", "p", "--n", "2", "--weight", "0,0"],  # usage: no --w
+    ["dot", "--family", "p", "--n", "2", "--w", "(1 -1)", "--weight", "0,0"],
+    ["dot", "--family", "gl", "--m", "1", "--n", "1", "--w", "(1 2)", "--weight", "0,0"],
+    ["dot", "--family", "p", "--n", "2", "--w", "(1 3)", "--weight", "0,0"],
+    ["dot", "--family", "p", "--n", "3", "--w", "(1 1)", "--weight", "0,0,0"],
+    ["dot", "--family", "p", "--n", "3", "--w", "(1 2 1)", "--weight", "0,0,0"],
+    ["dot", "--family", "p", "--n", "3", "--w", "(1 2)(2 3)", "--weight", "0,0,0"],
+    ["dot", "--family", "osp2", "--n", "2", "--w", "(1 -2)", "--weight=0;0,0"],
+    ["dot", "--family", "p", "--n", "2", "--w", "(1 2)", "--weight", "0,0,0"],
+    ["dot", "--family", "p", "--n", "2", "--w", "(1 2)", "--weight", "1/0,0"],
+    ["dot", "--family", "p", "--n", "2", "--w", "(1 2)", "--weight", "a,0"],
+    ["antidom", "--family", "p", "--n", "2", "--weight", "0,0", "--zeta", "3"],
+    ["antidom", "--family", "p", "--n", "2", "--weight", "0,0", "--zeta", "x"],
+    ["classify", "--family", "p", "--n", "2", "--weight", "0,0"],  # usage: no --zeta
+    ["classify", "--family", "gl", "--m", "2", "--n", "1", "--zeta", "2", "--weight=0,0|0"],
+    ["stab", "--family", "reductive", "--factors", "A2", "--weight", "0,0"],
+    ["upsilon", "--family", "p", "--n", "2", "--nu", "0"],
+    ["in-x", "--family", "p", "--n", "2", "--nu", "0,0", "--weight", "0,0,0"],
+    ["in-x", "--family", "osp2", "--n", "1", "--nu=0;0", "--weight=0;1/0"],
+]
+
+
+WEYL_COMMANDS = ("root-data", "dot", "antidom", "stab", "classify", "upsilon", "in-x")
+
+
+def _weyl_cases(rng):
+    cases = []
+    for k, (family, params) in enumerate(WEYL_DATA):
+        datum_cases = _weyl_datum_cases(rng, family, params)
+        # text output: the datum's last case, and the first case of one
+        # command per datum, in turn
+        command = WEYL_COMMANDS[k % len(WEYL_COMMANDS)]
+        for argv in (datum_cases[-1], next(a for a in datum_cases if a[0] == command)):
+            argv += ["--format", "text"]
+        cases += datum_cases
+    return cases + WEYL_REFUSALS
+
+
 def _argvs(name):
+    if name == "weyl_cli":
+        return _weyl_cases(random.Random(20211108))
     rng = random.Random(20211008 if name == "kl_cli" else 20211018)
     if name == "kl_cli":
         return _klpoly_cases(rng) + _mult_cases(rng) + REFUSALS
@@ -441,7 +658,7 @@ def record(names=CORPORA) -> None:
         for argv in _argvs(name):
             code, stdout, stderr = _invoke(argv)
             cases.append({"argv": argv, "exit": code, "stdout": stdout})
-            if argv[0] == "enumerate-block":
+            if name == "weyl_cli" or argv[0] == "enumerate-block":
                 cases[-1]["stderr"] = stderr
         (GOLDEN / f"{name}.json").write_text(json.dumps(cases, indent=1) + "\n",
                                              encoding="utf-8")
