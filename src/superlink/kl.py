@@ -58,8 +58,9 @@ from .errors import (CapExceededError, MissingTableEntryError, SuperlinkError,
                      UnsupportedInputError)
 from .root_data import Root, RootDatum, build_reductive, is_integral
 from .weights import Weight
-from .weyl import (WeylElement, _closure, antidominant_rep, is_antidominant, orbit_dot,
-                   reflection_element, stabilizer_roots, weyl_order)
+from .weyl import (WeylElement, _antidominant_points, _closure, antidominant_rep,
+                   is_antidominant, orbit_dot, reflection_element, stabilizer_roots,
+                   weyl_order)
 
 KL_GROUP_CAP = 40320  # memory guard on |W| for the memoized recursion
 
@@ -401,9 +402,7 @@ def builtin_verma_table(datum: RootDatum, lam: Weight) -> MultTable:
 
 def gamma_summation_set(datum: RootDatum, mu: Weight, zeta) -> list[Weight]:
     """W_zeta-anti-dominant gamma with mu in their W_zeta dot orbit."""
-    sub = zeta.support
-    return sorted(g for g in orbit_dot(datum, mu, sub)
-                  if is_antidominant(datum, g, sub))
+    return _antidominant_points(datum, mu, zeta.support)
 
 
 def whittaker_mult(datum: RootDatum, lam: Weight, mu: Weight, zeta,

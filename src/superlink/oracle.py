@@ -37,7 +37,7 @@ from functools import lru_cache
 from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, block_label
 from .errors import CapExceededError, UnsupportedInputError
 from .kl import FiniteWeylGroup, KLPolynomial, MultTable, bruhat_leq, kl_polynomial
-from .root_data import RootDatum
+from .root_data import RootDatum, _coroots
 from .verma_oracle import verma_multiplicities
 from .weights import Weight, format_rational
 from .weyl import _closure
@@ -128,27 +128,23 @@ class WeightBox:
                          tuple(h + pad for h in self.hi), self.step, self.anchor)
 
 
-def _integer_vector(w) -> tuple[tuple[int, int], ...]:
-    """The nonzero entries (i, w_i) of a vector of integral Fractions, sparse."""
-    if any(c.denominator != 1 for c in w):
+def _integers(pairs) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, c) with c != 0 and c an int; refuses a fractional c."""
+    pairs = [(i, c) for i, c in pairs if c]
+    if any(c.denominator != 1 for _, c in pairs):
         raise UnsupportedInputError("the box oracle needs integer roots and coroots")
-    return tuple((i, c.numerator) for i, c in enumerate(w) if c)
-
-
-def _coroot(datum: RootDatum, alpha: Weight) -> tuple[tuple[int, int], ...]:
-    """alpha^vee = 2 alpha / <alpha, alpha> as the coefficient vector c of the
-    pairing <lam, alpha^vee> = sum_i c_i lam_i, sparse."""
-    sig = datum.form_signature
-    norm = sum(s * a * a for s, a in zip(sig, alpha))
-    return _integer_vector([2 * s * a / norm for s, a in zip(sig, alpha)])
+    return tuple((i, c.numerator) for i, c in pairs)
 
 
 @lru_cache(maxsize=16)
 def _root_vectors(datum: RootDatum) -> tuple[tuple, tuple, tuple]:
     """The datum's integer vectors, which no box changes: (root, coroot) per
     simple even root, (a, f) per isotropic line {a, -a} with <mu, a> =
-    sum_i f_i mu_i, and every even positive coroot."""
-    reflections = tuple((_integer_vector(r.weight), _coroot(datum, r.weight))
+    sum_i f_i mu_i, and every even positive coroot.  The coroots are those
+    of root_data's table, checked to be integral."""
+    coroots = tuple(map(_integers, _coroots(datum)))
+    positive = datum.even_positive
+    reflections = tuple((_integers(enumerate(r.weight)), coroots[positive.index(r)])
                         for r in datum.simple_even)
     lines = []
     seen = set()
@@ -158,10 +154,9 @@ def _root_vectors(datum: RootDatum) -> tuple[tuple, tuple, tuple]:
         if key in seen:
             continue
         seen.add(key)
-        root = _integer_vector(a)
+        root = _integers(enumerate(a))
         lines.append((root, tuple((i, int(datum.form_signature[i]) * ai) for i, ai in root)))
-    return (reflections, tuple(lines),
-            tuple(_coroot(datum, r.weight) for r in datum.even_positive))
+    return reflections, tuple(lines), coroots
 
 
 class _Frame:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ConstructionError, DimensionMismatchError, UnsupportedInputError
@@ -126,6 +127,23 @@ def pairing_coroot(datum: RootDatum, lam: Weight, alpha: Root | Weight) -> Fract
     if norm == 0:
         raise UnsupportedInputError("coroot pairing is undefined for an isotropic root")
     return 2 * bilinear(datum, lam, w) / norm
+
+
+@lru_cache(maxsize=None)
+def _coroots(datum: RootDatum) -> tuple[tuple, ...]:
+    """The sparse coroot of each even positive root, in even_positive order:
+    the pairs (i, c_i), c_i != 0, with <lam, alpha^vee> = sum_i c_i lam_i,
+    i.e. c = 2 s alpha / <alpha, alpha> for the form signature s.  Each c_i
+    is exact, an int when it is integral (as in every supported family)."""
+    sig = datum.form_signature
+    out = []
+    for root in datum.even_positive:
+        alpha = root.weight
+        norm = sum(s * a * a for s, a in zip(sig, alpha))
+        coroot = (2 * s * a / norm for s, a in zip(sig, alpha))
+        out.append(tuple((i, c.numerator if c.denominator == 1 else c)
+                         for i, c in enumerate(coroot) if c))
+    return tuple(out)
 
 
 def is_integral(datum: RootDatum, lam: Weight) -> bool:

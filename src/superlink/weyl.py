@@ -17,18 +17,27 @@ The canonical anti-dominant representative of an integral dot orbit sorts
 the (x + rho0)-coordinates ascending inside each type A window and maps
 type C window coordinates to minus their absolute value before sorting;
 ties break by original position, which fixes a deterministic witness.
+
+Dot orbits and anti-dominance run on the integer shifted coordinates
+N = D (x + rho0), D the least common denominator of x and rho0.  A simple
+reflection permutes N with signs, so the orbit BFS applies it to the doubled
+point (N, -N) as one cached itemgetter and does no arithmetic, and
+anti-dominance pairs N with root_data's coroot table.  Points convert back
+to weights once, at the end.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
-from .root_data import EVEN, Root, RootDatum, bilinear, is_integral, pairing_coroot
+from .root_data import EVEN, Root, RootDatum, _coroots, is_integral, pairing_coroot
 from .weights import Weight
 
 SUBGROUP_CAP = 10080
@@ -195,11 +204,6 @@ def dot(datum: RootDatum, w: WeylElement, lam: Weight) -> Weight:
     return w.apply(lam + datum.rho0) - datum.rho0
 
 
-def dot_reflection(datum: RootDatum, alpha: Root, lam: Weight) -> Weight:
-    """s_alpha . lam without building the element."""
-    return reflect(datum, alpha, lam + datum.rho0) - datum.rho0
-
-
 def _resolve_sub(datum: RootDatum, sub) -> tuple[Root, ...]:
     if sub is None:
         return datum.simple_even
@@ -268,13 +272,50 @@ def is_dominant(datum: RootDatum, lam: Weight) -> bool:
     return True
 
 
-def is_antidominant(datum: RootDatum, lam: Weight, sub=None) -> bool:
-    shifted = lam + datum.rho0
-    for alpha in parabolic_positive_roots(datum, sub):
-        t = pairing_coroot(datum, shifted, alpha)
-        if t.denominator == 1 and t > 0:
+def _shifted(datum: RootDatum, lam: Weight) -> tuple[int, tuple[int, ...]]:
+    """(D, N): D the least common denominator of lam and rho0, and the
+    integer shifted coordinates N = D (lam + rho0)."""
+    if len(lam) != datum.dim:
+        raise ValueError("weight dimensions differ")
+    rho0 = datum.rho0.coords
+    D = math.lcm(*(c.denominator for c in lam.coords), *(c.denominator for c in rho0))
+    return D, tuple(a.numerator * (D // a.denominator) + r.numerator * (D // r.denominator)
+                    for a, r in zip(lam.coords, rho0))
+
+
+def _unshifted(datum: RootDatum, D: int, points) -> list[Weight]:
+    """The weights N / D - rho0 of shifted points N (entries past dim are
+    ignored)."""
+    rho0 = [c.numerator * (D // c.denominator) for c in datum.rho0.coords]
+    return [Weight._of(tuple(Fraction(v - r, D) for v, r in zip(n, rho0))) for n in points]
+
+
+@lru_cache(maxsize=None)
+def _parabolic_coroots(datum: RootDatum, chosen: tuple[int, ...]) -> tuple:
+    """root_data's coroots of the parabolic positive roots of the simple
+    even roots with these indices."""
+    table = _coroots(datum)
+    sub = tuple(datum.simple_even[j] for j in chosen)
+    return tuple(table[datum.even_positive.index(a)]
+                 for a in parabolic_positive_roots(datum, sub))
+
+
+def _antidominant_at(coroots, D: int, n) -> bool:
+    """True iff no pairing <N / D, a^vee> over these coroots is a positive
+    integer, for shifted coordinates N = n[:dim]."""
+    for coroot in coroots:
+        t = 0
+        for i, c in coroot:
+            t += c * n[i]
+        if t > 0 and not t % D:
             return False
     return True
+
+
+def is_antidominant(datum: RootDatum, lam: Weight, sub=None) -> bool:
+    D, n = _shifted(datum, lam)
+    chosen = tuple(map(datum.simple_even.index, _resolve_sub(datum, sub)))
+    return _antidominant_at(_parabolic_coroots(datum, chosen), D, n)
 
 
 def _runs(datum: RootDatum, sub: Sequence[Root]) -> list[tuple[str, list[int]]]:
@@ -421,11 +462,47 @@ def _closure(seed, moves, cap=None) -> list[list]:
         levels.append(nxt)
 
 
+@lru_cache(maxsize=None)
+def _reflection_moves(datum: RootDatum) -> tuple[itemgetter, ...]:
+    """Per simple even root, its reflection on doubled points (N, -N): an
+    itemgetter taking the doubled point of N to that of s_alpha(N)."""
+    dim = datum.dim
+    moves = []
+    for alpha in datum.simple_even:
+        # s_alpha(N)_j = +-N_i for images[i] = +-(j+1); -N_i sits at i + dim
+        src = [0] * dim
+        for i, v in enumerate(reflection_element(datum, alpha).images):
+            src[abs(v) - 1] = i if v > 0 else i + dim
+        moves.append(itemgetter(*src, *((k + dim) % (2 * dim) for k in src)))
+    return tuple(moves)
+
+
+def _orbit_shifted(datum: RootDatum, lam: Weight, sub: tuple[Root, ...]) -> tuple[int, Iterable]:
+    """(D, points): the sub dot orbit of lam as doubled shifted points
+    (N, -N), N = D (lam + rho0), for a resolved sub; the BFS moves integer
+    entries and does no arithmetic."""
+    D, n = _shifted(datum, lam)
+    moves = _reflection_moves(datum)
+    gens = [moves[datum.simple_even.index(alpha)] for alpha in sub]
+    levels = _closure(n + tuple(-v for v in n), lambda x: [g(x) for g in gens])
+    return D, chain.from_iterable(levels)
+
+
 def orbit_dot(datum: RootDatum, lam: Weight, sub=None) -> frozenset[Weight]:
     """The dot orbit of lam under the parabolic subgroup (BFS closure)."""
     sub = _resolve_sub(datum, sub)
-    levels = _closure(lam, lambda mu: (dot_reflection(datum, alpha, mu) for alpha in sub))
-    return frozenset(chain.from_iterable(levels))
+    if not sub:  # the trivial group
+        return frozenset({lam})
+    D, points = _orbit_shifted(datum, lam, sub)
+    return frozenset(_unshifted(datum, D, points))
+
+
+def _antidominant_points(datum: RootDatum, lam: Weight, sub) -> list[Weight]:
+    """The sub-anti-dominant weights of lam's sub dot orbit, sorted."""
+    sub = _resolve_sub(datum, sub)
+    D, points = _orbit_shifted(datum, lam, sub)
+    coroots = _parabolic_coroots(datum, tuple(map(datum.simple_even.index, sub)))
+    return sorted(_unshifted(datum, D, (x for x in points if _antidominant_at(coroots, D, x))))
 
 
 def enumerate_subgroup(datum: RootDatum, generators: Iterable[Root],

@@ -11,7 +11,7 @@ from superlink.blocks import BlockLabel, chi_label_osp32, linkage_reflection
 from superlink.oracle import WeightBox, default_generators, partition_box
 from superlink.root_data import bilinear, is_integral
 from superlink.weights import Weight
-from superlink.weyl import dot_reflection
+from weyl_reference import dot_reflection
 
 
 def test_typicality_examples(gl11, p2, osp32):

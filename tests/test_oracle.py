@@ -64,15 +64,16 @@ def test_box_hash_follows_equality(p2):
 
 def test_coroots_computed_once_per_datum(gl22, monkeypatch):
     """The datum's coroot vectors do not depend on the box; frames of two
-    boxes share them."""
+    boxes share them, read once from root_data's coroot table."""
     calls = []
-    coroot = oracle._coroot
-    monkeypatch.setattr(oracle, "_coroot", lambda datum, a: calls.append(a) or coroot(datum, a))
+    table = oracle._coroots
+    monkeypatch.setattr(oracle, "_coroots", lambda datum: calls.append(datum) or table(datum))
     oracle._root_vectors.cache_clear()
     first = oracle._Frame(gl22, WeightBox.cube(4, -1, 1))
     second = oracle._Frame(gl22, WeightBox.cube(4, -2, 2, Fraction(1, 2)))
-    assert len(calls) == len(gl22.simple_even) + len(gl22.even_positive)
+    assert calls == [gl22]
     assert first.coroots is second.coroots
+    assert first.coroots == table(gl22)
 
 
 def test_box_cap():
@@ -245,6 +246,7 @@ def test_partition_refusals_keep_type_and_message(p2, gl21, red_a2):
     with pytest.raises(CapExceededError) as got:
         partition_box(build_root_datum("p", n=4), big, LinkageGenerators())
     assert str(got.value) == f"box holds {big.count()} points, cap is {BOX_CAP}"
+
 
 
 def test_partition_p2(p2):

@@ -8,7 +8,8 @@ from superlink import (CapExceededError, UnsupportedInputError, antidominant_rep
                        is_dominant, longest_element, orbit_dot, reduced_word, reflect,
                        reflection_element, stabilizer_roots, weyl_order)
 from superlink.weights import Weight
-from superlink.weyl import WeylElement, dot_reflection, length, validate_element
+from superlink.weyl import WeylElement, length, validate_element
+from weyl_reference import dot_reflection
 
 
 def test_reflect_examples(p2, osp22):
