@@ -295,7 +295,8 @@ def cmd_validate(args) -> int:
     if box.count() > cfg["box_cap"]:
         raise SuperlinkError(f"box exceeds configured cap {cfg['box_cap']}")
     gens = oracle_mod.default_generators(datum)
-    report = oracle_mod.partition_box(datum, box, gens, enlarge=not args.no_enlarge)
+    report = oracle_mod.partition_box(datum, box, gens, enlarge=not args.no_enlarge,
+                                      cap=cfg["box_cap"])
     payload = report.to_json(datum)
     payload["schema"] = SCHEMA_VERSION
     text = (f"{len(report.components)} components over "

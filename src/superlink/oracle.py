@@ -379,14 +379,15 @@ def block_members(datum: RootDatum, box: WeightBox, target: BlockLabel,
 
 
 def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
-                  enlarge: bool = True) -> PartitionReport:
+                  enlarge: bool = True, cap: int = BOX_CAP) -> PartitionReport:
     """Partition the box into linkage components and audit the labels.
 
     Reports (a) components carrying more than one closed-form label (a
     soundness failure) and (b) labels split across several components,
-    annotated with whether one enlargement pass merges them.
+    annotated with whether one enlargement pass merges them.  Refuses boxes
+    above cap points.
     """
-    frame, keys, labels = _box_labels(datum, box)
+    frame, keys, labels = _box_labels(datum, box, cap)
     unvisited = set(keys)
     components: list[list[Weight]] = []
     comp_keys = []

@@ -187,6 +187,27 @@ def test_config_overrides(capsys, tmp_path):
         assert "cap" in err
 
 
+def test_validate_honours_configured_box_cap(capsys, tmp_path, monkeypatch):
+    """A configured box_cap bounds validate both ways: the CLI refuses above
+    it, and partition_box receives it in place of its default."""
+    from superlink import oracle
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("box_cap=30\n")
+    argv = ["validate", "--family", "p", "--n", "2", "--config", str(cfg)]
+    code, out, err = run(capsys, [*argv, "--box= -3..3"])  # 49 points
+    assert (code, out, err) == (3, "", "error: box exceeds configured cap 30\n")
+    code, out, _ = run(capsys, [*argv, "--box= -2..2"])  # 25 points
+    assert code == 0 and json.loads(out)["points"] == 25
+    caps = []
+    real = oracle._box_labels
+    monkeypatch.setattr(oracle, "_box_labels",
+                        lambda datum, box, cap: caps.append(cap) or real(datum, box, cap))
+    cfg.write_text(f"box_cap={2 * oracle.BOX_CAP}\n")
+    assert run(capsys, [*argv, "--box= -1..1"])[0] == 0
+    assert run(capsys, argv[:5] + ["--box= -1..1"])[0] == 0  # no --config
+    assert caps == [2 * oracle.BOX_CAP, oracle.BOX_CAP]
+
+
 def test_mult_honours_kl_cap(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("kl_cap=1\n")

@@ -248,6 +248,14 @@ def test_partition_refusals_keep_type_and_message(p2, gl21, red_a2):
     assert str(got.value) == f"box holds {big.count()} points, cap is {BOX_CAP}"
 
 
+def test_partition_box_takes_a_cap(p2):
+    box = WeightBox.cube(2, -2, 2)  # 25 points
+    with pytest.raises(CapExceededError) as got:
+        partition_box(p2, box, default_generators(p2), cap=24)
+    assert str(got.value) == "box holds 25 points, cap is 24"
+    assert partition_box(p2, box, default_generators(p2), cap=25).to_json(p2) \
+        == partition_box(p2, box, default_generators(p2)).to_json(p2)
+
 
 def test_partition_p2(p2):
     report = partition_box(p2, WeightBox.cube(2, -6, 6), default_generators(p2))
