@@ -168,7 +168,12 @@ def _label(datum: RootDatum, D: int, mu: list[int], q) -> tuple:
     osp(3|2), from mu = D (lam + shift) with shift = _label_shift(datum) and
     D a positive integer.  Each rational entry r of the payload is written
     q(D r): q(v) = v / D gives the payload, q = int an integer key equal for
-    two weights with the same D exactly when their labels are equal."""
+    two weights with the same D exactly when their labels are equal.
+
+    Callers guarantee integrality (block_label refuses other weights, and
+    oracle._box_labels passes only points its frame proves integral); for
+    p(n) an integral weight lies in one coset c + Z, as the even coroots
+    e_i - e_j require."""
     family = datum.family
     if family == "gl":
         m = datum.params[0]
@@ -184,9 +189,6 @@ def _label(datum: RootDatum, D: int, mu: list[int], q) -> tuple:
         # rho0 is integral for p(n), so lam + rho0 lies in lam's coset c + Z,
         # c = s / D
         s = mu[0] % D
-        if any((c - s) % D for c in mu):
-            raise UnsupportedInputError(
-                "p(n) labels need coordinates in a common coset c + Z")
         return (sum((c - s) // D % 2 for c in mu), q(s))
     a, b = abs(mu[0]), abs(mu[1])  # osp(3|2)
     return (1, q(a % D)) if a == b else (0, (q(a), q(b)))
