@@ -309,3 +309,51 @@ def test_kl_identities_on_all_pairs(make):
             assert p == kl_polynomial(W, x.inverse(), w.inverse())
             for i in descents:
                 assert p == kl_polynomial(W, W.left_mult(i, x), w)
+
+
+def _rank_matrix(v, n, signed):
+    """v[i, j] = #{a <= i : v(a) >= j}, for i, j in [n] (type A) or in
+    [+-n] (types B/C), read off the one-line notation v of a permutation of
+    [n] or a signed permutation of [+-n] with v(-a) = -v(a)."""
+    points = [a for a in range(-n, n + 1) if a] if signed else list(range(1, n + 1))
+    return tuple(sum(1 for a in points if a <= i and v[a] >= j)
+                 for i in points for j in points)
+
+
+def _one_line(w, signed):
+    """The element as a (signed) permutation v of [n] in one-line notation.
+
+    images[i] = +-(j+1) sends e_i to +-e_j.  For type C the coordinates are
+    read in reverse, k = n - i, so the sign root 2e_n becomes the sign change
+    of 1 and e_i - e_{i+1} stay adjacent transpositions: the simple
+    reflections of Bjorner-Brenti's B_n (Ch. 8), which have the same Bruhat
+    order."""
+    n = len(w.images)
+    v = {}
+    for i, image in enumerate(w.images):
+        j = abs(image) - 1
+        sign = 1 if image > 0 else -1
+        if signed:
+            v[n - i] = sign * (n - j)
+            v[-(n - i)] = -sign * (n - j)
+        else:
+            v[i + 1] = j + 1
+    return v
+
+
+@pytest.mark.parametrize("make, n, signed", [(FiniteWeylGroup.symmetric, 4, False),
+                                             (FiniteWeylGroup.symmetric, 5, False),
+                                             (FiniteWeylGroup.type_c, 3, True)])
+def test_bruhat_order_matches_rank_matrices(make, n, signed):
+    """x <= w exactly when x[i, j] <= w[i, j] for all i, j: Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Thm 2.1.5 (S_n) and Thm 8.1.8 (B_n)."""
+    W = make(n)
+    elements = W.elements()
+    ranks = [_rank_matrix(_one_line(w, signed), n, signed) for w in elements]
+    comparable = 0
+    for x, rx in zip(elements, ranks):
+        for w, rw in zip(elements, ranks):
+            expected = all(a <= b for a, b in zip(rx, rw))
+            assert bruhat_leq(W, x, w) == expected, (x, w)
+            comparable += expected
+    assert len(elements) < comparable < len(elements) ** 2
