@@ -12,7 +12,7 @@ output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_kl_cli.py [kl_cli] [box_cli] [weyl_cli]
 
-which records the named corpora, or both when none is named.
+which records the named corpora, or all three when none is named.
 """
 import contextlib
 import io
@@ -120,11 +120,10 @@ def test_box_corpus_coverage():
 
 def test_weyl_corpus_coverage():
     cases = _load("weyl_cli")
-    commands = WEYL_COMMANDS
-    assert {c["argv"][0] for c in cases} == set(commands)
+    assert {c["argv"][0] for c in cases} == set(WEYL_COMMANDS)
     assert all("stderr" in c for c in cases)
     families = {"gl", "osp2", "p", "osp32", "reductive"}
-    for command in commands:
+    for command in WEYL_COMMANDS:
         mine = [c for c in cases if c["argv"][0] == command]
         assert {c["argv"][2] for c in mine if c["exit"] == 0} == families, command
         assert any(c["exit"] == 3 for c in mine), command
