@@ -97,10 +97,11 @@ class WeightBox:
             total *= int((hi - first) // self.step) + 1
         return total
 
-    def _check_cap(self, cap: int = BOX_CAP) -> None:
+    def _check_cap(self, cap: int = BOX_CAP, name: str = "box") -> None:
         """Raise CapExceededError when the box holds more than cap points."""
-        if self.count() > cap:
-            raise CapExceededError(f"box holds {self.count()} points, cap is {cap}")
+        count = self.count()
+        if count > cap:
+            raise CapExceededError(f"{name} holds {count} points, cap is {cap}")
 
     def points(self):
         if any(l > h for l, h in zip(self.lo, self.hi)):
@@ -180,10 +181,19 @@ class _Frame:
         self.lo = tuple(int(c * D) for c in box.lo)
         self.hi = tuple(int(c * D) for c in box.hi)
         self.anchor = tuple(int(c * D) for c in anchor)
-        self.step = int(box.step * D)
-        self.values: dict[int, Fraction] = {}  # v -> v / D, filled as values convert back
+        self.step = step = int(box.step * D)
+        # each axis starts at a + step * ceil((lo - a) / step)
+        self.axes = [range(a - step * ((a - lo) // step), hi + 1, step)
+                     for a, lo, hi in zip(self.anchor, self.lo, self.hi)]
+        # v -> v / D for every axis value; label payloads add theirs
+        self.values = {v: Fraction(v, D) for axis in self.axes for v in axis}
         self.label_shift = tuple(int(c * D) for c in _label_shift(datum))
         reflections, lines, self.coroots = _root_vectors(datum)
+        # every point anchor + k step is integral when each even coroot c has
+        # sum_i c_i anchor_i = 0 and c_i step = 0 for every i (mod D)
+        self.all_integral = all(
+            sum(c * self.anchor[i] for i, c in coroot) % D == 0
+            and all(c * step % D == 0 for _, c in coroot) for coroot in self.coroots)
         # lam -> s(lam + shift) - shift is N -> N - p a, p = k + sum_i c_i N_i
         shift = [int(c * D) for c in (rho if datum.family == "osp32" else rho0)]
         self.reflections = [(root, c, sum(ci * shift[i] for i, ci in c))
@@ -194,17 +204,14 @@ class _Frame:
 
     def points(self) -> list[tuple[int, ...]]:
         """The box's points N, in WeightBox.points order."""
-        if any(l > h for l, h in zip(self.lo, self.hi)):
-            return []
-        step = self.step
-        # each axis starts at a + step * ceil((lo - a) / step)
-        axes = [range(a - step * ((a - lo) // step), hi + 1, step)
-                for a, lo, hi in zip(self.anchor, self.lo, self.hi)]
-        return list(itertools.product(*axes))
+        return list(itertools.product(*self.axes))
 
     def contains(self, n: tuple[int, ...]) -> bool:
-        return all(l <= v <= h and (v - a) % self.step == 0
-                   for l, h, a, v in zip(self.lo, self.hi, self.anchor, n))
+        step = self.step
+        for lo, hi, a, v in zip(self.lo, self.hi, self.anchor, n):
+            if not lo <= v <= hi or (v - a) % step:
+                return False
+        return True
 
     def integral(self, n: tuple[int, ...]) -> bool:
         D = self.D
@@ -212,10 +219,15 @@ class _Frame:
 
     def lattice(self, w: Weight) -> tuple[int, ...] | None:
         """D w, or None when w has the wrong length or D w is not integral."""
-        D = self.D
-        if len(w) != self.dim or any(D % c.denominator for c in w):
+        if len(w) != self.dim:
             return None
-        return tuple(c.numerator * (D // c.denominator) for c in w)
+        D, n = self.D, []
+        for c in w.coords:
+            k, r = divmod(D, c.denominator)
+            if r:
+                return None
+            n.append(c.numerator * k)
+        return tuple(n)
 
     def value(self, v: int) -> Fraction:
         """The rational v / D."""
@@ -223,8 +235,8 @@ class _Frame:
         return values[v] if v in values else values.setdefault(v, Fraction(v, self.D))
 
     def weight(self, n: tuple[int, ...]) -> Weight:
-        """The weight n / D."""
-        return Weight._of(tuple(map(self.value, n)))
+        """The weight n / D of a box point n."""
+        return Weight._of(tuple(map(self.values.__getitem__, n)))
 
 
 @lru_cache(maxsize=16)
@@ -353,12 +365,13 @@ def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
     frame = _frame(datum, box)
     D, shift = frame.D, frame.label_shift
     on_lattice = datum.family in _LATTICE_FAMILIES
+    proven = on_lattice and frame.all_integral
     keys = {}  # N -> its label's key
     labels = {}  # key -> BlockLabel, built once per distinct label
     for n in frame.points():
         # block_label's own integrality check, and its refusals, only where
         # the frame cannot prove the point integral
-        if on_lattice and frame.integral(n):
+        if proven or on_lattice and frame.integral(n):
             mu = [a + b for a, b in zip(n, shift)]
             key = _label(datum, D, mu, int)
             if key not in labels:
@@ -385,7 +398,7 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
     Reports (a) components carrying more than one closed-form label (a
     soundness failure) and (b) labels split across several components,
     annotated with whether one enlargement pass merges them.  Refuses boxes
-    above cap points.
+    above cap points, and an enlargement pass whose box holds more.
     """
     frame, keys, labels = _box_labels(datum, box, cap)
     unvisited = set(keys)
@@ -408,14 +421,17 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
     by_label: dict = {}
     for i, key in enumerate(comp_keys):
         by_label.setdefault(key, []).append(i)
+    split = sorted((labels[key].json_str(), comps)
+                   for key, comps in by_label.items() if len(comps) > 1)
+    if enlarge and split:
+        big = box.enlarged()
+        big._check_cap(cap, "enlarged box")
     splits = []
-    for text, comps in sorted((labels[key].json_str(), comps)
-                              for key, comps in by_label.items() if len(comps) > 1):
+    for text, comps in split:
         entry = {"label": text,
                  "component_count": len(comps),
                  "merged_after_enlargement": None}
         if enlarge:
-            big = box.enlarged()
             reps = [components[i][0] for i in comps]
             reached = set(bfs_linkage_closure(datum, reps[0], big, gens))
             entry["merged_after_enlargement"] = all(r in reached for r in reps[1:])

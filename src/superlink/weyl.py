@@ -208,9 +208,9 @@ def _resolve_sub(datum: RootDatum, sub) -> tuple[Root, ...]:
     if sub is None:
         return datum.simple_even
     sub = tuple(sub)
-    allowed = set(datum.simple_even)
+    simple = datum.simple_even  # a tuple: membership tries identity first
     for r in sub:
-        if r not in allowed:
+        if r not in simple:
             raise UnsupportedInputError("parabolic subgroups are generated by subsets of Pi_0")
     return sub
 

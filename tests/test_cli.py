@@ -208,6 +208,32 @@ def test_validate_honours_configured_box_cap(capsys, tmp_path, monkeypatch):
     assert caps == [2 * oracle.BOX_CAP, oracle.BOX_CAP]
 
 
+def test_validate_refuses_an_enlarged_box_above_the_cap(capsys, tmp_path):
+    """The enlargement pass checks its box against the cap before closing
+    anything in it, and --no-enlarge skips it."""
+    from superlink.oracle import BOX_CAP
+    argv = ["validate", "--family", "osp2", "--n", "2", "--box=0..3,-1..2,-3..0"]
+    code, default, _ = run(capsys, argv)
+    payload = json.loads(default)
+    assert code == 0 and payload["points"] == 64 and len(payload["label_splits"]) == 3
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("box_cap=100\n")
+    assert run(capsys, [*argv, "--config", str(cfg)]) \
+        == (3, "", "error: enlarged box holds 512 points, cap is 100\n")
+    code, out, _ = run(capsys, [*argv, "--config", str(cfg), "--no-enlarge"])
+    assert code == 0
+    assert out == run(capsys, [*argv, "--no-enlarge"])[1]
+    assert [s["merged_after_enlargement"] for s in json.loads(out)["label_splits"]] \
+        == [None] * 3
+    cfg.write_text("box_cap=512\n")
+    assert run(capsys, [*argv, "--config", str(cfg)]) == (0, default, "")
+    # 328 points whose enlarged box would hold 6,001,128
+    p4 = ["validate", "--family", "p", "--n", "4", "--box=0..1,0..1,0..1,-20..20"]
+    assert run(capsys, p4) \
+        == (3, "", f"error: enlarged box holds 6001128 points, cap is {BOX_CAP}\n")
+    assert run(capsys, [*p4, "--no-enlarge"])[0] == 0
+
+
 def test_mult_honours_kl_cap(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("kl_cap=1\n")

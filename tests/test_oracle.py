@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -17,6 +18,8 @@ from superlink.oracle import (BOX_CAP, LinkageGenerators, WeightBox, _frame,
 from superlink.root_data import bilinear, is_integral
 from superlink.weights import Weight
 from superlink.weyl import antidominant_rep, reflection_element
+
+from oracle_reference import partition_json
 
 
 def test_box_points_and_contains():
@@ -255,6 +258,126 @@ def test_partition_box_takes_a_cap(p2):
     assert str(got.value) == "box holds 25 points, cap is 24"
     assert partition_box(p2, box, default_generators(p2), cap=25).to_json(p2) \
         == partition_box(p2, box, default_generators(p2)).to_json(p2)
+
+
+def test_enlargement_pass_takes_the_cap(osp24, monkeypatch):
+    """The enlarged box is checked against the cap once, before any closure
+    in it: a small box whose labels split cannot start a closure of many
+    times its size."""
+    box = WeightBox((Fraction(0), Fraction(-1), Fraction(-3)),
+                    (Fraction(3), Fraction(2), Fraction(0)))  # 64 points
+    big = box.enlarged()
+    gens = default_generators(osp24)
+    closed = []
+    real = oracle.bfs_linkage_closure
+    monkeypatch.setattr(oracle, "bfs_linkage_closure",
+                        lambda datum, seed, b, g: closed.append(b) or real(datum, seed, b, g))
+    with pytest.raises(CapExceededError) as got:
+        partition_box(osp24, box, gens, cap=big.count() - 1)
+    assert str(got.value) == "enlarged box holds 512 points, cap is 511"
+    assert big not in closed
+    report = partition_box(osp24, box, gens)
+    assert len(report.label_splits) == 3
+    assert partition_box(osp24, box, gens, cap=512).to_json(osp24) == report.to_json(osp24)
+    unenlarged = partition_box(osp24, box, gens, enlarge=False, cap=64).to_json(osp24)
+    assert [s["merged_after_enlargement"] for s in unenlarged["label_splits"]] == [None] * 3
+    assert unenlarged["components"] == report.to_json(osp24)["components"]
+
+
+def test_partition_closes_components_through_the_public_bfs(osp24, monkeypatch):
+    """partition_box closes each component, and each enlargement, through
+    the public bfs_linkage_closure over the neighbors generator: the
+    benchmark's tracer counts closures and BFS edges on exactly these."""
+    assert inspect.isgeneratorfunction(LinkageGenerators.neighbors)
+    calls = []
+    real = oracle.bfs_linkage_closure
+    monkeypatch.setattr(oracle, "bfs_linkage_closure",
+                        lambda datum, seed, b, g: calls.append(b) or real(datum, seed, b, g))
+    box = WeightBox((Fraction(1), Fraction(-6), Fraction(0)),
+                    (Fraction(1), Fraction(6), Fraction(0)))
+    gens = default_generators(osp24)
+    report = partition_box(osp24, box, gens, enlarge=False)
+    assert calls == [box] * len(report.components)
+    calls.clear()
+    report = partition_box(osp24, box, gens)
+    assert report.label_splits
+    assert calls == [box] * len(report.components) + [box.enlarged()] * len(report.label_splits)
+
+
+# -- the label pass against the point-by-point partition it replaced ----------
+
+PARTITION_DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}),
+                  ("osp2", {"n": 1}), ("osp2", {"n": 2}), ("p", {"n": 2}), ("p", {"n": 3}),
+                  ("osp32", {})]
+
+
+def _partition_boxes(rng, dim, count):
+    """Boxes of 1 to 60 points with integer and fractional anchors, steps
+    1/2, 1 and 2, and flat axes (lo = hi), along which a step moves nothing:
+    there a box can be integral point by point but not by the box-wide
+    proof."""
+    boxes = []
+    while len(boxes) < count:
+        step = rng.choice([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2)])
+        anchor = tuple(rng.choice([0, 1, -1, Fraction(1, 2), Fraction(-1, 3)])
+                       for _ in range(dim))
+        lo = tuple(Fraction(rng.randint(-4, 1)) for _ in range(dim))
+        hi = tuple(l if rng.random() < 0.3 else l + step * rng.randint(1, 3) for l in lo)
+        box = WeightBox(lo, hi, step, rng.choice([None, anchor]))
+        if 1 <= box.count() <= 60:
+            boxes.append(box)
+    return boxes
+
+
+def test_partition_matches_point_by_point_reference():
+    """partition_box labels the box frame's lattice, proving integrality
+    once per box where it can; its report equals the point-by-point
+    partition, and a box it refuses is refused alike."""
+    seen = set()
+    for family, params in PARTITION_DATA:
+        datum = build_root_datum(family, **params)
+        rng = random.Random(f"partition:{family}:{sorted(params.items())}")
+        proven = False
+        for box in _partition_boxes(rng, datum.dim, 30):
+            gens, enlarge = rng.choice(FRAME_GENS), rng.random() < 0.7
+            try:
+                expected = partition_json(datum, box, gens, enlarge)
+            except SuperlinkError as refusal:
+                with pytest.raises(SuperlinkError) as got:
+                    partition_box(datum, box, gens, enlarge)
+                assert (type(got.value), str(got.value)) == (type(refusal), str(refusal))
+                seen.add("refused")
+                continue
+            assert partition_box(datum, box, gens, enlarge).to_json(datum) == expected, box
+            proven |= _frame(datum, box).all_integral
+            seen.add("proven" if _frame(datum, box).all_integral else "per point")
+            seen.update(["split"] * bool(expected["label_splits"]))
+        assert proven, family  # every datum takes the fast path somewhere
+    assert seen == {"refused", "proven", "per point", "split"}
+
+
+@pytest.mark.parametrize("family,params", PARTITION_DATA + FRAME_DATA[-2:],
+                         ids=lambda v: str(v))
+def test_box_wide_integrality_proof(family, params):
+    """Where the frame proves the whole box integral, every point is; and it
+    proves it for every integer-anchored box of step 1 or 2, the shape of
+    validate's boxes, so the label pass skips the per-point test there."""
+    datum = build_root_datum(family, **params)
+    rng = random.Random(f"proof:{family}:{sorted(params.items())}")
+    failed = 0
+    for box in _random_boxes(rng, datum.dim, 12) + _partition_boxes(rng, datum.dim, 20):
+        frame = _frame(datum, box)
+        if frame.all_integral:
+            assert all(map(frame.integral, frame.points())), box
+        failed += not frame.all_integral
+    assert failed or not datum.even_positive  # not vacuous where coroots exist
+    for _ in range(20):
+        lo = tuple(Fraction(rng.randint(-6, 0)) for _ in range(datum.dim))
+        hi = tuple(l + rng.randint(0, 4) for l in lo)
+        anchor = rng.choice([None, tuple(Fraction(rng.randint(-3, 3)) for _ in lo)])
+        frame = _frame(datum, WeightBox(lo, hi, Fraction(rng.choice([1, 2])), anchor))
+        assert frame.all_integral
+        assert all(map(frame.integral, frame.points()))
 
 
 def test_partition_p2(p2):

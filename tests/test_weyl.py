@@ -224,3 +224,22 @@ def test_dot_reflection_matches_element(p3, osp24, osp32):
         for alpha in datum.simple_even:
             s = reflection_element(datum, alpha)
             assert dot(datum, s, lam) == dot_reflection(datum, alpha, lam)
+
+
+def test_parabolic_subsets_are_resolved_by_equality(red_a2, osp24):
+    """A sub is matched against Pi_0 by equality: a root equal to a simple
+    root but built apart is accepted, any other root is refused."""
+    from superlink.root_data import Root
+    from superlink.weyl import _resolve_sub, parabolic_positive_roots
+    for datum in (red_a2, osp24):
+        for r in datum.simple_even:
+            twin = Root(Weight(list(r.weight.coords)), r.parity, r.isotropic)
+            assert twin == r and twin is not r
+            assert _resolve_sub(datum, [twin]) == (twin,)
+            assert parabolic_positive_roots(datum, [twin]) == parabolic_positive_roots(datum, [r])
+        outside = [a for a in datum.even_positive if a not in datum.simple_even]
+        for bad in [*outside, *datum.isotropic_roots[:1]]:
+            with pytest.raises(UnsupportedInputError) as got:
+                _resolve_sub(datum, [*datum.simple_even[:1], bad])
+            assert str(got.value) == "parabolic subgroups are generated by subsets of Pi_0"
+        assert outside  # both data have a non-simple even positive root
