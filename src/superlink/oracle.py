@@ -168,8 +168,10 @@ class _Frame:
     Roots and coroots are integer vectors in every supported family (this is
     checked), so each linkage move is integer arithmetic on N, and lam is
     integral exactly when D divides sum_i c_i N_i for every even positive
-    coroot c.  Ordering N orders lam, since D > 0.  Block labels of the
-    super families are read off N + D shift as well (see blocks._label).
+    coroot c; all_integral proves it for every point of the box at once
+    where the anchor and step allow.  Ordering N orders lam, since D > 0.
+    Block labels of the super families are read off N + D shift as well
+    (see blocks._label).
     """
 
     def __init__(self, datum: RootDatum, box: WeightBox):
@@ -421,13 +423,13 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
     by_label: dict = {}
     for i, key in enumerate(comp_keys):
         by_label.setdefault(key, []).append(i)
-    split = sorted((labels[key].json_str(), comps)
-                   for key, comps in by_label.items() if len(comps) > 1)
-    if enlarge and split:
+    split_labels = sorted((labels[key].json_str(), comps)
+                          for key, comps in by_label.items() if len(comps) > 1)
+    if enlarge and split_labels:
         big = box.enlarged()
         big._check_cap(cap, "enlarged box")
     splits = []
-    for text, comps in split:
+    for text, comps in split_labels:
         entry = {"label": text,
                  "component_count": len(comps),
                  "merged_after_enlargement": None}
