@@ -2,10 +2,11 @@
 
 The KL engine works over a finite Weyl group presented as a parabolic
 subgroup of a datum's signed-permutation group (type A / type C products).
-On first KL use a group numbers its elements by (length, images) and
-records, per element id, the left multiplications by simple reflections,
-the length and the left-descent bitmask; everything below runs on these
-integers.  Bruhat order keeps one lower ideal per element as a bitset, built
+A group numbers its elements by weyl's index, cached per (datum, sub):
+ids by (length, images), with per id the left multiplications by simple
+reflections, the length and the left-descent bitmask.  Each group keeps
+its own memos on these integers (`_KLMemo`).  Bruhat order keeps one lower
+ideal per element as a bitset, built
 by [e, w] = [e, sw] u s[e, sw] for a left descent s.  The KL recursion is the
 classical one on a left descent s of w:
 
@@ -41,12 +42,13 @@ descent in zeta's support, so a multiplicity is one KL lookup and a length
 one row of at most |W| lookups.
 
 Concurrency: the per-datum group cache (`shared_group`) is this module's
-only shared state; the package's other process-wide caches are listed in
-the README.  The group cache lives for the whole process, one Weyl group
-per datum, and everything a group memoizes (its index, ideals,
-polynomials, mu-lists) is a pure value written through single atomic
-assignments, so concurrent calls return identical results; at worst two
-threads duplicate a computation before one wins the insert.
+only shared state; weyl's index cache and the package's other process-wide
+caches are listed in the README.  The group cache lives for the whole
+process, one Weyl group per datum.  An index is never written after it is
+built, and everything a group memoizes (ideals, polynomials, mu-lists) is
+a pure value written through single atomic assignments, so concurrent calls
+return identical results; at worst two threads duplicate a computation
+before one wins the insert.
 """
 from __future__ import annotations
 
@@ -58,11 +60,9 @@ from .errors import (CapExceededError, MissingTableEntryError, SuperlinkError,
                      UnsupportedInputError)
 from .root_data import Root, RootDatum, build_reductive, is_integral
 from .weights import Weight
-from .weyl import (WeylElement, _antidominant_points, _closure, antidominant_rep,
-                   is_antidominant, orbit_dot, reflection_element, stabilizer_roots,
-                   weyl_order)
-
-KL_GROUP_CAP = 40320  # memory guard on |W| for the memoized recursion
+from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _group_index, _Index,
+                   _strip, antidominant_rep, is_antidominant, orbit_dot, reflection_element,
+                   stabilizer_roots, weyl_order)
 
 
 def _pnorm(a: Iterable[int]) -> tuple[int, ...]:
@@ -111,55 +111,21 @@ class KLPolynomial:
         return " + ".join(terms)
 
 
-def _left_mult(s: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
-    """Images of s x for signed-permutation images s and x (WeylElement.compose
-    without the per-element validation, for building an index)."""
-    return tuple(s[v - 1] if v > 0 else -s[-v - 1] for v in x)
-
-
 def _bits(mask: int) -> list[int]:
     """Positions of the set bits of mask, ascending."""
     return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
-class _Index:
-    """A group's elements as integer ids 0..n-1, ordered by (length, images).
+class _KLMemo:
+    """One group's Bruhat ideals, KL polynomials and mu-lists, memoized on
+    the ids of its cached weyl index (whose tables it reads in place)."""
 
-    Id 0 is the identity and id n-1 the longest element.  `lmul[i][x]` is
-    the id of s_i x, `desc[x]` the left-descent bitmask and `first[x]` its
-    lowest set bit (-1 at the identity); `w0x[x]` is the id of w0 x.
-    """
-
-    def __init__(self, reflections: Sequence[WeylElement], identity: WeylElement):
-        gens = [g.images for g in reflections]
-        # BFS distance from e is the Coxeter length
-        levels = [sorted(level) for level in
-                  _closure(identity.images, lambda x: (_left_mult(g, x) for g in gens))]
-        self.images = [x for level in levels for x in level]
-        self.ids = {x: i for i, x in enumerate(self.images)}
-        self.n = len(self.images)
-        self.length = [k for k, level in enumerate(levels) for _ in level]
-        self.lmul = [[self.ids[_left_mult(g, x)] for x in self.images] for g in gens]
-        L = self.length
-        self.desc = [sum(1 << i for i, row in enumerate(self.lmul) if L[row[x]] < L[x])
-                     for x in range(self.n)]
-        self.first = [(d & -d).bit_length() - 1 for d in self.desc]
-        self.w0x = list(range(self.n))
-        for i in reversed(self.word(self.n - 1)):  # w0 = s_{i_1} ... s_{i_k}
-            row = self.lmul[i]
-            self.w0x = [row[y] for y in self.w0x]
+    def __init__(self, index: _Index):
+        self.n, self.images, self.length = index.n, index.images, index.length
+        self.lmul, self.desc, self.first = index.lmul, index.desc, index.first
         self._ideal: list[int | None] = [1] + [None] * (self.n - 1)
         self._kl: dict[int, tuple[int, ...]] = {}
         self._mu: dict[int, list[tuple[int, int]]] = {}
-
-    def word(self, x: int) -> list[int]:
-        """Reduced word of x (x = s_{i_1} s_{i_2} ...) by lowest left descents."""
-        out = []
-        while x:
-            i = self.first[x]
-            out.append(i)
-            x = self.lmul[i][x]
-        return out
 
     def ideal(self, y: int) -> int:
         """Bitset of the Bruhat interval [e, y]."""
@@ -239,8 +205,8 @@ class _Index:
 
 
 class FiniteWeylGroup:
-    """A parabolic Weyl group; its reflections, integer index and KL data
-    are built on first use."""
+    """A parabolic Weyl group: a KL view of weyl's cached index of
+    (datum, sub), with its own KL and Bruhat memos built on first use."""
 
     def __init__(self, datum: RootDatum, sub: Sequence[Root] | None = None,
                  cap: int = KL_GROUP_CAP):
@@ -251,7 +217,6 @@ class FiniteWeylGroup:
             raise CapExceededError(f"|W| = {self.order} exceeds the cap {cap}")
         self.simple = list(self.sub)
         self.identity = WeylElement.identity(datum.dim)
-        self._elements: list[WeylElement] | None = None
 
     @staticmethod
     def symmetric(n: int) -> "FiniteWeylGroup":
@@ -269,25 +234,21 @@ class FiniteWeylGroup:
 
     @cached_property
     def _index(self) -> _Index:
-        return _Index(self.reflections, self.identity)
+        return _group_index(self.datum, tuple(map(self.datum.simple_even.index, self.sub)))
 
-    def _id(self, w: WeylElement) -> int:
-        try:
-            return self._index.ids[w.images]
-        except KeyError:
-            raise UnsupportedInputError(f"{w!r} is not an element of the group") from None
+    @cached_property
+    def _memo(self) -> _KLMemo:
+        return _KLMemo(self._index)
 
     def elements(self) -> list[WeylElement]:
-        if self._elements is None:
-            self._elements = [WeylElement(x) for x in self._index.images]
-        return self._elements
+        return [WeylElement(x) for x in self._index.images]
 
     def length(self, w: WeylElement) -> int:
-        return self._index.length[self._id(w)]
+        return self._index.length[self._index.of(w)]
 
     def word(self, w: WeylElement) -> tuple[int, ...]:
-        """Reduced word as indices into the simple list."""
-        return tuple(self._index.word(self._id(w)))
+        """Reduced word as indices into the simple list, by lowest left descents."""
+        return tuple(_strip(self._index, self._index.of(w), range(len(self.simple)))[0])
 
     def from_word(self, word: Iterable[int]) -> WeylElement:
         w = self.identity
@@ -300,11 +261,6 @@ class FiniteWeylGroup:
 
     def left_mult(self, i: int, w: WeylElement) -> WeylElement:
         return self.reflections[i].compose(w)
-
-    def left_descent(self, w: WeylElement) -> int | None:
-        """The least i with l(s_i w) < l(w), or None for the identity."""
-        i = self._index.first[self._id(w)]
-        return None if i < 0 else i
 
     def longest(self) -> WeylElement:
         return WeylElement(self._index.images[-1])
@@ -325,12 +281,12 @@ def shared_group(datum: RootDatum, cap: int = KL_GROUP_CAP) -> FiniteWeylGroup:
 
 def bruhat_leq(W: FiniteWeylGroup, x: WeylElement, y: WeylElement) -> bool:
     """Bruhat order, read off the lower ideal of y."""
-    return W._index.leq(W._id(x), W._id(y))
+    return W._memo.leq(W._index.of(x), W._index.of(y))
 
 
 def kl_polynomial(W: FiniteWeylGroup, x: WeylElement, w: WeylElement) -> KLPolynomial:
     """The Kazhdan-Lusztig polynomial P_{x,w}, memoized per group."""
-    return KLPolynomial(W._index.kl(W._id(x), W._id(w)))
+    return KLPolynomial(W._memo.kl(W._index.of(x), W._index.of(w)))
 
 
 @dataclass
@@ -374,15 +330,15 @@ def _position(datum: RootDatum, W: FiniteWeylGroup, mu: Weight) -> tuple[Weight,
     """(base, k): the anti-dominant base of mu's dot orbit and the id k of
     w0 y, where y . base = mu; then [M(mu) : L(gamma)] = P_{k(mu),k(gamma)}(1)."""
     base, witness = antidominant_rep(datum, mu)
-    return base, W._index.w0x[W._id(witness.inverse())]
+    return base, W._index.w0x[W._index.of(witness.inverse())]
 
 
 def verma_mult(datum: RootDatum, lam: Weight, w: WeylElement, x: WeylElement) -> int:
     """[M(w . lam) : L(x . lam)] for anti-dominant regular integral lam."""
     _require_regular_antidominant(datum, lam)
     W = shared_group(datum)
-    ix = W._index
-    return ix.value(ix.w0x[W._id(w)], ix.w0x[W._id(x)])
+    w0x = W._index.w0x
+    return W._memo.value(w0x[W._index.of(w)], w0x[W._index.of(x)])
 
 
 def builtin_verma_table(datum: RootDatum, lam: Weight) -> MultTable:
@@ -395,7 +351,7 @@ def builtin_verma_table(datum: RootDatum, lam: Weight) -> MultTable:
     W = shared_group(datum)
     base, _ = antidominant_rep(datum, lam)
     ks = {mu: _position(datum, W, mu)[1] for mu in sorted(orbit_dot(datum, base))}
-    entries = {(mu, gamma): W._index.value(k, j)
+    entries = {(mu, gamma): W._memo.value(k, j)
                for mu, k in ks.items() for gamma, j in ks.items()}
     return MultTable(entries, provenance="builtin-KL")
 
@@ -425,7 +381,7 @@ def whittaker_mult(datum: RootDatum, lam: Weight, mu: Weight, zeta,
         gamma_base, j = _position(datum, W, gammas[0])
         if gamma_base != base:
             raise MissingTableEntryError([(lam, gammas[0])])
-        return W._index.value(k, j)
+        return W._memo.value(k, j)
     missing = [(lam, g) for g in gammas if (lam, g) not in table.entries]
     if missing:
         raise MissingTableEntryError(missing)
@@ -444,10 +400,10 @@ def whittaker_length(datum: RootDatum, lam: Weight, zeta,
         _require_reductive(datum)
         _require_regular(datum, lam)
         W = shared_group(datum, cap=cap)
-        ix = W._index
+        ix, memo = W._index, W._memo
         k = _position(datum, W, lam)[1]
         J = sum(1 << W.simple.index(r) for r in zeta.support)
-        return sum(ix.value(k, ix.w0x[y]) for y in range(ix.n) if not ix.desc[y] & J)
+        return sum(memo.value(k, ix.w0x[y]) for y in range(ix.n) if not ix.desc[y] & J)
     total = 0
     for gamma in table.gammas_for(lam):
         if is_antidominant(datum, gamma, zeta.support):

@@ -24,7 +24,10 @@ N = D lam over one common denominator D per (datum, box) (see _Frame).
 
 The KL cross-check recomputes every polynomial through the R-polynomial
 inversion identity q^l P(1/q) - P(q) = sum_z R_{x,z} P_{z,w} and diffs the
-two tables; it shares no code path with the KL recursion.
+two tables.  It shares neither the recursion nor the element index of the
+KL engine: it numbers the group itself by a BFS over the reflections, and
+reads Bruhat order off R_{x,w} != 0 (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, Ch. 5).
 """
 from __future__ import annotations
 
@@ -35,12 +38,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, block_label
-from .errors import CapExceededError, UnsupportedInputError
-from .kl import FiniteWeylGroup, KLPolynomial, MultTable, bruhat_leq, kl_polynomial
+from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
+from .kl import FiniteWeylGroup, KLPolynomial, MultTable, kl_polynomial
 from .root_data import RootDatum, _coroots
 from .verma_oracle import verma_multiplicities
 from .weights import Weight, format_rational
-from .weyl import _closure
+from .weyl import WeylElement, _closure
 
 BOX_CAP = 10 ** 6
 
@@ -443,76 +446,81 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
 
 # -- KL cross-check ---------------------------------------------------------
 
+_KL_LIMIT = 1 << 32  # bound on an accepted KL coefficient
+
 class _RPolynomials:
-    """R-polynomials via the standard descent recursion (signed coefficients)."""
+    """The group on the oracle's own int ids, with every nonzero R_{x,w}.
+
+    Elements are numbered by (BFS level, images) from a BFS under left
+    multiplication by the simple reflections; the level is the length.
+    `rows[w]` maps each x with R_{x,w} != 0, exactly the Bruhat interval
+    [e, w], to R_{x,w}(2^b).  For the first left descent s of w, v = sw,
+
+        R_{x,w} = R_{sx,v}  if sx < x,  else  (q - 1) R_{x,v} + q R_{sx,v},
+
+    over the x in [e, v] u s[e, v], so no Bruhat test is needed.  By this
+    recursion |coefficients of R_{x,w}| sum to at most 3^(l(w) - l(x)); b
+    leaves room for |W| such terms times a KL coefficient below _KL_LIMIT,
+    so every coefficient the oracle forms is below 2^(b-1) and the base-2^b
+    digits, balanced around 0, are exact (Kronecker substitution).
+    """
 
     def __init__(self, W: FiniteWeylGroup):
-        self.W = W
-        self._memo: dict = {}
+        gens = W.reflections
+        levels = [sorted(level, key=lambda w: w.images)
+                  for level in _closure(W.identity, lambda x: [g.compose(x) for g in gens])]
+        self.elements = [w for level in levels for w in level]
+        self.length = L = [k for k, level in enumerate(levels) for _ in level]
+        self.b = b = (len(L) * 3 ** L[-1] * _KL_LIMIT).bit_length() + 1
+        ids = {w: i for i, w in enumerate(self.elements)}
+        lmul = [[ids[g.compose(w)] for w in self.elements] for g in gens]
+        self.rows: list[dict[int, int]] = [{0: 1}]
+        for w in range(1, len(L)):
+            s = next(row for row in lmul if L[row[w]] < L[w])
+            prev, row = self.rows[s[w]], {}
+            for x in [*prev, *(s[y] for y in prev)]:
+                a, c = prev.get(x, 0), prev.get(s[x], 0)
+                r = c if L[s[x]] < L[x] else ((a + c) << b) - a
+                if r:
+                    row[x] = r
+            self.rows.append(row)
 
-    def get(self, x, w) -> tuple[int, ...]:
-        key = (x.images, w.images)
-        if key in self._memo:
-            return self._memo[key]
-        W = self.W
-        if x == w:
-            result: tuple[int, ...] = (1,)
-        elif not bruhat_leq(W, x, w):
-            result = ()
-        else:
-            i = W.left_descent(w)
-            sw = W.left_mult(i, w)
-            sx = W.left_mult(i, x)
-            if W.length(sx) < W.length(x):
-                result = self.get(sx, sw)
-            else:
-                a = self.get(x, sw)      # (q - 1) R_{x, sw}
-                b = self.get(sx, sw)     # q R_{sx, sw}
-                m = max(len(a) + 1, len(b) + 1)
-                out = [0] * m
-                for k, c in enumerate(a):
-                    out[k + 1] += c
-                    out[k] -= c
-                for k, c in enumerate(b):
-                    out[k + 1] += c
-                while out and out[-1] == 0:
-                    out.pop()
-                result = tuple(out)
-        self._memo[key] = result
-        return result
+    def digits(self, v: int, count: int) -> list[int]:
+        """The lowest `count` coefficients of the polynomial held as v."""
+        out = []
+        for _ in range(count):
+            out.append((v + (1 << self.b - 1)) % (1 << self.b) - (1 << self.b - 1))
+            v = (v - out[-1]) >> self.b
+        return out
 
 
 def kl_via_inversion(W: FiniteWeylGroup) -> dict:
-    """All P_{x,w} via the inversion identity; independent of the recursion."""
+    """All P_{x,w} via the inversion identity, keyed by image pairs; shares
+    neither the recursion nor the element index of the KL engine.
+
+    For each w the P_{x,w} are found in decreasing length of x: once
+    P_{x,w} is known, R_{y,x} P_{x,w} is added to the sum of every y < x,
+    so each sum runs over [y, w] only.
+    """
     rp = _RPolynomials(W)
-    elements = W.elements()
+    L, elements, b = rp.length, rp.elements, rp.b
+    below = [[(y, r) for y, r in row.items() if y != x] for x, row in enumerate(rp.rows)]
     table: dict = {}
-    for w in elements:
-        below = [x for x in elements if bruhat_leq(W, x, w)]
-        below.sort(key=lambda x: -W.length(x))
-        for x in below:
-            if x == w:
-                table[(x.images, w.images)] = (1,)
-                continue
-            L = W.length(w) - W.length(x)
-            acc = [0] * (L + 2)
-            for z in below:
-                if z == x or not bruhat_leq(W, x, z):
-                    continue
-                r = rp.get(x, z)
-                p = table[(z.images, w.images)]
-                for i, ci in enumerate(r):
-                    for j, cj in enumerate(p):
-                        acc[i + j] += ci * cj
-            coeffs = tuple(-acc[i] for i in range((L - 1) // 2 + 1))
-            # the identity q^L P(1/q) - P(q) = sum must balance exactly
-            check = [0] * (L + 2)
-            for i, c in enumerate(coeffs):
-                check[L - i] += c
-                check[i] -= c
-            if check != acc:
-                raise UnsupportedInputError("R-polynomial inversion failed to balance")
-            table[(x.images, w.images)] = coeffs
+    for w in range(len(elements)):
+        acc = dict.fromkeys(rp.rows[w], 0)
+        for x in sorted(acc, key=lambda x: (-L[x], x)):
+            n = L[w] - L[x]
+            # the low digits of the sum are -P_{x,w}
+            coeffs = tuple(-d for d in rp.digits(acc[x], (n + 1) // 2)) if x != w else (1,)
+            # the identity q^n P(1/q) - P(q) = sum must balance exactly
+            if acc[x] != sum((c << b * (n - i)) - (c << b * i) for i, c in enumerate(coeffs)):
+                raise SuperlinkError("R-polynomial inversion failed to balance")
+            if not all(0 <= c < _KL_LIMIT for c in coeffs):
+                raise SuperlinkError(f"KL coefficient out of range: {coeffs}")
+            table[(elements[x].images, elements[w].images)] = coeffs
+            p = sum(c << b * k for k, c in enumerate(coeffs))
+            for y, r in below[x]:
+                acc[y] += r * p
     return {k: KLPolynomial.of(v) for k, v in table.items()}
 
 
@@ -538,18 +546,18 @@ def kl_cross_check(W: FiniteWeylGroup, cap: int = 1152) -> CrossCheckReport:
     if W.order > cap:
         raise CapExceededError(f"|W| = {W.order} exceeds cross-check cap {cap}")
     inverted = kl_via_inversion(W)
-    elements = W.elements()
+    # the oracle's own elements, in its order: each w's first key is (w, w)
+    elements = [WeylElement(w) for x, w in inverted if x == w]
+    zero = KLPolynomial.of(())
     diffs = []
-    pairs = 0
     for x in elements:
         for w in elements:
-            pairs += 1
             direct = kl_polynomial(W, x, w)
-            other = inverted.get((x.images, w.images), KLPolynomial.of(()))
+            other = inverted.get((x.images, w.images), zero)
             if direct != other:
                 diffs.append((x.to_cycles(), w.to_cycles(),
                               direct.coeffs, other.coeffs))
-    return CrossCheckReport(W.order, pairs, diffs)
+    return CrossCheckReport(W.order, len(elements) ** 2, diffs)
 
 
 def verma_series_rank_small(datum: RootDatum, lam: Weight) -> MultTable:

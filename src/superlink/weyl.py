@@ -24,6 +24,12 @@ reflection permutes N with signs, so the orbit BFS applies it to the doubled
 point (N, -N) as one cached itemgetter and does no arithmetic, and
 anti-dominance pairs N with root_data's coroot table.  Points convert back
 to weights once, at the end.
+
+Group structure has one integer index (`_Index`), cached per datum and
+list of Pi_0 indices, which the KL engine reads.  `length`,
+`longest_element` and `reduced_word` query the datum's full-group index
+on the Pi_0 letters of `sub`, after refusing a group above KL_GROUP_CAP
+from its closed-form order.
 """
 from __future__ import annotations
 
@@ -41,6 +47,7 @@ from .root_data import EVEN, Root, RootDatum, _coroots, is_integral, pairing_cor
 from .weights import Weight
 
 SUBGROUP_CAP = 10080
+KL_GROUP_CAP = 40320  # memory guard on |W| for a group index and its KL memos
 
 
 @dataclass(frozen=True)
@@ -74,11 +81,7 @@ class WeylElement:
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other: (self * other)(x) = self(other(x))."""
-        images = []
-        for v in other.images:
-            u = self.images[abs(v) - 1]
-            images.append(u if v > 0 else -u)
-        return WeylElement(tuple(images))
+        return WeylElement(_left_mult(self.images, other.images))
 
     def inverse(self) -> "WeylElement":
         images = [0] * self.dim
@@ -324,28 +327,15 @@ def _runs(datum: RootDatum, sub: Sequence[Root]) -> list[tuple[str, list[int]]]:
     A component is type C exactly when it contains a one-coordinate root
     (2d_n, e, 2e_k); otherwise it is a type A chain.
     """
-    supports = [tuple(i for i, c in enumerate(r.weight) if c != 0) for r in sub]
-    n = len(sub)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if set(supports[i]) & set(supports[j]):
-                parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    out = []
-    for members in comps.values():
-        coords = sorted({c for i in members for c in supports[i]})
-        kind = "C" if any(len(supports[i]) == 1 for i in members) else "A"
-        out.append((kind, coords))
+    supports = [frozenset(i for i, c in enumerate(r.weight) if c != 0) for r in sub]
+    out, seen = [], set()
+    for k in range(len(sub)):
+        if k not in seen:
+            members = list(chain.from_iterable(_closure(
+                k, lambda i: [j for j, s in enumerate(supports) if s & supports[i]])))
+            seen.update(members)
+            kind = "C" if any(len(supports[i]) == 1 for i in members) else "A"
+            out.append((kind, sorted(set().union(*(supports[i] for i in members)))))
     out.sort(key=lambda kc: kc[1][0])
     return out
 
@@ -386,57 +376,53 @@ def stabilizer_roots(datum: RootDatum, lam: Weight) -> tuple[Root, ...]:
                  if pairing_coroot(datum, shifted, a) == 0)
 
 
-@lru_cache(maxsize=None)
-def _positive_weight_set(datum: RootDatum) -> frozenset[Weight]:
-    return frozenset(r.weight for r in datum.even_positive)
+def _sub_index(datum: RootDatum, sub) -> tuple["_Index", list[int]]:
+    """The index of the datum's whole Weyl group, refused above the cap
+    before anything is built, and sub as Pi_0 indices in its order."""
+    sub = _resolve_sub(datum, sub)
+    order = weyl_order(datum)
+    if order > KL_GROUP_CAP:
+        raise CapExceededError(f"|W| = {order} exceeds the cap {KL_GROUP_CAP}")
+    return (_group_index(datum, tuple(range(len(datum.simple_even)))),
+            [datum.simple_even.index(r) for r in sub])
+
+
+def _strip(ix: "_Index", x: int, letters: Sequence[int]) -> tuple[list[int], int]:
+    """(word, rest): strip from x its first left descent among the letters
+    while there is one."""
+    word = []
+    while (i := next((i for i in letters if ix.desc[x] >> i & 1), None)) is not None:
+        word.append(i)
+        x = ix.lmul[i][x]
+    return word, x
 
 
 def length(datum: RootDatum, w: WeylElement, sub=None) -> int:
-    """Coxeter length: inversions among the (parabolic) positive roots."""
-    pos = _positive_weight_set(datum)
-    count = 0
-    for alpha in parabolic_positive_roots(datum, sub):
-        if w.apply(alpha.weight) not in pos:
-            count += 1
-    return count
+    """Coxeter length in the parabolic subgroup: the number of left
+    sub-descents stripped from w^-1, which is the number of inversions of w
+    among the parabolic positive roots (also for w outside W_sub)."""
+    ix, letters = _sub_index(datum, sub)
+    return len(_strip(ix, ix.of(w.inverse()), letters)[0])
 
 
 def longest_element(datum: RootDatum, sub=None) -> WeylElement:
-    """The longest element of the parabolic subgroup generated by `sub`."""
-    sub = _resolve_sub(datum, sub)
-    pos = _positive_weight_set(datum)
-    w = WeylElement.identity(datum.dim)
-    refs = {r: reflection_element(datum, r) for r in sub}
-    while True:
-        for alpha in sub:
-            if w.apply(alpha.weight) in pos:
-                w = w.compose(refs[alpha])
-                break
-        else:
-            return w
+    """The longest element of the parabolic subgroup generated by `sub`,
+    climbed to from e by the sub-letters that are no left descent."""
+    ix, letters = _sub_index(datum, sub)
+    x = 0
+    while (i := next((i for i in letters if not ix.desc[x] >> i & 1), None)) is not None:
+        x = ix.lmul[i][x]
+    return WeylElement(ix.images[x])
 
 
 def reduced_word(datum: RootDatum, w: WeylElement, sub=None) -> list[Root]:
-    """A reduced word for w, as a list of simple roots (left-to-right product)."""
-    sub = _resolve_sub(datum, sub)
-    pos = _positive_weight_set(datum)
-    refs = {r: reflection_element(datum, r) for r in sub}
-    word: list[Root] = []
-    current = w
-    guard = length(datum, w) + 1
-    while not current.is_identity():
-        inv = current.inverse()
-        for alpha in sub:
-            if inv.apply(alpha.weight) not in pos:  # left descent
-                word.append(alpha)
-                current = refs[alpha].compose(current)
-                break
-        else:
-            raise UnsupportedInputError("element is not in the given parabolic subgroup")
-        guard -= 1
-        if guard < 0:
-            raise SuperlinkError("reduced word search failed to terminate")
-    return word
+    """A reduced word for w, as a list of simple roots (left-to-right
+    product): each letter is the first left descent in `sub`'s order."""
+    ix, letters = _sub_index(datum, sub)
+    word, rest = _strip(ix, ix.of(w), letters)
+    if rest:
+        raise UnsupportedInputError("element is not in the given parabolic subgroup")
+    return [datum.simple_even[i] for i in word]
 
 
 def _closure(seed, moves, cap=None) -> list[list]:
@@ -460,6 +446,50 @@ def _closure(seed, moves, cap=None) -> list[list]:
         if not nxt:
             return levels
         levels.append(nxt)
+
+
+def _left_mult(s: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of s x for signed-permutation images s and x, unvalidated."""
+    return tuple(s[v - 1] if v > 0 else -s[-v - 1] for v in x)
+
+
+class _Index:
+    """The elements of the group generated by the simple even roots with
+    indices `chosen` (the i-th generator is the i-th of them), as ids
+    0..n-1 ordered by (length, images).
+
+    Id 0 is the identity and id n-1 the longest element.  `images[x]` are
+    the images of x and `ids` maps them back; `lmul[i][x]` is the id of
+    s_i x, `desc[x]` the left-descent bitmask and `first[x]` its lowest set
+    bit (-1 at the identity); `w0x[x]` is the id of w0 x.  Reduced words
+    come from `_strip`.
+    """
+
+    def __init__(self, datum: RootDatum, chosen: tuple[int, ...]):
+        gens = [reflection_element(datum, datum.simple_even[j]).images for j in chosen]
+        # BFS distance from e is the Coxeter length
+        levels = [sorted(level) for level in _closure(
+            tuple(range(1, datum.dim + 1)), lambda x: (_left_mult(g, x) for g in gens))]
+        self.images = [x for level in levels for x in level]
+        self.ids = {x: i for i, x in enumerate(self.images)}
+        self.n = len(self.images)
+        self.length = L = [k for k, level in enumerate(levels) for _ in level]
+        self.lmul = [[self.ids[_left_mult(g, x)] for x in self.images] for g in gens]
+        self.desc = [sum(1 << i for i, row in enumerate(self.lmul) if L[row[x]] < L[x])
+                     for x in range(self.n)]
+        self.first = [(d & -d).bit_length() - 1 for d in self.desc]
+        self.w0x = [self.ids[_left_mult(self.images[-1], x)] for x in self.images]
+
+    def of(self, w: WeylElement) -> int:
+        """The id of w, refusing an element outside the group."""
+        try:
+            return self.ids[w.images]
+        except KeyError:
+            raise UnsupportedInputError(f"{w!r} is not an element of the group") from None
+
+
+# one index per (datum, chosen), the 16 most recent
+_group_index = lru_cache(maxsize=16)(_Index)
 
 
 @lru_cache(maxsize=None)
@@ -519,9 +549,5 @@ def weyl_order(datum: RootDatum, sub=None) -> int:
     sub = _resolve_sub(datum, sub)
     order = 1
     for kind, coords in _runs(datum, sub):
-        s = len(coords)
-        fact = 1
-        for i in range(2, s + 1):
-            fact *= i
-        order *= fact * (2 ** s if kind == "C" else 1)
+        order *= math.factorial(len(coords)) * (2 ** len(coords) if kind == "C" else 1)
     return order

@@ -430,10 +430,57 @@ def test_report_json_round_trip(p2):
 
 def test_kl_cross_check_small_groups():
     for W in (FiniteWeylGroup.symmetric(2), FiniteWeylGroup.symmetric(3),
-              FiniteWeylGroup.symmetric(4), FiniteWeylGroup.type_c(2)):
+              FiniteWeylGroup.symmetric(4), FiniteWeylGroup.symmetric(5),
+              FiniteWeylGroup.type_c(2), FiniteWeylGroup.type_c(3)):
         report = kl_cross_check(W)
         assert report.ok, report.diffs
         assert report.pairs_checked == W.order ** 2
+
+
+def test_cross_check_catches_corrupted_bruhat_ideals():
+    """Delete one bit from one engine Bruhat ideal of a fresh S4, for each of
+    the 189 bits below the diagonal: the inversion still returns the true
+    table, and the cross-check reports diffs exactly when the engine's
+    polynomials changed."""
+    clean = FiniteWeylGroup.symmetric(4)
+    truth = kl_via_inversion(clean)
+    elements = clean.elements()
+    engine = {(x, w): kl_polynomial(clean, x, w) for x in elements for w in elements}
+    memo = clean._memo
+    cases = [(y, x) for y in range(memo.n) for x in range(memo.n)
+             if x != y and memo.ideal(y) >> x & 1]
+    assert len(cases) == 189
+    changed = 0
+    for y, x in cases:
+        W = FiniteWeylGroup.symmetric(4)
+        W._memo.ideal(y)
+        W._memo._ideal[y] &= ~(1 << x)
+        differs = any(kl_polynomial(W, a, b) != p for (a, b), p in engine.items())
+        changed += differs
+        assert kl_via_inversion(W) == truth
+        assert kl_cross_check(W).ok is not differs
+    assert changed == 56
+
+
+def test_inversion_is_independent_of_the_engine():
+    """The R-polynomial path reads only the group's reflections and
+    identity: no Bruhat order, KL polynomial, index or element list of the
+    engine."""
+    import ast
+
+    tree = ast.parse(inspect.getsource(oracle))
+    path = [node for node in tree.body
+            if getattr(node, "name", None) in ("_RPolynomials", "kl_via_inversion")]
+    assert len(path) == 2
+    engine = {"bruhat_leq", "kl_polynomial", "shared_group", "_index", "_memo", "_id",
+              "left_mult"}
+    for node in (n for root in path for n in ast.walk(root)):
+        if isinstance(node, ast.Name):
+            assert node.id not in engine
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in engine
+            if isinstance(node.value, ast.Name) and node.value.id == "W":
+                assert node.attr in ("reflections", "identity")
 
 
 def test_inversion_method_agrees_on_pinned_pair():
@@ -444,10 +491,25 @@ def test_inversion_method_agrees_on_pinned_pair():
     assert table[(s[1].images, w.images)].coeffs == (1, 1)
 
 
+def test_unbalanced_inversion_is_the_oracle_fault(monkeypatch):
+    """A wrong R-polynomial breaks the inversion identity, which is the
+    oracle's own failure, not a refused input."""
+    build = oracle._RPolynomials.__init__
+
+    def corrupted(self, W):
+        build(self, W)
+        self.rows[-1][0] <<= self.b  # q R_{e,w0}
+
+    monkeypatch.setattr(oracle._RPolynomials, "__init__", corrupted)
+    with pytest.raises(SuperlinkError, match="failed to balance") as raised:
+        kl_via_inversion(FiniteWeylGroup.symmetric(3))
+    assert not isinstance(raised.value, UnsupportedInputError)
+
+
 @pytest.mark.slow
 def test_kl_cross_check_extended():
-    assert kl_cross_check(FiniteWeylGroup.type_c(3)).ok
-    assert kl_cross_check(FiniteWeylGroup.symmetric(5)).ok
+    assert kl_cross_check(FiniteWeylGroup.type_c(4)).ok
+    assert kl_cross_check(FiniteWeylGroup.symmetric(6)).ok
 
 
 def test_cross_check_cap():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from superlink import (CapExceededError, UnsupportedInputError, antidominant_rep
                        is_dominant, longest_element, orbit_dot, reduced_word, reflect,
                        reflection_element, stabilizer_roots, weyl_order)
 from superlink.weights import Weight
-from superlink.weyl import WeylElement, length, validate_element
+from superlink.weyl import WeylElement, _group_index, length, validate_element
 from weyl_reference import dot_reflection
 
 
@@ -79,6 +80,28 @@ def test_enumerate_subgroup_honours_cap(p3):
     assert len(enumerate_subgroup(p3, p3.simple_even, cap=6)) == 6
     with pytest.raises(CapExceededError):
         enumerate_subgroup(p3, p3.simple_even, cap=5)
+
+
+def test_group_queries_refuse_above_the_cap():
+    """p(9) has |W| = 9! = 362,880: length, longest_element and reduced_word
+    refuse it from the closed-form order, before any index is built."""
+    p9 = build_root_datum("p", n=9)
+    e = WeylElement.identity(9)
+    built = _group_index.cache_info().misses
+    start = time.perf_counter()
+    for query in (lambda: length(p9, e), lambda: longest_element(p9),
+                  lambda: reduced_word(p9, e)):
+        with pytest.raises(CapExceededError, match="362880"):
+            query()
+    assert time.perf_counter() - start < 1
+    assert _group_index.cache_info().misses == built
+
+
+def test_group_queries_refuse_foreign_elements(p2):
+    flip = WeylElement((-1, 2))  # a sign change, outside the type A group of p(2)
+    for query in (lambda: length(p2, flip), lambda: reduced_word(p2, flip)):
+        with pytest.raises(UnsupportedInputError, match="not an element of the group"):
+            query()
 
 
 def test_longest_element_and_words(p3, osp24):
