@@ -472,8 +472,7 @@ def test_inversion_is_independent_of_the_engine():
     path = [node for node in tree.body
             if getattr(node, "name", None) in ("_RPolynomials", "kl_via_inversion")]
     assert len(path) == 2
-    engine = {"bruhat_leq", "kl_polynomial", "shared_group", "_index", "_memo", "_id",
-              "left_mult"}
+    engine = {"bruhat_leq", "kl_polynomial", "shared_group", "_index", "_memo", "left_mult"}
     for node in (n for root in path for n in ast.walk(root)):
         if isinstance(node, ast.Name):
             assert node.id not in engine
