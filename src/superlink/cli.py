@@ -23,10 +23,10 @@ from . import kl as kl_mod
 from . import oracle as oracle_mod
 from .blocks import block_label, same_block, typicality
 from .errors import SuperlinkError
-from .root_data import RootDatum, build_root_datum
+from .root_data import RootDatum, build_reductive, build_root_datum
 from .weights import Weight, format_rational, rational
 from .weyl import (WeylElement, antidominant_rep, dot, stabilizer_roots,
-                   validate_element)
+                   validate_element, weyl_order)
 from .whittaker import WhittakerCharacter, classify_simple, in_X, in_X0, upsilon_of
 
 SCHEMA_VERSION = 1
@@ -243,13 +243,12 @@ def cmd_enumerate_block(args) -> int:
 
 
 def cmd_klpoly(args) -> int:
-    cfg = _config(args)
-    if args.type == "a":
-        W = kl_mod.FiniteWeylGroup.symmetric(args.rank + 1)
-    else:
-        W = kl_mod.FiniteWeylGroup.type_c(args.rank)
-    if W.order > cfg["kl_cap"]:
-        raise SuperlinkError(f"|W| = {W.order} exceeds configured cap")
+    cap = _config(args)["kl_cap"]
+    datum = build_reductive([(args.type.upper(), args.rank)])
+    order = weyl_order(datum)
+    if args.config and order > cap:
+        raise SuperlinkError(f"|W| = {order} exceeds configured cap")
+    W = kl_mod.FiniteWeylGroup(datum, cap=cap)
 
     def word_of(text: str):
         if text.strip() in ("e", ""):

@@ -18,12 +18,19 @@ the (x + rho0)-coordinates ascending inside each type A window and maps
 type C window coordinates to minus their absolute value before sorting;
 ties break by original position, which fixes a deterministic witness.
 
-Dot orbits and anti-dominance run on the integer shifted coordinates
-N = D (x + rho0), D the least common denominator of x and rho0.  A simple
-reflection permutes N with signs, so the orbit BFS applies it to the doubled
-point (N, -N) as one cached itemgetter and does no arithmetic, and
-anti-dominance pairs N with root_data's coroot table.  Points convert back
-to weights once, at the end.
+The single-weight queries `orbit_dot`, `is_antidominant`, `is_dominant`,
+`stabilizer_roots` and `antidominant_rep` run on the integer shifted
+coordinates N = D (x + rho0), D the least common denominator of x and rho0,
+with each weight converted once per call.  A simple reflection permutes N
+with signs, so the orbit BFS applies it to the doubled point (N, -N) as one
+cached itemgetter and does no arithmetic; (anti-)dominance and stabilizers
+pair N with root_data's coroot table, and the anti-dominant representative
+sorts N window by window.  Points convert back to weights once, at the end.
+`reflect`, `dot` and root_data's `is_integral` still pair through the
+Fraction `bilinear`.  `antidominant_rep` and `stabilizer_roots` call
+`is_integral` first, so their refusals keep their types and messages.
+Moving the integrality test onto N waits on a leaner benchmark worker: the
+speed-up would otherwise read as a peak-memory regression there.
 
 Group structure has one integer index (`_Index`), cached per datum and
 list of Pi_0 indices, which the KL engine reads.  `length`,
@@ -47,6 +54,9 @@ from .root_data import EVEN, Root, RootDatum, _coroots, is_integral, pairing_cor
 from .weights import Weight
 
 SUBGROUP_CAP = 10080
+# parenthesised groups of signed integers, separated by spaces or commas
+_SIGNED = r"[+-]?[0-9]+"
+_CYCLES = re.compile(rf"(?:\(\s*(?:{_SIGNED}(?:(?:\s*,\s*|\s+){_SIGNED})*)?\s*\)\s*)+")
 KL_GROUP_CAP = 40320  # memory guard on |W| for a group index and its KL memos
 
 
@@ -123,10 +133,14 @@ class WeylElement:
 
     @staticmethod
     def from_cycles(text: str, dim: int) -> "WeylElement":
-        """Parse the `to_cycles` notation."""
+        """Parse the `to_cycles` notation: `e`, `1`, or parenthesised groups
+        of signed integers separated by spaces or commas; anything else is
+        refused."""
         text = text.strip()
         if text in ("", "e", "()", "1"):
             return WeylElement.identity(dim)
+        if not _CYCLES.fullmatch(text):
+            raise SuperlinkError(f"not a signed-cycle literal: {text!r}")
         images = list(range(1, dim + 1))
         touched: set[int] = set()
         for body in re.findall(r"\(([^()]*)\)", text):
@@ -266,15 +280,6 @@ def parabolic_positive_roots(datum: RootDatum, sub=None) -> tuple[Root, ...]:
     return tuple(out)
 
 
-def is_dominant(datum: RootDatum, lam: Weight) -> bool:
-    shifted = lam + datum.rho0
-    for alpha in datum.even_positive:
-        t = pairing_coroot(datum, shifted, alpha)
-        if t.denominator == 1 and t < 0:
-            return False
-    return True
-
-
 def _shifted(datum: RootDatum, lam: Weight) -> tuple[int, tuple[int, ...]]:
     """(D, N): D the least common denominator of lam and rho0, and the
     integer shifted coordinates N = D (lam + rho0)."""
@@ -321,6 +326,12 @@ def is_antidominant(datum: RootDatum, lam: Weight, sub=None) -> bool:
     return _antidominant_at(_parabolic_coroots(datum, chosen), D, n)
 
 
+def is_dominant(datum: RootDatum, lam: Weight) -> bool:
+    """No <lam + rho0, a^vee> is a negative integer: -N is anti-dominant."""
+    D, n = _shifted(datum, lam)
+    return _antidominant_at(_coroots(datum), D, [-v for v in n])
+
+
 def _runs(datum: RootDatum, sub: Sequence[Root]) -> list[tuple[str, list[int]]]:
     """Connected components of `sub`, as (kind, coordinate window) pairs.
 
@@ -350,30 +361,31 @@ def antidominant_rep(datum: RootDatum, lam: Weight, sub=None) -> tuple[Weight, W
     if not is_integral(datum, lam):
         raise UnsupportedInputError("anti-dominant representatives need an integral weight")
     sub = _resolve_sub(datum, sub)
-    mu = lam + datum.rho0
+    D, n = _shifted(datum, lam)
     images = list(range(1, datum.dim + 1))
+    rep = list(n)
     for kind, coords in _runs(datum, sub):
         if kind == "A":
-            ranked = sorted(coords, key=lambda i: (mu[i], i))
+            ranked = sorted(coords, key=lambda i: (n[i], i))
             for slot, src in zip(coords, ranked):
                 images[src] = slot + 1
+                rep[slot] = n[src]
         else:
-            ranked = sorted(coords, key=lambda i: (-abs(mu[i]), i))
+            ranked = sorted(coords, key=lambda i: (-abs(n[i]), i))
             for slot, src in zip(coords, ranked):
-                sign = -1 if mu[src] > 0 else 1
+                sign = -1 if n[src] > 0 else 1
                 images[src] = sign * (slot + 1)
-    w = WeylElement(tuple(images))
-    rep = w.apply(mu) - datum.rho0
-    return rep, w
+                rep[slot] = sign * n[src]
+    return _unshifted(datum, D, [rep])[0], WeylElement(tuple(images))
 
 
 def stabilizer_roots(datum: RootDatum, lam: Weight) -> tuple[Root, ...]:
     """Even positive roots whose reflections dot-fix the integral weight."""
     if not is_integral(datum, lam):
         raise UnsupportedInputError("stabilizer roots are computed for integral weights")
-    shifted = lam + datum.rho0
-    return tuple(a for a in datum.even_positive
-                 if pairing_coroot(datum, shifted, a) == 0)
+    _, n = _shifted(datum, lam)
+    return tuple(a for a, coroot in zip(datum.even_positive, _coroots(datum))
+                 if not sum(c * n[i] for i, c in coroot))
 
 
 def _sub_index(datum: RootDatum, sub) -> tuple["_Index", list[int]]:

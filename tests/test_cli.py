@@ -111,6 +111,34 @@ def test_klpoly(capsys):
     assert payload["coeffs"] == [1, 1]
 
 
+def test_klpoly_honours_configured_kl_cap(capsys, tmp_path, monkeypatch):
+    """A configured kl_cap replaces the built-in one both ways.  The built-in
+    cap is lowered to |S4| so that S5 (rank 4) stands in for a group above
+    it; no group above 40,320 is built."""
+    from superlink import kl
+    monkeypatch.setattr(kl, "KL_GROUP_CAP", 24)
+    argv = ["klpoly", "--type", "a", "--rank", "4", "--x", "e", "--w", "1,2,3,4"]
+    assert run(capsys, argv) == (3, "", "error: |W| = 120 exceeds the cap 24\n")
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("kl_cap=120\n")
+    assert run_json(capsys, [*argv, "--config", str(cfg)]) == {"coeffs": [1], "poly": "1"}
+    cfg.write_text("kl_cap=119\n")
+    assert run(capsys, [*argv, "--config", str(cfg)]) \
+        == (3, "", "error: |W| = 120 exceeds configured cap\n")
+    monkeypatch.undo()
+    code, out, err = run(capsys, ["klpoly", "--type", "c", "--rank", "8",
+                                  "--x", "e", "--w", "e"])
+    assert (code, out, err) == (3, "", "error: |W| = 10321920 exceeds the cap 40320\n")
+
+
+def test_dot_refuses_malformed_cycles(capsys):
+    argv = ["dot", "--family", "gl", "--m", "2", "--n", "1", "--weight=1,0,0"]
+    for w in ("garbage", "(1 2", "1 2)", "(1 2)x"):
+        code, out, err = run(capsys, [*argv, "--w", w])
+        assert (code, out, err) == (3, "", f"error: not a signed-cycle literal: {w!r}\n")
+    assert run_json(capsys, [*argv, "--w", "(1 2)"]) == {"result": "-1,2|0"}
+
+
 def test_mult_and_length(capsys):
     payload = run_json(capsys, ["mult", "--family", "reductive", "--factors", "A1",
                                 "--weight", "0,0", "--zeta", "all", "--length"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superlink import (CapExceededError, UnsupportedInputError, antidominant_rep,
+from superlink import (CapExceededError, SuperlinkError, UnsupportedInputError, antidominant_rep,
                        build_root_datum, dot, enumerate_subgroup, is_antidominant,
                        is_dominant, longest_element, orbit_dot, reduced_word, reflect,
                        reflection_element, stabilizer_roots, weyl_order)
@@ -133,6 +133,24 @@ def test_cycles_round_trip():
     assert WeylElement.from_cycles("e", 2).is_identity()
     assert WeylElement.from_cycles("(1 2)", 2).images == (2, 1)
     assert WeylElement.from_cycles("(1 -1)", 2).images == (-1, 2)
+    a2xc2 = build_root_datum("reductive", factors="A2xC2")
+    elements = enumerate_subgroup(a2xc2, a2xc2.simple_even)
+    assert len(elements) == weyl_order(a2xc2) == 48
+    for w in elements:
+        assert WeylElement.from_cycles(w.to_cycles(), a2xc2.dim) == w
+
+
+def test_cycles_grammar():
+    # the identity spellings, and groups separated by spaces or commas
+    for text in ("e", "", " ", "()", "1"):
+        assert WeylElement.from_cycles(text, 3).is_identity()
+    for text in ("(1 2)", "(1,2)", "( 1 , 2 )", "(+1 2)", "(1 2)()", " (1 2) "):
+        assert WeylElement.from_cycles(text, 3).images == (2, 1, 3)
+    assert WeylElement.from_cycles("(1 2) (3 -3)", 3).images == (2, 1, -3)
+    for text in ("garbage", "(1 2", "1 2)", "(1 2)x", "((1 2))", "(1,,2)",
+                 "(1 2,)", "(1_0 2)", "(a b)", "2"):
+        with pytest.raises(SuperlinkError, match="not a signed-cycle literal"):
+            WeylElement.from_cycles(text, 3)
 
 
 def test_validate_element(gl21, osp24):

@@ -1,7 +1,8 @@
 """Property test: the dot-orbit machinery on integer shifted coordinates
 agrees with its Fraction references (`weyl_reference`) and with the group
 itself, on every family, every parabolic subset and integral, fractional-coset
-and non-integral weights."""
+and non-integral weights.  The anti-dominant representative, the stabilizer
+roots and dominance are compared result for result, and refusal for refusal."""
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,8 +13,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 import weyl_reference as ref  # noqa: E402
-from superlink import (WhittakerCharacter, build_root_datum, dot,  # noqa: E402
-                       enumerate_subgroup, gamma_summation_set, is_antidominant, orbit_dot)
+from superlink import (SuperlinkError, WeylElement, WhittakerCharacter,  # noqa: E402
+                       antidominant_rep, build_root_datum, dot, enumerate_subgroup,
+                       gamma_summation_set, is_antidominant, is_dominant, orbit_dot,
+                       stabilizer_roots)
 from superlink.weights import Weight  # noqa: E402
 
 DATA = [("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}), ("osp2", {"n": 1}),
@@ -56,6 +59,14 @@ def weights(draw, datum):
     return Weight(coords)
 
 
+def _outcome(f, *args):
+    """f(*args), or the type and message of the SuperlinkError it raises."""
+    try:
+        return f(*args)
+    except SuperlinkError as exc:
+        return type(exc), str(exc)
+
+
 def _subsets(datum):
     simple = datum.simple_even
     return [sub for k in range(len(simple) + 1) for sub in combinations(simple, k)]
@@ -73,7 +84,16 @@ def test_orbit_machinery_matches_references(family, params, hypothesis_home):
     def agrees(lam):
         assert orbit_dot(datum, lam) == ref.orbit_dot(datum, lam)
         assert is_antidominant(datum, lam) == ref.is_antidominant(datum, lam)
+        assert is_dominant(datum, lam) == ref.is_dominant(datum, lam)
+        assert _outcome(stabilizer_roots, datum, lam) == _outcome(ref.stabilizer_roots, datum, lam)
+        identity = WeylElement.identity(datum.dim)
         for sub in subsets:
+            found = _outcome(antidominant_rep, datum, lam, sub)
+            assert found == _outcome(ref.antidominant_rep, datum, lam, sub)
+            if isinstance(found[1], WeylElement):
+                rep, w = found
+                assert dot(datum, w, lam) == rep
+                assert antidominant_rep(datum, rep, sub) == (rep, identity)
             orbit = orbit_dot(datum, lam, sub)
             assert orbit == ref.orbit_dot(datum, lam, sub)
             assert orbit == {dot(datum, w, lam) for w in groups[sub]}
