@@ -12,15 +12,12 @@ from .kl import (FiniteWeylGroup, KLPolynomial, MultTable, bruhat_leq,
 from .oracle import (LinkageGenerators, PartitionReport, WeightBox,
                      bfs_linkage_closure, kl_cross_check, partition_box,
                      verma_series_rank_small)
-from .root_data import (Root, RootDatum, bilinear, build_root_datum, is_integral,
-                        is_isotropic, pairing_coroot)
+from .root_data import Root, RootDatum, bilinear, build_root_datum, is_integral, pairing_coroot
 from .weights import Weight, format_weight, parse_weight
-from .weyl import (WeylElement, antidominant_rep, dot, enumerate_subgroup,
-                   is_antidominant, is_dominant, longest_element, orbit_dot,
-                   reduced_word, reflect, reflection_element, stabilizer_roots,
-                   weyl_order)
+from .weyl import (WeylElement, antidominant_rep, dot, is_antidominant, is_dominant,
+                   longest_element, orbit_dot, reduced_word, reflect, reflection_element,
+                   stabilizer_roots, weyl_order)
 from .whittaker import (SimpleWhittakerParam, WhittakerCharacter, classify_simple,
-                        dominant_partner, in_X, in_X0, is_nonsingular, upsilon_of,
-                        weyl_subgroup_of)
+                        dominant_partner, in_X, in_X0, upsilon_of)
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from fractions import Fraction
 from .errors import UnsupportedInputError
 from .root_data import RootDatum, is_integral
 from .weights import Weight, format_rational
-from .weyl import antidominant_rep, reflect
+from .weyl import antidominant_rep
 
 
 # the families whose labels _label computes on integer coordinates
@@ -194,25 +194,6 @@ def _label(datum: RootDatum, D: int, mu: list[int], q) -> tuple:
     return (1, q(a % D)) if a == b else (0, (q(a), q(b)))
 
 
-def chi_label_osp32(datum: RootDatum, lam: Weight) -> BlockLabel:
-    """Central-character label for osp(3|2) integral weights.
-
-    On lam + rho = (a, b): typical weights keep the ordered pair
-    (|a|, |b|); atypical ones (b = +-a) collapse to the line residue
-    |a| mod 1, since integer steps along the annihilating isotropic root
-    and sign flips sweep out the whole line.
-    """
-    if datum.family != "osp32":
-        raise UnsupportedInputError("chi labels in this form exist only for osp(3|2)")
-    return block_label(datum, lam)
-
-
-def linkage_reflection(datum: RootDatum, alpha, lam: Weight) -> Weight:
-    """The label-preserving W-move: dot action, except rho-shifted for osp(3|2)."""
-    shift = datum.rho if datum.family == "osp32" else datum.rho0
-    return reflect(datum, alpha, lam + shift) - shift
-
-
 def same_block(datum: RootDatum, lam: Weight, mu: Weight) -> LinkStatus:
     """Block-linkage decision between two integral weights.
 
@@ -233,8 +214,6 @@ def same_block(datum: RootDatum, lam: Weight, mu: Weight) -> LinkStatus:
         if not (in_X(datum, nu, lam) and in_X(datum, nu, mu)):
             raise UnsupportedInputError(
                 "osp(3|2) block membership is decided only inside the X(nu) grid")
-        equal = chi_label_osp32(datum, lam) == chi_label_osp32(datum, mu)
-        return LinkStatus.LINKED if equal else LinkStatus.NOT_LINKED
     equal = block_label(datum, lam) == block_label(datum, mu)
     if datum.family == "p":
         return LinkStatus.LINKED_SUFFICIENT_ONLY if equal else LinkStatus.NO_LINK_KNOWN

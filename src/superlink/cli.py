@@ -89,7 +89,7 @@ def _box_ranges(text: str) -> list[tuple[str, str]]:
 
 
 def _parse_box(datum: RootDatum, ranges: list[tuple[str, str]],
-               anchor_text: str | None = None, step=1) -> oracle_mod.WeightBox:
+               anchor_text: str | None = None) -> oracle_mod.WeightBox:
     anchor = (_default_anchor(datum) if anchor_text is None
               else datum.parse_weight(anchor_text).coords)
     if len(ranges) == 1:
@@ -97,8 +97,7 @@ def _parse_box(datum: RootDatum, ranges: list[tuple[str, str]],
     elif len(ranges) != datum.dim:
         raise SuperlinkError(f"box needs 1 or {datum.dim} ranges, got {len(ranges)}")
     return oracle_mod.WeightBox(tuple(rational(lo) for lo, _ in ranges),
-                                tuple(rational(hi) for _, hi in ranges),
-                                Fraction(step), anchor)
+                                tuple(rational(hi) for _, hi in ranges), anchor=anchor)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -293,9 +292,8 @@ def cmd_validate(args) -> int:
     box = _parse_box(datum, args.box, args.anchor)
     if box.count() > cfg["box_cap"]:
         raise SuperlinkError(f"box exceeds configured cap {cfg['box_cap']}")
-    gens = oracle_mod.default_generators(datum)
-    report = oracle_mod.partition_box(datum, box, gens, enlarge=not args.no_enlarge,
-                                      cap=cfg["box_cap"])
+    report = oracle_mod.partition_box(datum, box, oracle_mod.LinkageGenerators(),
+                                      enlarge=not args.no_enlarge, cap=cfg["box_cap"])
     payload = report.to_json(datum)
     payload["schema"] = SCHEMA_VERSION
     text = (f"{len(report.components)} components over "

@@ -33,4 +33,4 @@ class MissingTableEntryError(SuperlinkError):
 
 
 class CapExceededError(SuperlinkError):
-    """An enumeration (box, subgroup, Weyl group) exceeded its size cap."""
+    """An enumeration (box, Weyl group, cross-check group) exceeded its size cap."""

@@ -90,12 +90,6 @@ class KLPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def evaluate(self, value: int = 1) -> int:
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * value + c
-        return total
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -258,9 +252,6 @@ class FiniteWeylGroup:
                     f"word letter {i} out of range 0..{len(self.simple) - 1}")
             w = w.compose(self.reflections[int(i)])
         return w
-
-    def left_mult(self, i: int, w: WeylElement) -> WeylElement:
-        return self.reflections[i].compose(w)
 
     def longest(self) -> WeylElement:
         return WeylElement(self._index.images[-1])

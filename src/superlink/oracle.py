@@ -81,15 +81,6 @@ class WeightBox:
         return self.anchor if self.anchor is not None else tuple(
             Fraction(0) for _ in range(self.dim))
 
-    def contains(self, w: Weight) -> bool:
-        anchor = self._anchor()
-        for a, lo, hi, c in zip(anchor, self.lo, self.hi, w):
-            if not (lo <= c <= hi):
-                return False
-            if ((c - a) / self.step).denominator != 1:
-                return False
-        return True
-
     def count(self) -> int:
         total = 1
         anchor = self._anchor()
@@ -105,23 +96,6 @@ class WeightBox:
         count = self.count()
         if count > cap:
             raise CapExceededError(f"{name} holds {count} points, cap is {cap}")
-
-    def points(self):
-        if any(l > h for l, h in zip(self.lo, self.hi)):
-            return
-        self._check_cap()
-        anchor = self._anchor()
-        axes = []
-        for a, lo, hi in zip(anchor, self.lo, self.hi):
-            first = a + self.step * math.ceil((lo - a) / self.step)
-            vals = []
-            v = first
-            while v <= hi:
-                vals.append(v)
-                v += self.step
-            axes.append(vals)
-        for combo in itertools.product(*axes):
-            yield Weight(combo)
 
     def enlarged(self, pad: Fraction | int | None = None) -> "WeightBox":
         if pad is None:
@@ -208,7 +182,7 @@ class _Frame:
         self.lines = [(root, form, sum(f * rho_n[i] for i, f in form)) for root, form in lines]
 
     def points(self) -> list[tuple[int, ...]]:
-        """The box's points N, in WeightBox.points order."""
+        """The box's points N, in `itertools.product` order over the axes."""
         return list(itertools.product(*self.axes))
 
     def contains(self, n: tuple[int, ...]) -> bool:
@@ -253,14 +227,6 @@ def _frame(datum: RootDatum, box: WeightBox) -> _Frame:
 class LinkageGenerators:
     """The move set closing the family's linkage relation inside a box."""
 
-    reflection_moves: bool = True
-    isotropic_shifts: bool = True
-    p_shifts: bool = True
-
-    @staticmethod
-    def none() -> "LinkageGenerators":
-        return LinkageGenerators(False, False, False)
-
     def neighbors(self, datum: RootDatum, n: tuple[int, ...], frame: _Frame):
         """The images inside the frame's box of the box point N = n.
 
@@ -269,47 +235,41 @@ class LinkageGenerators:
         lo <= v <= hi and v lies on the anchor's lattice.
         """
         lo, hi, anchor, step = frame.lo, frame.hi, frame.anchor, frame.step
-        if self.reflection_moves:
-            for root, coroot, p in frame.reflections:
-                for i, c in coroot:
-                    p += c * n[i]
+        for root, coroot, p in frame.reflections:
+            for i, c in coroot:
+                p += c * n[i]
+            img = list(n)
+            for i, a in root:
+                v = n[i] - p * a
+                if not lo[i] <= v <= hi[i] or (v - anchor[i]) % step:
+                    break
+                img[i] = v
+            else:
+                yield tuple(img)
+        D = frame.D
+        for root, form, k in frame.lines:
+            for i, f in form:
+                k += f * n[i]
+            if k:
+                continue
+            for d in (D, -D):  # lam - c a for c = 1, 2, ..., then lam + c a
                 img = list(n)
-                for i, a in root:
-                    v = n[i] - p * a
-                    if not lo[i] <= v <= hi[i] or (v - anchor[i]) % step:
-                        break
-                    img[i] = v
-                else:
-                    yield tuple(img)
-        if self.isotropic_shifts:
-            D = frame.D
-            for root, form, k in frame.lines:
-                for i, f in form:
-                    k += f * n[i]
-                if k:
-                    continue
-                for d in (D, -D):  # lam - c a for c = 1, 2, ..., then lam + c a
-                    img = list(n)
-                    while True:  # until the first image leaving the box
-                        for i, a in root:
-                            v = img[i] - d * a
-                            if not lo[i] <= v <= hi[i] or (v - anchor[i]) % step:
-                                break
-                            img[i] = v
-                        else:
-                            yield tuple(img)
-                            continue
-                        break
-        if self.p_shifts and datum.family == "p":
-            d = 2 * frame.D
+                while True:  # until the first image leaving the box
+                    for i, a in root:
+                        v = img[i] - d * a
+                        if not lo[i] <= v <= hi[i] or (v - anchor[i]) % step:
+                            break
+                        img[i] = v
+                    else:
+                        yield tuple(img)
+                        continue
+                    break
+        if datum.family == "p":
+            d = 2 * D
             for k, x in enumerate(n):
                 for v in (x + d, x - d):
                     if lo[k] <= v <= hi[k] and not (v - anchor[k]) % step:
                         yield n[:k] + (v,) + n[k + 1:]
-
-
-def default_generators(datum: RootDatum) -> LinkageGenerators:
-    return LinkageGenerators()
 
 
 class _Component(list):

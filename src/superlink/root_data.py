@@ -111,15 +111,6 @@ def bilinear(datum: RootDatum, lam: Weight, mu: Weight) -> Fraction:
                Fraction(0))
 
 
-def is_isotropic_weight(datum: RootDatum, alpha: Weight) -> bool:
-    return bilinear(datum, alpha, alpha) == 0
-
-
-def is_isotropic(datum: RootDatum, alpha: Root | Weight) -> bool:
-    w = alpha.weight if isinstance(alpha, Root) else alpha
-    return is_isotropic_weight(datum, w)
-
-
 def pairing_coroot(datum: RootDatum, lam: Weight, alpha: Root | Weight) -> Fraction:
     """<lam, alpha^vee> with alpha^vee = 2 alpha / <alpha, alpha>."""
     w = alpha.weight if isinstance(alpha, Root) else alpha

@@ -21,8 +21,9 @@ _SEP = re.compile(r"[|;]")
 
 
 def rational(text: str) -> Fraction:
-    """Parse a `p` or `p/q` literal into an exact rational; a malformed
-    literal, a zero denominator included, raises ValueError.
+    """Parse a `p` or `p/q` literal, or any other form Fraction reads
+    (`0.5`, `1_0`, ` 1e1 `), into an exact rational; a malformed literal, a
+    zero denominator included, raises ValueError.
 
     >>> rational("-3/2")
     Fraction(-3, 2)
@@ -109,14 +110,6 @@ class Weight:
     def scale(self, c: Fraction | int) -> "Weight":
         c = Fraction(c)
         return Weight(c * a for a in self.coords)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def replace(self, i: int, value: Fraction) -> "Weight":
-        coords = list(self.coords)
-        coords[i] = Fraction(value)
-        return Weight(coords)
 
     def __repr__(self) -> str:
         return f"Weight({format_weight(self)!r})"

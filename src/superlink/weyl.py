@@ -53,7 +53,6 @@ from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
 from .root_data import EVEN, Root, RootDatum, _coroots, is_integral, pairing_coroot
 from .weights import Weight
 
-SUBGROUP_CAP = 10080
 # parenthesised groups of signed integers, separated by spaces or commas
 _SIGNED = r"[+-]?[0-9]+"
 _CYCLES = re.compile(rf"(?:\(\s*(?:{_SIGNED}(?:(?:\s*,\s*|\s+){_SIGNED})*)?\s*\)\s*)+")
@@ -78,9 +77,6 @@ class WeylElement:
     @property
     def dim(self) -> int:
         return len(self.images)
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.dim + 1))
 
     def apply(self, w: Weight) -> Weight:
         coords = [Fraction(0)] * self.dim
@@ -232,54 +228,6 @@ def _resolve_sub(datum: RootDatum, sub) -> tuple[Root, ...]:
     return sub
 
 
-@lru_cache(maxsize=None)
-def _simple_expansions(datum: RootDatum) -> dict[Weight, tuple[Fraction, ...]]:
-    """Expand every even positive root over Pi_0 (exact Gaussian elimination)."""
-    simples = [r.weight for r in datum.simple_even]
-    k = len(simples)
-    out: dict[Weight, tuple[Fraction, ...]] = {}
-    for root in datum.even_positive:
-        # solve sum_j x_j simples[j] = root
-        rows = [[simples[j][i] for j in range(k)] + [root.weight[i]]
-                for i in range(datum.dim)]
-        piv_cols: list[int] = []
-        r = 0
-        for c in range(k):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            rows[r] = [v / rows[r][c] for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            piv_cols.append(c)
-            r += 1
-        if any(all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in rows):
-            continue  # root outside the span of Pi_0 (cannot happen for these families)
-        coeffs = [Fraction(0)] * k
-        for idx, c in enumerate(piv_cols):
-            coeffs[c] = rows[idx][-1]
-        out[root.weight] = tuple(coeffs)
-    return out
-
-
-def parabolic_positive_roots(datum: RootDatum, sub=None) -> tuple[Root, ...]:
-    """Even positive roots lying in the span of the given simple subset."""
-    sub = _resolve_sub(datum, sub)
-    if len(sub) == len(datum.simple_even):
-        return datum.even_positive
-    chosen = {datum.simple_even.index(r) for r in sub}
-    expans = _simple_expansions(datum)
-    out = []
-    for root in datum.even_positive:
-        coeffs = expans[root.weight]
-        if all(c == 0 or j in chosen for j, c in enumerate(coeffs)):
-            out.append(root)
-    return tuple(out)
-
-
 def _shifted(datum: RootDatum, lam: Weight) -> tuple[int, tuple[int, ...]]:
     """(D, N): D the least common denominator of lam and rho0, and the
     integer shifted coordinates N = D (lam + rho0)."""
@@ -301,11 +249,18 @@ def _unshifted(datum: RootDatum, D: int, points) -> list[Weight]:
 @lru_cache(maxsize=None)
 def _parabolic_coroots(datum: RootDatum, chosen: tuple[int, ...]) -> tuple:
     """root_data's coroots of the parabolic positive roots of the simple
-    even roots with these indices."""
-    table = _coroots(datum)
-    sub = tuple(datum.simple_even[j] for j in chosen)
-    return tuple(table[datum.even_positive.index(a)]
-                 for a in parabolic_positive_roots(datum, sub))
+    even roots with these indices.
+
+    These are the even positive roots in the span of the chosen simple
+    roots (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.10):
+    in these families, the roots supported inside one `_runs` window, where
+    a type A window takes only the e_i - e_j.
+    """
+    windows = _runs(datum, [datum.simple_even[j] for j in chosen])
+    return tuple(coroot for root, coroot in zip(datum.even_positive, _coroots(datum))
+                 if any(all(i in coords for i, c in enumerate(root.weight) if c)
+                        and (kind == "C" or not sum(root.weight))
+                        for kind, coords in windows))
 
 
 def _antidominant_at(coroots, D: int, n) -> bool:
@@ -437,12 +392,11 @@ def reduced_word(datum: RootDatum, w: WeylElement, sub=None) -> list[Root]:
     return [datum.simple_even[i] for i in word]
 
 
-def _closure(seed, moves, cap=None) -> list[list]:
+def _closure(seed, moves) -> list[list]:
     """The BFS levels of seed's closure under moves.
 
     levels[k] lists, in discovery order, the points first reached after k
-    moves; moves(x) yields the neighbours of x.  Reaching a point beyond
-    the first cap raises CapExceededError.
+    moves; moves(x) yields the neighbours of x.
     """
     seen = {seed}
     levels = [[seed]]
@@ -451,8 +405,6 @@ def _closure(seed, moves, cap=None) -> list[list]:
         for x in levels[-1]:
             for y in moves(x):
                 if y not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise CapExceededError(f"closure exceeded cap {cap}")
                     seen.add(y)
                     nxt.append(y)
         if not nxt:
@@ -545,15 +497,6 @@ def _antidominant_points(datum: RootDatum, lam: Weight, sub) -> list[Weight]:
     D, points = _orbit_shifted(datum, lam, sub)
     coroots = _parabolic_coroots(datum, tuple(map(datum.simple_even.index, sub)))
     return sorted(_unshifted(datum, D, (x for x in points if _antidominant_at(coroots, D, x))))
-
-
-def enumerate_subgroup(datum: RootDatum, generators: Iterable[Root],
-                       cap: int = SUBGROUP_CAP) -> list[WeylElement]:
-    """All elements of the subgroup generated by the given reflections."""
-    gens = [reflection_element(datum, r) for r in generators]
-    levels = _closure(WeylElement.identity(datum.dim),
-                      lambda w: (g.compose(w) for g in gens), cap)
-    return sorted(chain.from_iterable(levels), key=lambda w: w.images)
 
 
 def weyl_order(datum: RootDatum, sub=None) -> int:

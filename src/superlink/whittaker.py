@@ -82,15 +82,6 @@ class SimpleWhittakerParam:
     witness: WeylElement = field(compare=False)
 
 
-def weyl_subgroup_of(datum: RootDatum, zeta: WhittakerCharacter) -> tuple[Root, ...]:
-    """The parabolic descriptor of W_zeta: the support itself."""
-    return zeta.support
-
-
-def is_nonsingular(datum: RootDatum, zeta: WhittakerCharacter) -> bool:
-    return set(zeta.support) == set(datum.simple_even)
-
-
 def classify_simple(datum: RootDatum, lam: Weight,
                     zeta: WhittakerCharacter) -> SimpleWhittakerParam:
     """Canonical (zeta, rep) data; constant exactly on W_zeta dot orbits."""

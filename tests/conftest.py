@@ -56,3 +56,13 @@ def red_a2():
 @pytest.fixture(scope="session")
 def red_c2():
     return build_root_datum("reductive", factors="C2")
+
+
+@pytest.fixture
+def hypothesis_home(tmp_path):
+    """Keep the constants cache hypothesis writes even without an example
+    database out of the working directory."""
+    from hypothesis.configuration import set_hypothesis_home_dir
+    set_hypothesis_home_dir(tmp_path)
+    yield
+    set_hypothesis_home_dir(None)

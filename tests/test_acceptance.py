@@ -9,17 +9,16 @@ from fractions import Fraction
 import pytest
 
 from superlink import (WhittakerCharacter, bilinear, block_label, build_root_datum,
-                       builtin_verma_table, classify_simple, dot,
-                       enumerate_subgroup, gamma_summation_set, in_X,
+                       builtin_verma_table, classify_simple, dot, gamma_summation_set, in_X,
                        is_antidominant, is_dominant, orbit_dot, stabilizer_roots,
                        verma_mult, weyl_order, whittaker_length, whittaker_mult)
-from superlink.blocks import chi_label_osp32
 from superlink.kl import FiniteWeylGroup, kl_polynomial
-from superlink.oracle import (WeightBox, default_generators, kl_cross_check,
+from superlink.oracle import (LinkageGenerators, WeightBox, kl_cross_check,
                               kl_via_inversion, partition_box)
 from superlink.weights import Weight
 from superlink.weyl import (WeylElement, antidominant_rep, longest_element,
                             reflection_element)
+from weyl_reference import enumerate_subgroup
 
 
 @contextmanager
@@ -63,7 +62,7 @@ def test_criterion_1_p_block_counts(capsys):
 
         # library-level cross-check of the same partitions
         p2 = build_root_datum("p", n=2)
-        report = partition_box(p2, WeightBox.cube(2, -6, 6), default_generators(p2))
+        report = partition_box(p2, WeightBox.cube(2, -6, 6), LinkageGenerators())
         assert report.sound and len(report.components) == 3
 
 
@@ -76,7 +75,7 @@ def test_criterion_2_gl_osp_label_soundness():
             (build_root_datum("osp2", n=1), WeightBox.cube(2, -5, 5)),
         ]
         for datum, box in cases:
-            report = partition_box(datum, box, default_generators(datum), enlarge=True)
+            report = partition_box(datum, box, LinkageGenerators(), enlarge=True)
             assert report.sound, report.soundness_failures
             for split in report.label_splits:
                 assert split["merged_after_enlargement"], split
@@ -100,13 +99,13 @@ def test_criterion_3_osp32_worked_example():
                 if expected and abs(a) == abs(b):
                     # inside X(nu) atypical means a == b
                     assert a == b
-                    assert chi_label_osp32(osp32, lam) \
-                        == chi_label_osp32(osp32, lam + step)
+                    assert block_label(osp32, lam) \
+                        == block_label(osp32, lam + step)
                     checked_atypical += 1
                 if a == b:
                     # the whole a == b line is stable under +delta+eps
-                    assert chi_label_osp32(osp32, lam) \
-                        == chi_label_osp32(osp32, lam + step)
+                    assert block_label(osp32, lam) \
+                        == block_label(osp32, lam + step)
         assert checked_atypical == 10
 
 

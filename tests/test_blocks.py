@@ -7,10 +7,11 @@ import pytest
 
 from superlink import (LinkStatus, SuperlinkError, Typicality, UnsupportedInputError,
                        block_label, build_root_datum, dot, same_block, typicality)
-from superlink.blocks import BlockLabel, chi_label_osp32, linkage_reflection
-from superlink.oracle import WeightBox, default_generators, partition_box
+from superlink.blocks import BlockLabel
+from superlink.oracle import LinkageGenerators, WeightBox, partition_box
 from superlink.root_data import bilinear, is_integral
 from superlink.weights import Weight
+from oracle_reference import box_points, linkage_reflection, p_shift
 from weyl_reference import dot_reflection
 
 
@@ -148,27 +149,27 @@ def test_osp32_chi_labels(osp32):
 
     half = Fraction(1, 2)
     # sign flip of the eps coordinate
-    assert chi_label_osp32(osp32, lam_of(-half, -3 * half)) \
-        == chi_label_osp32(osp32, lam_of(-half, 3 * half))
+    assert block_label(osp32, lam_of(-half, -3 * half)) \
+        == block_label(osp32, lam_of(-half, 3 * half))
     # the atypical line collapses
-    assert chi_label_osp32(osp32, lam_of(-half, -half)) \
-        == chi_label_osp32(osp32, lam_of(-3 * half, -3 * half))
+    assert block_label(osp32, lam_of(-half, -half)) \
+        == block_label(osp32, lam_of(-3 * half, -3 * half))
     # distinct typical lines stay distinct
-    assert chi_label_osp32(osp32, lam_of(-half, -3 * half)) \
-        != chi_label_osp32(osp32, lam_of(-3 * half, -5 * half))
+    assert block_label(osp32, lam_of(-half, -3 * half)) \
+        != block_label(osp32, lam_of(-3 * half, -5 * half))
     # the two coordinates are never swapped by W
-    assert chi_label_osp32(osp32, lam_of(half, 3 * half)) \
-        != chi_label_osp32(osp32, lam_of(3 * half, half))
+    assert block_label(osp32, lam_of(half, 3 * half)) \
+        != block_label(osp32, lam_of(3 * half, half))
 
 
 def test_osp32_label_matches_generated_relation(osp32):
     """Exhaustive check: label equality == reachability under the
     rho-shifted W moves and integer isotropic shifts, inside a box."""
-    from superlink.oracle import WeightBox, bfs_linkage_closure, default_generators
+    from superlink.oracle import WeightBox, bfs_linkage_closure
     box = WeightBox((Fraction(-4), Fraction(-4)), (Fraction(4), Fraction(4)),
                     Fraction(1), (Fraction(0), Fraction(-1, 2)))
-    gens = default_generators(osp32)
-    points = list(box.points())
+    gens = LinkageGenerators()
+    points = box_points(box)
     comp = {}
     for seed in points:
         if seed not in comp:
@@ -177,7 +178,7 @@ def test_osp32_label_matches_generated_relation(osp32):
     for lam in points:
         for mu in points:
             if comp[lam] == comp[mu]:
-                assert chi_label_osp32(osp32, lam) == chi_label_osp32(osp32, mu)
+                assert block_label(osp32, lam) == block_label(osp32, mu)
 
 
 def test_label_invariance_under_family_moves():
@@ -205,14 +206,14 @@ def test_label_invariance_under_family_moves():
             if datum.family == "p":
                 for k in range(datum.dim):
                     for step in (2, -2):
-                        assert block_label(datum, lam.replace(k, lam[k] + step)) == base
+                        assert block_label(datum, p_shift(lam, k, step)) == base
                 # same invariance on a fractional common coset
                 shifted = lam + Weight([Fraction(1, 3)] * datum.dim)
                 base_shifted = block_label(datum, shifted)
                 for alpha in datum.simple_even:
                     moved = linkage_reflection(datum, alpha, shifted)
                     assert block_label(datum, moved) == base_shifted
-                assert block_label(datum, shifted.replace(0, shifted[0] + 2)) \
+                assert block_label(datum, p_shift(shifted, 0, 2)) \
                     == base_shifted
 
 
@@ -335,19 +336,19 @@ def _integral_weight(rng, datum, coset):
         coords[0] = rng.choice([0, Fraction(1, 2), Fraction(-1, 3)]) + rng.randrange(-4, 5)
     if datum.family == "osp32":  # d integral, e in (1/2) Z
         coords[1] = Fraction(rng.randrange(-9, 10), 2)
-    lam = Weight(coords)
     # a third of the weights atypical, where the family has atypicality
     if datum.family in ("gl", "osp2", "osp32") and rng.random() < 0.35:
-        mu = (lam + datum.rho).coords
+        mu = (Weight(coords) + datum.rho).coords
         if datum.family == "gl":
             m = datum.params[0]
             i, j = rng.randrange(m), rng.randrange(m, datum.dim)
-            lam = lam.replace(j, -mu[i] - datum.rho[j])
+            coords[j] = -mu[i] - datum.rho[j]
         elif datum.family == "osp2":
             i = rng.randrange(1, datum.dim)
-            lam = lam.replace(0, rng.choice([1, -1]) * mu[i] - datum.rho[0])
+            coords[0] = rng.choice([1, -1]) * mu[i] - datum.rho[0]
         else:
-            lam = lam.replace(1, rng.choice([1, -1]) * mu[0] - datum.rho[1])
+            coords[1] = rng.choice([1, -1]) * mu[0] - datum.rho[1]
+    lam = Weight(coords)
     assert is_integral(datum, lam)
     return lam
 
@@ -391,7 +392,7 @@ def test_label_refusals_match_fraction_reference(family, params, cosets):
 def test_partition_labels_match_fraction_reference(family, params, cosets):
     datum = build_root_datum(family, **params)
     rng = random.Random(f"partition:{family}:{sorted(params.items())}")
-    gens = default_generators(datum)
+    gens = LinkageGenerators()
     boxes = []
     for coset in cosets:
         anchor = _integral_weight(rng, datum, coset).coords  # an integral lattice
@@ -407,7 +408,7 @@ def test_partition_labels_match_fraction_reference(family, params, cosets):
     # refusals: a lattice off the integral weights
     off = WeightBox(box.lo, box.hi, Fraction(1), box.anchor[:-1] + (Fraction(1, 5),))
     with pytest.raises(SuperlinkError) as expected:
-        _reference_label(datum, next(off.points()))
+        _reference_label(datum, box_points(off)[0])
     with pytest.raises(SuperlinkError) as got:
         partition_box(datum, off, gens)
     assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))

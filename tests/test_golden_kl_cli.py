@@ -27,7 +27,7 @@ import pytest
 from superlink import (WhittakerCharacter, antidominant_rep, build_root_datum,
                        dominant_partner, is_integral, orbit_dot, upsilon_of)
 from superlink.cli import main
-from superlink.oracle import WeightBox, bfs_linkage_closure, default_generators
+from superlink.oracle import LinkageGenerators, WeightBox, bfs_linkage_closure
 from superlink.weights import Weight, format_weight, rational
 from superlink.weyl import WeylElement
 
@@ -403,7 +403,7 @@ def _linked_pair(rng, datum, draw, anchor=None):
     box = WeightBox(box.lo, box.hi, box.step, anchor)
     for _ in range(30):
         lam = draw()
-        others = [w for w in bfs_linkage_closure(datum, lam, box, default_generators(datum))
+        others = [w for w in bfs_linkage_closure(datum, lam, box, LinkageGenerators())
                   if w != lam]
         if others:
             return lam, rng.choice(others)
@@ -624,6 +624,20 @@ WEYL_REFUSALS = [
 ]
 
 
+# literal forms the grammar accepts beyond `p/q`: the decimal, digit-group
+# and exponent forms Fraction reads, and the `--zeta` spellings 0, full
+# and the empty string
+LITERAL_FORMS = [
+    ["dot", "--family", "gl", "--m", "2", "--n", "1", "--w", "(1 2)", "--weight=0.5,-1/2|0"],
+    ["dot", "--family", "gl", "--m", "2", "--n", "1", "--w", "(1 2)", "--weight=1_0,0|0"],
+    ["dot", "--family", "gl", "--m", "2", "--n", "1", "--w", "(1 2)", "--weight= 1e1 ,0|0"],
+    ["classify", "--family", "reductive", "--factors", "A2", "--zeta", "0", "--weight=2,0,1"],
+    ["classify", "--family", "reductive", "--factors", "A2", "--zeta", "full",
+     "--weight=2,0,1"],
+    ["classify", "--family", "reductive", "--factors", "A2", "--zeta", "", "--weight=2,0,1"],
+    ["antidom", "--family", "osp2", "--n", "2", "--weight=0.5;1e1,1_0", "--zeta", "full"],
+]
+
 WEYL_COMMANDS = ("root-data", "dot", "antidom", "stab", "classify", "upsilon", "in-x")
 
 
@@ -637,7 +651,7 @@ def _weyl_cases(rng):
         for argv in (datum_cases[-1], next(a for a in datum_cases if a[0] == command)):
             argv += ["--format", "text"]
         cases += datum_cases
-    return cases + WEYL_REFUSALS
+    return cases + WEYL_REFUSALS + LITERAL_FORMS
 
 
 def _argvs(name):

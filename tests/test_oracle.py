@@ -1,6 +1,5 @@
 import dataclasses
 import inspect
-import itertools
 import random
 from fractions import Fraction
 
@@ -10,27 +9,29 @@ from superlink import (CapExceededError, SuperlinkError, UnsupportedInputError,
                        block_label, build_root_datum, dot, verma_mult,
                        verma_series_rank_small)
 from superlink import oracle
-from superlink.blocks import linkage_reflection
 from superlink.kl import FiniteWeylGroup, kl_polynomial
 from superlink.oracle import (BOX_CAP, LinkageGenerators, WeightBox, _frame,
-                              bfs_linkage_closure, default_generators, kl_cross_check,
-                              kl_via_inversion, partition_box)
+                              bfs_linkage_closure, kl_cross_check, kl_via_inversion,
+                              partition_box)
 from superlink.root_data import bilinear, is_integral
 from superlink.weights import Weight
 from superlink.weyl import antidominant_rep, reflection_element
 
-from oracle_reference import partition_json
+from oracle_reference import (box_contains, box_points, linkage_reflection, p_shift,
+                              partition_json)
 
 
-def test_box_points_and_contains():
+def test_box_points_and_contains(p2):
     box = WeightBox.cube(2, -2, 2)
-    pts = list(box.points())
+    pts = box_points(box)
     assert len(pts) == 25 == box.count()
-    assert box.contains(Weight([0, -2]))
-    assert not box.contains(Weight([0, 3]))
-    assert not box.contains(Weight([0, Fraction(1, 2)]))  # off the lattice
+    frame = _frame(p2, box)
+    assert frame.points() == [frame.lattice(w) for w in pts]
+    assert box_contains(box, Weight([0, -2]))
+    assert not box_contains(box, Weight([0, 3]))
+    assert not box_contains(box, Weight([0, Fraction(1, 2)]))  # off the lattice
     anchored = WeightBox((Fraction(-1),), (Fraction(1),), Fraction(1), (Fraction(1, 2),))
-    assert [w.coords[0] for w in anchored.points()] == [Fraction(-1, 2), Fraction(1, 2)]
+    assert [w.coords[0] for w in box_points(anchored)] == [Fraction(-1, 2), Fraction(1, 2)]
 
 
 def test_box_refuses_nonpositive_step():
@@ -82,33 +83,29 @@ def test_coroots_computed_once_per_datum(gl22, monkeypatch):
 def test_box_cap():
     box = WeightBox.cube(4, -100, 100)
     with pytest.raises(CapExceededError):
-        list(box.points())
-
-
-def test_bfs_trivial_generators(p2):
-    box = WeightBox.cube(2, -3, 3)
-    assert bfs_linkage_closure(p2, Weight([1, 1]), box, LinkageGenerators.none()) \
-        == [Weight([1, 1])]
+        box._check_cap()
+    with pytest.raises(CapExceededError):
+        box_points(box)
 
 
 def test_bfs_p2_component(p2):
     box = WeightBox.cube(2, -4, 4)
-    comp = bfs_linkage_closure(p2, Weight([0, 0]), box, default_generators(p2))
-    expected = [w for w in box.points()
+    comp = bfs_linkage_closure(p2, Weight([0, 0]), box, LinkageGenerators())
+    expected = [w for w in box_points(box)
                 if block_label(p2, w).payload[0] == 1]
     assert comp == sorted(expected)
 
 
 def test_bfs_reductive_a1_dot_orbit(red_a1):
     box = WeightBox.cube(2, -4, 4)
-    comp = bfs_linkage_closure(red_a1, Weight([0, 0]), box, default_generators(red_a1))
+    comp = bfs_linkage_closure(red_a1, Weight([0, 0]), box, LinkageGenerators())
     assert comp == sorted([Weight([0, 0]), Weight([-1, 1])])
 
 
 def test_bfs_monotone_under_enlargement(gl21):
     small = WeightBox.cube(3, -2, 2)
     big = small.enlarged(2)
-    gens = default_generators(gl21)
+    gens = LinkageGenerators()
     for seed in [Weight([0, 0, 0]), Weight([1, -1, 0])]:
         comp_small = set(bfs_linkage_closure(gl21, seed, small, gens))
         comp_big = set(bfs_linkage_closure(gl21, seed, big, gens))
@@ -118,20 +115,19 @@ def test_bfs_monotone_under_enlargement(gl21):
 def test_bfs_seed_outside_box(p2):
     with pytest.raises(UnsupportedInputError):
         bfs_linkage_closure(p2, Weight([9, 9]), WeightBox.cube(2, -1, 1),
-                            default_generators(p2))
+                            LinkageGenerators())
 
 
 # -- the integer frame against the Fraction moves it replaced -----------------
 
-def _reference_neighbors(gens, datum, lam, box):
+def _reference_neighbors(datum, lam, box):
     """The box moves in Fraction arithmetic, as the oracle computed them
     before it moved to integer coordinates."""
-    if gens.reflection_moves:
-        for alpha in datum.simple_even:
-            img = linkage_reflection(datum, alpha, lam)
-            if box.contains(img):
-                yield img
-    if gens.isotropic_shifts and datum.isotropic_roots:
+    for alpha in datum.simple_even:
+        img = linkage_reflection(datum, alpha, lam)
+        if box_contains(box, img):
+            yield img
+    if datum.isotropic_roots:
         shifted = lam + datum.rho
         seen_lines = set()
         for root in datum.isotropic_roots:
@@ -146,22 +142,22 @@ def _reference_neighbors(gens, datum, lam, box):
                 c = 1
                 while True:
                     img = lam - direction.scale(c)
-                    if not box.contains(img):
+                    if not box_contains(box, img):
                         break
                     yield img
                     c += 1
-    if gens.p_shifts and datum.family == "p":
+    if datum.family == "p":
         for k in range(datum.dim):
             for sign in (2, -2):
-                img = lam.replace(k, lam[k] + sign)
-                if box.contains(img):
+                img = p_shift(lam, k, sign)
+                if box_contains(box, img):
                     yield img
 
 
-def _reference_closure(datum, seed, box, gens):
+def _reference_closure(datum, seed, box):
     seen, todo = {seed}, [seed]
     while todo:
-        for w in _reference_neighbors(gens, datum, todo.pop(), box):
+        for w in _reference_neighbors(datum, todo.pop(), box):
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
@@ -171,8 +167,6 @@ def _reference_closure(datum, seed, box, gens):
 FRAME_DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 1}), ("osp2", {"n": 1}),
               ("osp2", {"n": 2}), ("p", {"n": 2}), ("p", {"n": 3}), ("osp32", {}),
               ("reductive", {"factors": "A2"}), ("reductive", {"factors": "A1xC1"})]
-FRAME_GENS = [LinkageGenerators(), LinkageGenerators(True, False, True),
-              LinkageGenerators(False, True, True)]
 
 
 def _random_boxes(rng, dim, count=8):
@@ -195,18 +189,18 @@ def _random_boxes(rng, dim, count=8):
 def test_frame_moves_match_fraction_moves(family, params):
     datum = build_root_datum(family, **params)
     rng = random.Random(f"frame:{family}:{sorted(params.items())}")
+    gens = LinkageGenerators()
     for box in _random_boxes(rng, datum.dim):
         frame = _frame(datum, box)
-        gens = rng.choice(FRAME_GENS)
         reference = {}  # every move is reversible, so closures partition the box
-        for w in box.points():
+        for w in box_points(box):
             n = frame.lattice(w)
             assert frame.integral(n) == is_integral(datum, w)
             # the same images in the same order: the BFS edge count is unchanged
             assert [frame.weight(x) for x in gens.neighbors(datum, n, frame)] \
-                == list(_reference_neighbors(gens, datum, w, box))
+                == list(_reference_neighbors(datum, w, box))
             if w not in reference:
-                comp = _reference_closure(datum, w, box, gens)
+                comp = _reference_closure(datum, w, box)
                 reference.update(dict.fromkeys(comp, comp))
             assert bfs_linkage_closure(datum, w, box, gens) == reference[w]
 
@@ -216,12 +210,13 @@ def test_frame_moves_match_on_coarse_lattices(family, params):
     """Box steps 3 and 3/2 divide neither the p(n) shift 2 nor most moves,
     so the images of every kind of move need the box's lattice test."""
     datum = build_root_datum(family, **params)
+    gens = LinkageGenerators()
     for lo, hi, step in ((-6, 6, 3), (-3, 3, Fraction(3, 2))):
         box = WeightBox.cube(datum.dim, lo, hi, step)
         frame = _frame(datum, box)
-        for gens, w in itertools.product(FRAME_GENS, box.points()):
+        for w in box_points(box):
             assert [frame.weight(x) for x in gens.neighbors(datum, frame.lattice(w), frame)] \
-                == list(_reference_neighbors(gens, datum, w, box))
+                == list(_reference_neighbors(datum, w, box))
 
 
 def test_frame_refuses_fractional_roots(p2):
@@ -230,7 +225,7 @@ def test_frame_refuses_fractional_roots(p2):
     datum = dataclasses.replace(p2, simple_even=(halved,))
     with pytest.raises(UnsupportedInputError, match="integer roots and coroots"):
         bfs_linkage_closure(datum, Weight([0, 0]), WeightBox.cube(2, -1, 1),
-                            default_generators(datum))
+                            LinkageGenerators())
 
 
 def test_partition_refusals_keep_type_and_message(p2, gl21, red_a2):
@@ -240,9 +235,9 @@ def test_partition_refusals_keep_type_and_message(p2, gl21, red_a2):
         box = WeightBox.cube(datum.dim, -2, 2)
         box = WeightBox(box.lo, box.hi, box.step, anchor)
         with pytest.raises(SuperlinkError) as expected:
-            block_label(datum, next(box.points()))
+            block_label(datum, box_points(box)[0])
         with pytest.raises(SuperlinkError) as got:
-            partition_box(datum, box, default_generators(datum))
+            partition_box(datum, box, LinkageGenerators())
         assert (type(got.value), str(got.value)) \
             == (type(expected.value), str(expected.value))
     big = WeightBox.cube(4, -100, 100)
@@ -254,10 +249,10 @@ def test_partition_refusals_keep_type_and_message(p2, gl21, red_a2):
 def test_partition_box_takes_a_cap(p2):
     box = WeightBox.cube(2, -2, 2)  # 25 points
     with pytest.raises(CapExceededError) as got:
-        partition_box(p2, box, default_generators(p2), cap=24)
+        partition_box(p2, box, LinkageGenerators(), cap=24)
     assert str(got.value) == "box holds 25 points, cap is 24"
-    assert partition_box(p2, box, default_generators(p2), cap=25).to_json(p2) \
-        == partition_box(p2, box, default_generators(p2)).to_json(p2)
+    assert partition_box(p2, box, LinkageGenerators(), cap=25).to_json(p2) \
+        == partition_box(p2, box, LinkageGenerators()).to_json(p2)
 
 
 def test_enlargement_pass_takes_the_cap(osp24, monkeypatch):
@@ -267,7 +262,7 @@ def test_enlargement_pass_takes_the_cap(osp24, monkeypatch):
     box = WeightBox((Fraction(0), Fraction(-1), Fraction(-3)),
                     (Fraction(3), Fraction(2), Fraction(0)))  # 64 points
     big = box.enlarged()
-    gens = default_generators(osp24)
+    gens = LinkageGenerators()
     closed = []
     real = oracle.bfs_linkage_closure
     monkeypatch.setattr(oracle, "bfs_linkage_closure",
@@ -292,7 +287,7 @@ def test_partition_closes_components_through_the_public_bfs(osp24, monkeypatch):
                         lambda datum, seed, b, g: calls.append(b) or real(datum, seed, b, g))
     box = WeightBox((Fraction(1), Fraction(-6), Fraction(0)),
                     (Fraction(1), Fraction(6), Fraction(0)))
-    gens = default_generators(osp24)
+    gens = LinkageGenerators()
     report = partition_box(osp24, box, gens, enlarge=False)
     assert calls == [box] * len(report.components)
     calls.clear()
@@ -336,7 +331,7 @@ def test_partition_matches_point_by_point_reference():
         rng = random.Random(f"partition:{family}:{sorted(params.items())}")
         proven = False
         for box in _partition_boxes(rng, datum.dim, 30):
-            gens, enlarge = rng.choice(FRAME_GENS), rng.random() < 0.7
+            gens, enlarge = LinkageGenerators(), rng.random() < 0.7
             try:
                 expected = partition_json(datum, box, gens, enlarge)
             except SuperlinkError as refusal:
@@ -380,14 +375,14 @@ def test_box_wide_integrality_proof(family, params):
 
 
 def test_partition_p2(p2):
-    report = partition_box(p2, WeightBox.cube(2, -6, 6), default_generators(p2))
+    report = partition_box(p2, WeightBox.cube(2, -6, 6), LinkageGenerators())
     assert report.sound
     assert len(report.components) == 3
     assert sorted(l.payload[0] for l in report.component_labels) == [0, 1, 2]
 
 
 def test_partition_gl11(gl11):
-    report = partition_box(gl11, WeightBox.cube(2, -5, 5), default_generators(gl11))
+    report = partition_box(gl11, WeightBox.cube(2, -5, 5), LinkageGenerators())
     assert report.sound
     sizes = sorted(len(c) for c in report.components)
     # the atypical anti-diagonal forms one 11-point component; typical
@@ -399,7 +394,7 @@ def test_partition_gl11(gl11):
 
 def test_partition_reductive_a2_components_are_orbits(red_a2):
     box = WeightBox.cube(3, -2, 2)
-    report = partition_box(red_a2, box, default_generators(red_a2))
+    report = partition_box(red_a2, box, LinkageGenerators())
     assert report.sound
     for comp in report.components:
         rep, _ = antidominant_rep(red_a2, comp[0])
@@ -412,7 +407,7 @@ def test_partition_slab_splits_merge_after_enlargement(osp24):
     enlargement pass must reconnect every label split."""
     box = WeightBox((Fraction(1), Fraction(-6), Fraction(0)),
                     (Fraction(1), Fraction(6), Fraction(0)))
-    report = partition_box(osp24, box, default_generators(osp24), enlarge=True)
+    report = partition_box(osp24, box, LinkageGenerators(), enlarge=True)
     assert report.sound
     assert report.label_splits  # the slab genuinely splits labels
     assert all(s["merged_after_enlargement"] for s in report.label_splits)
@@ -420,7 +415,7 @@ def test_partition_slab_splits_merge_after_enlargement(osp24):
 
 def test_report_json_round_trip(p2):
     import json
-    report = partition_box(p2, WeightBox.cube(2, -3, 3), default_generators(p2))
+    report = partition_box(p2, WeightBox.cube(2, -3, 3), LinkageGenerators())
     payload = json.loads(json.dumps(report.to_json(p2)))
     assert payload["sound"] is True
     for comp in payload["components"]:

@@ -4,20 +4,10 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from superlink import (build_root_datum, builtin_verma_table, pairing_coroot,  # noqa: E402
                        verma_series_rank_small)
 from superlink.weights import Weight  # noqa: E402
-
-
-@pytest.fixture
-def hypothesis_home(tmp_path):
-    """Keep the constants cache hypothesis writes even without an example
-    database out of the working directory."""
-    set_hypothesis_home_dir(tmp_path)
-    yield
-    set_hypothesis_home_dir(None)
 
 
 @pytest.mark.parametrize("factors", ["A1", "A2", "C2", "A1xA1", "A1xC1"])

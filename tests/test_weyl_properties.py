@@ -10,13 +10,11 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 import weyl_reference as ref  # noqa: E402
 from superlink import (SuperlinkError, WeylElement, WhittakerCharacter,  # noqa: E402
-                       antidominant_rep, build_root_datum, dot, enumerate_subgroup,
-                       gamma_summation_set, is_antidominant, is_dominant, orbit_dot,
-                       stabilizer_roots)
+                       antidominant_rep, build_root_datum, dot, gamma_summation_set,
+                       is_antidominant, is_dominant, orbit_dot, stabilizer_roots)
 from superlink.weights import Weight  # noqa: E402
 
 DATA = [("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}), ("osp2", {"n": 1}),
@@ -24,15 +22,6 @@ DATA = [("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}), ("osp2", {"n": 1}),
         ("reductive", {"factors": "A2"}), ("reductive", {"factors": "C2"}),
         ("reductive", {"factors": "A1xC2"})]
 COSETS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-1, 4))
-
-
-@pytest.fixture
-def hypothesis_home(tmp_path):
-    """Keep the constants cache hypothesis writes even without an example
-    database out of the working directory."""
-    set_hypothesis_home_dir(tmp_path)
-    yield
-    set_hypothesis_home_dir(None)
 
 
 @st.composite
@@ -77,7 +66,7 @@ def _subsets(datum):
 def test_orbit_machinery_matches_references(family, params, hypothesis_home):
     datum = build_root_datum(family, **params)
     subsets = _subsets(datum)
-    groups = {sub: enumerate_subgroup(datum, sub) for sub in subsets}
+    groups = {sub: ref.enumerate_subgroup(datum, sub) for sub in subsets}
 
     @settings(database=None, derandomize=True, max_examples=25, deadline=None)
     @given(weights(datum))

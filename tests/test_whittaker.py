@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superlink import (UnsupportedInputError, WhittakerCharacter, classify_simple,
-                       dominant_partner, dot, in_X, in_X0, is_nonsingular,
-                       orbit_dot, upsilon_of, weyl_subgroup_of)
+                       dominant_partner, dot, in_X, in_X0, orbit_dot, upsilon_of)
 from superlink.weights import Weight
 
 
@@ -22,18 +21,10 @@ def test_support_validation(p2):
     assert z.values[0][1] == Fraction(2, 3)
 
 
-def test_weyl_subgroup_of(p2, gl22):
-    assert weyl_subgroup_of(p2, zeta(p2, "none")) == ()
-    assert weyl_subgroup_of(p2, zeta(p2, "all")) == p2.simple_even
-    z = zeta(gl22, "1")
-    assert weyl_subgroup_of(gl22, z) == (gl22.simple_even[0],)
-
-
-def test_is_nonsingular(p2, gl11):
-    assert is_nonsingular(p2, zeta(p2, "all"))
-    assert not is_nonsingular(p2, zeta(p2, "none"))
-    # gl(1|1) has empty Pi_0, so the zero character is non-singular
-    assert is_nonsingular(gl11, zeta(gl11, "none"))
+def test_support_from_indices(p2, gl22):
+    assert zeta(p2, "none").support == ()
+    assert zeta(p2, "all").support == p2.simple_even
+    assert zeta(gl22, "1").support == (gl22.simple_even[0],)
 
 
 def test_classify_simple_examples(p2, gl21):

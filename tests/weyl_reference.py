@@ -4,11 +4,69 @@ These are the straightforward forms `superlink.weyl` replaced with integer
 shifted coordinates: the dot reflection through `reflect`, the orbit as a
 BFS closure of dot reflections, (anti-)dominance, stabilizer roots and the
 anti-dominant representative through `pairing_coroot` on lam + rho0, and the
-gamma summation set as the anti-dominant points of that orbit.  Tests
-compare the library against them.
+gamma summation set as the anti-dominant points of that orbit.  The
+parabolic positive roots come from expanding every even positive root over
+Pi_0 by Gaussian elimination, where the library reads them off the
+`_runs` windows, and a subgroup's elements from a BFS closure of its
+reflection elements.  Tests compare the library against them.
 """
-from superlink import UnsupportedInputError, WeylElement, is_integral, pairing_coroot, reflect
-from superlink.weyl import _closure, _resolve_sub, _runs, parabolic_positive_roots
+from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+
+from superlink import (UnsupportedInputError, WeylElement, is_integral, pairing_coroot,
+                       reflect, reflection_element)
+from superlink.weyl import _closure, _resolve_sub, _runs
+
+
+@lru_cache(maxsize=None)
+def simple_expansions(datum):
+    """Expand every even positive root over Pi_0 (exact Gaussian elimination)."""
+    simples = [r.weight for r in datum.simple_even]
+    k = len(simples)
+    out = {}
+    for root in datum.even_positive:
+        # solve sum_j x_j simples[j] = root
+        rows = [[simples[j][i] for j in range(k)] + [root.weight[i]]
+                for i in range(datum.dim)]
+        piv_cols = []
+        r = 0
+        for c in range(k):
+            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            rows[r] = [v / rows[r][c] for v in rows[r]]
+            for i in range(len(rows)):
+                if i != r and rows[i][c] != 0:
+                    f = rows[i][c]
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            piv_cols.append(c)
+            r += 1
+        if any(all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in rows):
+            continue  # root outside the span of Pi_0 (cannot happen for these families)
+        coeffs = [Fraction(0)] * k
+        for idx, c in enumerate(piv_cols):
+            coeffs[c] = rows[idx][-1]
+        out[root.weight] = tuple(coeffs)
+    return out
+
+
+def parabolic_positive_roots(datum, sub=None):
+    """Even positive roots lying in the span of the given simple subset."""
+    sub = _resolve_sub(datum, sub)
+    chosen = {datum.simple_even.index(r) for r in sub}
+    expansions = simple_expansions(datum)
+    return tuple(root for root in datum.even_positive
+                 if all(c == 0 or j in chosen for j, c in enumerate(expansions[root.weight])))
+
+
+def enumerate_subgroup(datum, generators):
+    """All elements of the subgroup generated by the given reflections,
+    sorted by images."""
+    gens = [reflection_element(datum, r) for r in generators]
+    levels = _closure(WeylElement.identity(datum.dim), lambda w: (g.compose(w) for g in gens))
+    return sorted(chain.from_iterable(levels), key=lambda w: w.images)
 
 
 def dot_reflection(datum, alpha, lam):
