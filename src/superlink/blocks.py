@@ -34,13 +34,12 @@ oracle also uses to label a whole box on its integer lattice.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import UnsupportedInputError
-from .root_data import RootDatum, is_integral
+from .root_data import RootDatum, _integer_frame, is_integral
 from .weights import Weight, format_rational
 from .weyl import antidominant_rep
 
@@ -142,9 +141,11 @@ def _cancel(a_vals, b_vals):
     return (tuple(sorted(surv_a)), tuple(sorted(surv_b)), len(a_vals) - len(surv_a))
 
 
-def _label_shift(datum: RootDatum) -> Weight:
-    """What the label body adds to lam: rho, or rho0 for p(n)."""
-    return datum.rho0 if datum.family == "p" else datum.rho
+def _label_shift(datum: RootDatum) -> tuple[int, ...]:
+    """What the label body adds to lam, scaled by the denominator D of
+    root_data's frame: D rho, or D rho0 for p(n)."""
+    frame = _integer_frame(datum)
+    return frame.rho0 if datum.family == "p" else frame.rho
 
 
 def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
@@ -156,19 +157,17 @@ def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
     if datum.family not in _LATTICE_FAMILIES:
         raise UnsupportedInputError(f"block labels are not defined for {datum.family!r}")
     _require_integral(datum, lam)
-    shift = _label_shift(datum)
-    D = math.lcm(*(c.denominator for c in (*lam, *shift)))
-    mu = [a.numerator * (D // a.denominator) + b.numerator * (D // b.denominator)
-          for a, b in zip(lam, shift)]
+    D, mu = _integer_frame(datum).shifted(lam, _label_shift(datum))
     return BlockLabel(datum.family, _label(datum, D, mu, lambda v: Fraction(v, D)))
 
 
 def _label(datum: RootDatum, D: int, mu: list[int], q) -> tuple:
     """The label payload of an integral weight lam of gl, osp(2|2n), p(n) or
-    osp(3|2), from mu = D (lam + shift) with shift = _label_shift(datum) and
-    D a positive integer.  Each rational entry r of the payload is written
-    q(D r): q(v) = v / D gives the payload, q = int an integer key equal for
-    two weights with the same D exactly when their labels are equal.
+    osp(3|2), from mu = D (lam + shift), shift being rho or, for p(n), rho0
+    (see _label_shift), and D a positive integer.  Each rational entry r of
+    the payload is written q(D r): q(v) = v / D gives the payload, q = int
+    an integer key equal for two weights with the same D exactly when their
+    labels are equal.
 
     Callers guarantee integrality (block_label refuses other weights, and
     oracle._box_labels passes only points its frame proves integral); for

@@ -40,7 +40,7 @@ from functools import lru_cache
 from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, block_label
 from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
 from .kl import FiniteWeylGroup, KLPolynomial, MultTable, kl_polynomial
-from .root_data import RootDatum, _coroots
+from .root_data import RootDatum, _integer_frame, _scaled
 from .verma_oracle import verma_multiplicities
 from .weights import Weight, format_rational
 from .weyl import WeylElement, _closure
@@ -106,44 +106,13 @@ class WeightBox:
                          tuple(h + pad for h in self.hi), self.step, self.anchor)
 
 
-def _integers(pairs) -> tuple[tuple[int, int], ...]:
-    """The pairs (i, c) with c != 0 and c an int; refuses a fractional c."""
-    pairs = [(i, c) for i, c in pairs if c]
-    if any(c.denominator != 1 for _, c in pairs):
-        raise UnsupportedInputError("the box oracle needs integer roots and coroots")
-    return tuple((i, c.numerator) for i, c in pairs)
-
-
-@lru_cache(maxsize=16)
-def _root_vectors(datum: RootDatum) -> tuple[tuple, tuple, tuple]:
-    """The datum's integer vectors, which no box changes: (root, coroot) per
-    simple even root, (a, f) per isotropic line {a, -a} with <mu, a> =
-    sum_i f_i mu_i, and every even positive coroot.  The coroots are those
-    of root_data's table, checked to be integral."""
-    coroots = tuple(map(_integers, _coroots(datum)))
-    positive = datum.even_positive
-    reflections = tuple((_integers(enumerate(r.weight)), coroots[positive.index(r)])
-                        for r in datum.simple_even)
-    lines = []
-    seen = set()
-    for iso in datum.isotropic_roots:
-        a = iso.weight
-        key = min(a.coords, (-a).coords)
-        if key in seen:
-            continue
-        seen.add(key)
-        root = _integers(enumerate(a))
-        lines.append((root, tuple((i, int(datum.form_signature[i]) * ai) for i, ai in root)))
-    return reflections, tuple(lines), coroots
-
-
 class _Frame:
     """A box's lattice in integer coordinates N = D lam.
 
     D is the least common denominator of the box's bounds, step and anchor
-    and of rho0 and rho, so box points and rho-shifts are integer vectors.
-    Roots and coroots are integer vectors in every supported family (this is
-    checked), so each linkage move is integer arithmetic on N, and lam is
+    and of root_data's integer frame, whose ints (rho0, rho, the roots and
+    coroots) this frame scales, so box points and rho-shifts are integer
+    vectors.  Each linkage move is integer arithmetic on N, and lam is
     integral exactly when D divides sum_i c_i N_i for every even positive
     coroot c; all_integral proves it for every point of the box at once
     where the anchor and step allow.  Ordering N orders lam, since D > 0.
@@ -153,9 +122,8 @@ class _Frame:
 
     def __init__(self, datum: RootDatum, box: WeightBox):
         anchor = box._anchor()
-        rho0, rho = datum.rho0.coords, datum.rho.coords
-        D = math.lcm(*(c.denominator for c in
-                       (*box.lo, *box.hi, box.step, *anchor, *rho0, *rho)))
+        ints = _integer_frame(datum)
+        D = math.lcm(ints.D, *(c.denominator for c in (*box.lo, *box.hi, box.step, *anchor)))
         self.D, self.dim = D, datum.dim
         self.lo = tuple(int(c * D) for c in box.lo)
         self.hi = tuple(int(c * D) for c in box.hi)
@@ -166,20 +134,32 @@ class _Frame:
                      for a, lo, hi in zip(self.anchor, self.lo, self.hi)]
         # v -> v / D for every axis value; label payloads add theirs
         self.values = {v: Fraction(v, D) for axis in self.axes for v in axis}
-        self.label_shift = tuple(int(c * D) for c in _label_shift(datum))
-        reflections, lines, self.coroots = _root_vectors(datum)
+        k = D // ints.D  # scales the integer frame's ints to this one
+        self.label_shift = tuple(k * v for v in _label_shift(datum))
+        self.coroots = ints.coroots
         # every point anchor + k step is integral when each even coroot c has
         # sum_i c_i anchor_i = 0 and c_i step = 0 for every i (mod D)
         self.all_integral = all(
             sum(c * self.anchor[i] for i, c in coroot) % D == 0
             and all(c * step % D == 0 for _, c in coroot) for coroot in self.coroots)
         # lam -> s(lam + shift) - shift is N -> N - p a, p = k + sum_i c_i N_i
-        shift = [int(c * D) for c in (rho if datum.family == "osp32" else rho0)]
-        self.reflections = [(root, c, sum(ci * shift[i] for i, ci in c))
-                            for root, c in reflections]
-        # per isotropic line, <lam + rho, a> = 0 reads k + sum_i f_i N_i = 0
-        rho_n = [int(c * D) for c in rho]
-        self.lines = [(root, form, sum(f * rho_n[i] for i, f in form)) for root, form in lines]
+        shift = ints.rho if datum.family == "osp32" else ints.rho0
+        self.reflections = [(ints.roots[j], ints.coroots[j], k * sum(
+            c * shift[i] for i, c in ints.coroots[j])) for j in ints.simple]
+        # per isotropic line {a, -a}, <lam + rho, a> = 0 reads
+        # k + sum_i f_i N_i = 0 with f_i = s_i a_i
+        self.lines, seen = [], set()
+        for iso in datum.isotropic_roots:
+            a = _scaled(iso.weight, 1)
+            if a is None:
+                raise UnsupportedInputError(f"{datum.describe()} needs integer roots and coroots")
+            key = min(a, tuple(-v for v in a))
+            if key in seen:
+                continue
+            seen.add(key)
+            root = tuple((i, v) for i, v in enumerate(a) if v)
+            form = tuple((i, int(datum.form_signature[i]) * v) for i, v in root)
+            self.lines.append((root, form, k * sum(f * ints.rho[i] for i, f in form)))
 
     def points(self) -> list[tuple[int, ...]]:
         """The box's points N, in `itertools.product` order over the axes."""
@@ -198,15 +178,7 @@ class _Frame:
 
     def lattice(self, w: Weight) -> tuple[int, ...] | None:
         """D w, or None when w has the wrong length or D w is not integral."""
-        if len(w) != self.dim:
-            return None
-        D, n = self.D, []
-        for c in w.coords:
-            k, r = divmod(D, c.denominator)
-            if r:
-                return None
-            n.append(c.numerator * k)
-        return tuple(n)
+        return _scaled(w, self.D) if len(w) == self.dim else None
 
     def value(self, v: int) -> Fraction:
         """The rational v / D."""

@@ -23,9 +23,11 @@ coordinate-exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import ConstructionError, DimensionMismatchError, UnsupportedInputError
@@ -95,6 +97,11 @@ class RootDatum:
             raise DimensionMismatchError(
                 f"{self.describe()} expects {self.dim} coordinates, got {len(w)}")
 
+    @cached_property
+    def _frame(self) -> "_IntegerFrame":
+        # kept here: a cache keyed by data compares equal data field by field
+        return _IntegerFrame(self)
+
 
 def _basis(dim: int, entries: dict[int, Fraction | int]) -> Weight:
     coords = [Fraction(0)] * dim
@@ -120,21 +127,65 @@ def pairing_coroot(datum: RootDatum, lam: Weight, alpha: Root | Weight) -> Fract
     return 2 * bilinear(datum, lam, w) / norm
 
 
-@lru_cache(maxsize=None)
-def _coroots(datum: RootDatum) -> tuple[tuple, ...]:
-    """The sparse coroot of each even positive root, in even_positive order:
-    the pairs (i, c_i), c_i != 0, with <lam, alpha^vee> = sum_i c_i lam_i,
-    i.e. c = 2 s alpha / <alpha, alpha> for the form signature s.  Each c_i
-    is exact, an int when it is integral (as in every supported family)."""
-    sig = datum.form_signature
-    out = []
-    for root in datum.even_positive:
-        alpha = root.weight
-        norm = sum(s * a * a for s, a in zip(sig, alpha))
-        coroot = (2 * s * a / norm for s, a in zip(sig, alpha))
-        out.append(tuple((i, c.numerator if c.denominator == 1 else c)
-                         for i, c in enumerate(coroot) if c))
-    return tuple(out)
+def _scaled(w: Weight, D: int) -> tuple[int, ...] | None:
+    """D w as ints, or None when D w is not integral."""
+    n = []
+    for c in w.coords:
+        k, r = divmod(D, c.denominator)
+        if r:
+            return None
+        n.append(c.numerator * k)
+    return tuple(n)
+
+
+class _IntegerFrame:
+    """The datum's integer data over D, the least common denominator of rho0
+    and rho: `rho0` and `rho` are D rho0 and D rho; `roots` and `coroots`
+    hold, per even positive root in even_positive order, its root and
+    coroot as sparse int pairs (i, c_i), c_i != 0, where <lam, alpha^vee> =
+    sum_i c_i lam_i, i.e. c = 2 s alpha / <alpha, alpha> for the form
+    signature s; `height`, their sum, is the dense functional mu -> sum_a
+    <mu, a^vee>; `simple` holds the positions of Pi_0 among them.  A datum
+    without integer roots and coroots is refused; every supported family
+    has them.  A weight lam and an integer shift (such as `rho0`) convert to
+    (E, N): E the lcm of D and lam's denominators, and N = E lam + (E / D)
+    shift = E (lam + shift / D).
+    """
+
+    def __init__(self, datum: RootDatum):
+        self.D = D = math.lcm(*(c.denominator for c in (*datum.rho0, *datum.rho)))
+        self.rho0, self.rho = _scaled(datum.rho0, D), _scaled(datum.rho, D)
+        sig, roots, coroots, height = datum.form_signature, [], [], [0] * datum.dim
+        for root in datum.even_positive:
+            alpha = [(i, a) for i, a in enumerate(root.weight) if a]
+            norm = sum(sig[i] * a * a for i, a in alpha)
+            coroot = [(i, 2 * sig[i] * a / norm) for i, a in alpha]
+            if any(c.denominator != 1 for _, c in alpha + coroot):
+                raise UnsupportedInputError(f"{datum.describe()} needs integer roots and coroots")
+            roots.append(tuple((i, int(a)) for i, a in alpha))
+            coroots.append(tuple((i, int(c)) for i, c in coroot))
+            for i, c in coroots[-1]:
+                height[i] += c
+        self.roots, self.coroots, self.height = tuple(roots), tuple(coroots), tuple(height)
+        self.simple = tuple(map(datum.even_positive.index, datum.simple_even))
+
+    def shifted(self, lam: Weight, shift: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """(E, N) with N = E lam + (E / D) shift."""
+        E = math.lcm(self.D, *(c.denominator for c in lam.coords))
+        k = E // self.D
+        return E, tuple(c.numerator * (E // c.denominator) + k * s
+                        for c, s in zip(lam.coords, shift))
+
+    def unshifted(self, E: int, points, shift: tuple[int, ...]) -> list[Weight]:
+        """The weights N / E - shift / D of the points N (entries past dim are
+        ignored): the inverse of `shifted`."""
+        shift = [E // self.D * s for s in shift]
+        return [Weight._of(tuple(Fraction(v - s, E) for v, s in zip(n, shift)))
+                for n in points]
+
+
+# the datum's integer frame, built on first use
+_integer_frame = attrgetter("_frame")
 
 
 def is_integral(datum: RootDatum, lam: Weight) -> bool:

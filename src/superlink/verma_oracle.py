@@ -4,11 +4,13 @@ Ground truth for Verma composition multiplicities, computed without any
 Kazhdan-Lusztig input:
 
 1. realize the datum's Lie algebra by explicit matrices (gl blocks for
-   type A factors, sp blocks for type C) and read all structure constants
-   off exact matrix brackets, once per datum (see _Frame);
+   type A factors, sp blocks for type C), each root vector by one rule
+   from root_data's integer roots (see realize), and read all structure
+   constants off exact matrix brackets, once per datum (see _Frame);
 2. realize Verma-module weight spaces as PBW monomials in the negative
-   root vectors, found by a search on integer root-lattice coordinates,
-   and straighten products recursively;
+   root vectors, found by a search on integer root-lattice coordinates
+   pruned by root_data's height functional, and straighten products
+   recursively;
 3. the weight multiplicities of a simple module are the ranks of the
    contravariant (transpose) form's Gram matrices on the Verma weight
    spaces, an exact rational rank computation;
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SuperlinkError, UnsupportedInputError
-from .root_data import RootDatum, is_integral, pairing_coroot
+from .root_data import RootDatum, _integer_frame, _scaled, is_integral
 from .weights import Weight
 from .weyl import orbit_dot
 
@@ -66,94 +68,49 @@ class _Realization:
 
     size: int
     root_matrix: dict[Weight, Matrix]       # one matrix per root (both signs)
-    root_anchor: dict[Weight, tuple[int, int]]  # entry that reads off the coefficient
     cartan: list[Matrix]                    # H_i dual to the i-th coordinate
-    cartan_anchor: list[tuple[int, int]]
 
 
-def _single(n: int, positions) -> Matrix:
-    rows = _zeros(n)
-    for (i, j) in positions:
-        rows[i][j] += 1
-    return _freeze(rows)
+def _matrix(n: int, entries: dict[tuple[int, int], int]) -> Matrix:
+    return _freeze([[entries.get((a, b), 0) for b in range(n)] for a in range(n)])
 
 
 def realize(datum: RootDatum) -> _Realization:
-    """Block-diagonal matrix model of the reductive datum."""
+    """Block-diagonal matrix model of the reductive datum.
+
+    The slots (rows) of a type A block carry the weights e_i of gl, those of
+    a type C block e_i and then -e_i of sp; H_i is diagonal with the i-th
+    coordinates of the slot weights.  The root vector of a positive root
+    alpha is E_ab for the first slots a, b of one block with wt(a) - wt(b) =
+    alpha, completed into sp in a type C block: X lies in sp exactly when
+    X^T J + J X = 0 (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 1.2), which for E_ab adds -s_a s_b E_{b'a'}, a'
+    and b' the slots of -wt(a) and -wt(b), s the signs of the slot weights
+    (for 2 e_i, E_{b'a'} is E_ab itself and nothing is added).  The vector
+    of -alpha is the transpose, so [X, X^T] is alpha's coroot (Chevalley
+    normalisation).
+    """
     if datum.family != "reductive":
         raise UnsupportedInputError("matrix realizations exist for reductive data only")
-    sizes = [size + (size if kind == "C" else 0) for kind, _, size in datum.blocks]
-    total = sum(sizes)
-    offsets = []
-    off = 0
-    for s in sizes:
-        offsets.append(off)
-        off += s
+    dim = datum.dim
+    slots = [(b, tuple(sign * (k == i) for k in range(dim)))
+             for b, (kind, start, size) in enumerate(datum.blocks)
+             for sign in ((1, -1) if kind == "C" else (1,)) for i in range(start, start + size)]
+    n = len(slots)
+    cartan = [_matrix(n, {(a, a): wt[i] for a, (_, wt) in enumerate(slots)}) for i in range(dim)]
     root_matrix: dict[Weight, Matrix] = {}
-    root_anchor: dict[Weight, tuple[int, int]] = {}
-    cartan: list[Matrix] = [None] * datum.dim  # type: ignore[list-item]
-    cartan_anchor: list[tuple[int, int]] = [None] * datum.dim  # type: ignore[list-item]
-
-    for b, (kind, start, size) in enumerate(datum.blocks):
-        off = offsets[b]
-        for local in range(size):
-            coord = start + local
-            if kind == "A":
-                cartan[coord] = _single(total, [(off + local, off + local)])
-                cartan_anchor[coord] = (off + local, off + local)
-            else:
-                rows = _zeros(total)
-                rows[off + local][off + local] = Fraction(1)
-                rows[off + size + local][off + size + local] = Fraction(-1)
-                cartan[coord] = _freeze(rows)
-                cartan_anchor[coord] = (off + local, off + local)
-
-    def coords_of(w: Weight) -> list[tuple[int, Fraction]]:
-        return [(i, c) for i, c in enumerate(w) if c != 0]
-
-    for root in datum.even_positive:
-        for sign in (1, -1):
-            w = root.weight if sign > 0 else -root.weight
-            entries = coords_of(w)
-            (i, ci) = entries[0]
-            block = next(b for b, (_, s, z) in enumerate(datum.blocks) if s <= i < s + z)
-            kind, start, size = datum.blocks[block]
-            off = offsets[block]
-            li = i - start
-            if kind == "A":
-                (j, _) = entries[1]
-                lj = j - start
-                if ci > 0:
-                    pos = [(off + li, off + lj)]
-                else:
-                    pos = [(off + lj, off + li)]
-            else:
-                if len(entries) == 2:
-                    (j, cj) = entries[1]
-                    lj = j - start
-                    if ci > 0 and cj < 0:      # e_i - e_j
-                        pos = [(off + li, off + lj), (off + size + lj, off + size + li)]
-                    elif ci < 0 and cj > 0:    # e_j - e_i
-                        pos = [(off + lj, off + li), (off + size + li, off + size + lj)]
-                    elif ci > 0 and cj > 0:    # e_i + e_j
-                        pos = [(off + li, off + size + lj), (off + lj, off + size + li)]
-                    else:                       # -(e_i + e_j)
-                        pos = [(off + size + lj, off + li), (off + size + li, off + lj)]
-                else:
-                    if ci > 0:                  # 2 e_i
-                        pos = [(off + li, off + size + li)]
-                    else:                       # -2 e_i
-                        pos = [(off + size + li, off + li)]
-            mat = _single(total, pos)
-            if kind == "C" and len(entries) == 2 and entries[0][1] * entries[1][1] < 0:
-                # e_i - e_j in sp: second entry carries a minus sign
-                rows = [list(r) for r in mat]
-                (pi, pj) = pos[1]
-                rows[pi][pj] = Fraction(-1)
-                mat = _freeze(rows)
-            root_matrix[w] = mat
-            root_anchor[w] = pos[0]
-    real = _Realization(total, root_matrix, root_anchor, cartan, cartan_anchor)
+    for root, ints in zip(datum.even_positive, _integer_frame(datum).roots):
+        alpha = tuple(dict(ints).get(k, 0) for k in range(dim))
+        a, b = next((a, b) for a, (p, u) in enumerate(slots) for b, (q, v) in enumerate(slots)
+                    if p == q and tuple(x - y for x, y in zip(u, v)) == alpha)
+        entries = {(a, b): 1}
+        if datum.blocks[slots[a][0]][0] == "C":
+            minus = [(p, tuple(-x for x in u)) for p, u in slots]
+            entries.setdefault((slots.index(minus[b]), slots.index(minus[a])),
+                               -sum(slots[a][1]) * sum(slots[b][1]))
+        root_matrix[root.weight] = x = _matrix(n, entries)
+        root_matrix[-root.weight] = tuple(zip(*x))
+    real = _Realization(n, root_matrix, cartan)
     _check_realization(datum, real)
     return real
 
@@ -169,28 +126,22 @@ def _check_realization(datum: RootDatum, real: _Realization) -> None:
 
 
 def _decompose(datum: RootDatum, real: _Realization, mat: Matrix):
-    """Expand a Lie algebra matrix over root vectors and Cartan coordinates."""
+    """Expand a Lie algebra matrix over root vectors and Cartan coordinates,
+    reading each coefficient off the first nonzero entry of its basis
+    matrix."""
     parts: list[tuple[str, object, Fraction]] = []
     residue = [list(row) for row in mat]
-    for w, rm in real.root_matrix.items():
-        (i, j) = real.root_anchor[w]
-        c = residue[i][j] / rm[i][j]
+    basis = [("root", w, rm) for w, rm in real.root_matrix.items()]
+    basis += [("h", coord, hm) for coord, hm in enumerate(real.cartan)]
+    for kind, key, bm in basis:
+        i, j = next((a, b) for a, row in enumerate(bm) for b, v in enumerate(row) if v)
+        c = residue[i][j] / bm[i][j]
         if c != 0:
-            parts.append(("root", w, c))
+            parts.append((kind, key, c))
             for a in range(real.size):
                 for b in range(real.size):
-                    if rm[a][b] != 0:
-                        residue[a][b] -= c * rm[a][b]
-    for coord in range(datum.dim):
-        (i, j) = real.cartan_anchor[coord]
-        c = residue[i][j]
-        if c != 0:
-            parts.append(("h", coord, c))
-            hm = real.cartan[coord]
-            for a in range(real.size):
-                for b in range(real.size):
-                    if hm[a][b] != 0:
-                        residue[a][b] -= c * hm[a][b]
+                    if bm[a][b] != 0:
+                        residue[a][b] -= c * bm[a][b]
     if any(v != 0 for row in residue for v in row):
         raise SuperlinkError("bracket left the Lie algebra span")
     return parts
@@ -199,39 +150,23 @@ def _decompose(datum: RootDatum, real: _Realization, mat: Matrix):
 Generator = tuple[str, int]  # ("e" | "f", positive-root index) or ("h", coordinate)
 
 
-def _lattice(w: Weight) -> tuple[int, ...] | None:
-    """w as an int tuple, or None when a coordinate is not an integer.
-
-    Roots of a reductive datum are integer vectors, so such a w lies off the
-    root lattice.
-    """
-    if any(c.denominator != 1 for c in w):
-        return None
-    return tuple(c.numerator for c in w)
-
-
 class _Frame:
     """Everything the Verma models of one datum share; none of it depends on lam.
 
     * the audited matrix realization;
-    * the even positive roots as int tuples (PBW index order);
-    * the height functional mu -> sum_a <mu, a^vee> over the even positive
-      roots, as an integer vector (checked);
+    * root_data's integer even positive roots, dense (PBW index order), and
+      its height functional mu -> sum_a <mu, a^vee>;
     * the bracket table (x, i) -> [x, f_i] expanded over the generators,
       for every generator x and positive-root index i.
     """
 
     def __init__(self, datum: RootDatum):
+        ints = _integer_frame(datum)
         self.real = realize(datum)
         self.weights = tuple(r.weight for r in datum.even_positive)
         index = {w: i for i, w in enumerate(self.weights)}
-        units = [Weight([int(i == j) for j in range(datum.dim)]) for i in range(datum.dim)]
-        height = [sum(pairing_coroot(datum, u, a) for a in datum.even_positive) for u in units]
-        roots = [_lattice(w) for w in self.weights]
-        if None in roots or any(h.denominator != 1 for h in height):
-            raise SuperlinkError("the oracle needs integer roots and an integral height")
-        self.roots = tuple(roots)
-        self.height = tuple(h.numerator for h in height)
+        roots = [tuple(dict(r).get(i, 0) for i in range(datum.dim)) for r in ints.roots]
+        self.roots, self.height = tuple(roots), ints.height
 
         def matrix(key: Generator) -> Matrix:
             kind, i = key
@@ -275,8 +210,6 @@ class VermaModel:
         self.datum = datum
         self.lam = lam
         self.frame = _frame(datum)
-        self.real = self.frame.real
-        self.pos_roots = self.frame.weights
         # per-instance memos: a model and its caches die with the last reference
         self._act_cache: dict = {}
         self._monomial_cache: dict = {}
@@ -326,7 +259,7 @@ class VermaModel:
         nonnegative root sum)."""
         if len(beta) != self.datum.dim:
             raise ValueError("weight dimensions differ")
-        n = _lattice(beta)
+        n = _scaled(beta, 1)
         if n is None:
             return ()
         cached = self._monomial_cache.get(n)
@@ -435,7 +368,7 @@ def verma_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[Weight, We
     # orbit points differ from lam by root-lattice vectors, so heights
     # relative to lam order the orbit as absolute heights would
     orbit = sorted(orbit_dot(datum, lam),
-                   key=lambda w: (_height_key(frame, _lattice(w - lam)), w.coords))
+                   key=lambda w: (_height_key(frame, _scaled(w - lam, 1)), w.coords))
     models = {mu: VermaModel(datum, mu) for mu in orbit}
     r = len(orbit)
     # A[i][j] = dim M(orbit[i]) at weight orbit[j]; L likewise for simples

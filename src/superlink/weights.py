@@ -14,24 +14,31 @@ live on the root datum.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 _SEP = re.compile(r"[|;]")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 
 
 def rational(text: str) -> Fraction:
     """Parse a `p` or `p/q` literal, or any other form Fraction reads
     (`0.5`, `1_0`, ` 1e1 `), into an exact rational; a malformed literal, a
-    zero denominator included, raises ValueError.
+    zero denominator included, raises ValueError, and so does an exponent
+    above sys.get_int_max_str_digits() in absolute value, before it is built.
 
     >>> rational("-3/2")
     Fraction(-3, 2)
     """
+    text = text.strip()
+    exponent, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"exponent outside -{limit}..{limit} in {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _fractional(x: Fraction) -> Fraction:

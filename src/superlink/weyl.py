@@ -20,15 +20,17 @@ ties break by original position, which fixes a deterministic witness.
 
 The single-weight queries `orbit_dot`, `is_antidominant`, `is_dominant`,
 `stabilizer_roots` and `antidominant_rep` run on the integer shifted
-coordinates N = D (x + rho0), D the least common denominator of x and rho0,
-with each weight converted once per call.  A simple reflection permutes N
-with signs, so the orbit BFS applies it to the doubled point (N, -N) as one
-cached itemgetter and does no arithmetic; (anti-)dominance and stabilizers
-pair N with root_data's coroot table, and the anti-dominant representative
-sorts N window by window.  Points convert back to weights once, at the end.
-`reflect`, `dot` and root_data's `is_integral` still pair through the
-Fraction `bilinear`.  `antidominant_rep` and `stabilizer_roots` call
-`is_integral` first, so their refusals keep their types and messages.
+coordinates N = D (x + rho0), each weight converted once per call by
+root_data's integer frame (D a common denominator of x and the frame).  A
+simple reflection permutes N with signs, so the orbit BFS applies it to the
+doubled point (N, -N) as one cached itemgetter and does no arithmetic;
+(anti-)dominance and stabilizers pair N with the frame's integer coroots,
+and the anti-dominant representative sorts N window by window.  Points
+convert back to weights once, at the end.  A reflection element is read
+off the frame's integer root and coroot.  `reflect`, `dot` and root_data's
+`is_integral` still pair through the Fraction `bilinear`.  `antidominant_rep`
+and `stabilizer_roots` call `is_integral` first, so their refusals keep
+their types and messages.
 Moving the integrality test onto N waits on a leaner benchmark worker: the
 speed-up would otherwise read as a peak-memory regression there.
 
@@ -50,7 +52,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
-from .root_data import EVEN, Root, RootDatum, _coroots, is_integral, pairing_coroot
+from .root_data import EVEN, Root, RootDatum, _integer_frame, is_integral, pairing_coroot
 from .weights import Weight
 
 # parenthesised groups of signed integers, separated by spaces or commas
@@ -198,12 +200,20 @@ def reflect(datum: RootDatum, alpha: Root, lam: Weight) -> Weight:
 
 
 def reflection_element(datum: RootDatum, alpha: Root) -> WeylElement:
-    """The reflection s_alpha as a signed permutation."""
+    """The reflection s_alpha of an even positive root as a signed
+    permutation: s(e_i) = e_i - c_i alpha for the integer root alpha and
+    coroot c of root_data's frame."""
     _require_even(alpha)
+    if alpha not in datum.even_positive:
+        raise UnsupportedInputError("reflections are built for the datum's even positive roots")
+    k, frame = datum.even_positive.index(alpha), _integer_frame(datum)
+    root, coroot = frame.roots[k], dict(frame.coroots[k])
     images = []
     for i in range(datum.dim):
-        image = reflect(datum, alpha, Weight([1 if k == i else 0 for k in range(datum.dim)]))
-        nonzero = [(j, c) for j, c in enumerate(image) if c != 0]
+        image = {i: 1}
+        for j, a in root:
+            image[j] = image.get(j, 0) - coroot.get(i, 0) * a
+        nonzero = [(j, c) for j, c in image.items() if c]
         if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
             raise SuperlinkError(f"reflection at {alpha} is not a signed permutation")
         j, c = nonzero[0]
@@ -229,27 +239,25 @@ def _resolve_sub(datum: RootDatum, sub) -> tuple[Root, ...]:
 
 
 def _shifted(datum: RootDatum, lam: Weight) -> tuple[int, tuple[int, ...]]:
-    """(D, N): D the least common denominator of lam and rho0, and the
-    integer shifted coordinates N = D (lam + rho0)."""
+    """(D, N): the integer shifted coordinates N = D (lam + rho0) over a
+    common denominator D of lam and root_data's frame."""
     if len(lam) != datum.dim:
         raise ValueError("weight dimensions differ")
-    rho0 = datum.rho0.coords
-    D = math.lcm(*(c.denominator for c in lam.coords), *(c.denominator for c in rho0))
-    return D, tuple(a.numerator * (D // a.denominator) + r.numerator * (D // r.denominator)
-                    for a, r in zip(lam.coords, rho0))
+    frame = _integer_frame(datum)
+    return frame.shifted(lam, frame.rho0)
 
 
 def _unshifted(datum: RootDatum, D: int, points) -> list[Weight]:
     """The weights N / D - rho0 of shifted points N (entries past dim are
     ignored)."""
-    rho0 = [c.numerator * (D // c.denominator) for c in datum.rho0.coords]
-    return [Weight._of(tuple(Fraction(v - r, D) for v, r in zip(n, rho0))) for n in points]
+    frame = _integer_frame(datum)
+    return frame.unshifted(D, points, frame.rho0)
 
 
 @lru_cache(maxsize=None)
 def _parabolic_coroots(datum: RootDatum, chosen: tuple[int, ...]) -> tuple:
-    """root_data's coroots of the parabolic positive roots of the simple
-    even roots with these indices.
+    """root_data's integer coroots of the parabolic positive roots of the
+    simple even roots with these indices.
 
     These are the even positive roots in the span of the chosen simple
     roots (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.10):
@@ -257,9 +265,10 @@ def _parabolic_coroots(datum: RootDatum, chosen: tuple[int, ...]) -> tuple:
     a type A window takes only the e_i - e_j.
     """
     windows = _runs(datum, [datum.simple_even[j] for j in chosen])
-    return tuple(coroot for root, coroot in zip(datum.even_positive, _coroots(datum))
-                 if any(all(i in coords for i, c in enumerate(root.weight) if c)
-                        and (kind == "C" or not sum(root.weight))
+    frame = _integer_frame(datum)
+    return tuple(coroot for root, coroot in zip(frame.roots, frame.coroots)
+                 if any(all(i in coords for i, _ in root)
+                        and (kind == "C" or not sum(a for _, a in root))
                         for kind, coords in windows))
 
 
@@ -284,7 +293,7 @@ def is_antidominant(datum: RootDatum, lam: Weight, sub=None) -> bool:
 def is_dominant(datum: RootDatum, lam: Weight) -> bool:
     """No <lam + rho0, a^vee> is a negative integer: -N is anti-dominant."""
     D, n = _shifted(datum, lam)
-    return _antidominant_at(_coroots(datum), D, [-v for v in n])
+    return _antidominant_at(_integer_frame(datum).coroots, D, [-v for v in n])
 
 
 def _runs(datum: RootDatum, sub: Sequence[Root]) -> list[tuple[str, list[int]]]:
@@ -339,7 +348,7 @@ def stabilizer_roots(datum: RootDatum, lam: Weight) -> tuple[Root, ...]:
     if not is_integral(datum, lam):
         raise UnsupportedInputError("stabilizer roots are computed for integral weights")
     _, n = _shifted(datum, lam)
-    return tuple(a for a, coroot in zip(datum.even_positive, _coroots(datum))
+    return tuple(a for a, coroot in zip(datum.even_positive, _integer_frame(datum).coroots)
                  if not sum(c * n[i] for i, c in coroot))
 
 

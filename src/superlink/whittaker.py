@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import UnsupportedInputError
-from .root_data import Root, RootDatum, is_integral, pairing_coroot
+from .root_data import Root, RootDatum, _integer_frame, is_integral
 from .weights import Weight, _fractional
-from .weyl import WeylElement, antidominant_rep, is_antidominant, is_dominant
+from .weyl import WeylElement, _runs, _shifted, antidominant_rep, is_antidominant, is_dominant
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,10 @@ def upsilon_of(datum: RootDatum, nu: Weight) -> tuple[Root, ...]:
         raise UnsupportedInputError("upsilon is defined for integral weights")
     if not is_dominant(datum, nu):
         raise UnsupportedInputError("upsilon is defined for dominant weights")
-    shifted = nu + datum.rho0
-    return tuple(a for a in datum.simple_even
-                 if pairing_coroot(datum, shifted, a) == 0)
+    _, n = _shifted(datum, nu)
+    frame = _integer_frame(datum)
+    return tuple(a for a, j in zip(datum.simple_even, frame.simple)
+                 if not sum(c * n[i] for i, c in frame.coroots[j]))
 
 
 def dominant_partner(datum: RootDatum, zeta: WhittakerCharacter) -> Weight:
@@ -113,41 +114,25 @@ def dominant_partner(datum: RootDatum, zeta: WhittakerCharacter) -> Weight:
     chosen with minimal magnitude (anchor 0, or -1/2 for half-integer type
     A classes).
     """
-    support = set(zeta.support)
+    windows = _runs(datum, zeta.support)
     target = list(datum.rho0.coords)  # overwritten block by block
     for kind, start, size in datum.blocks:
-        coords = list(range(start, start + size))
-        # group consecutive coordinates joined by supported chain roots
-        joined = set()
-        for r in datum.simple_even:
-            if r in support:
-                sup = [i for i, c in enumerate(r.weight) if c != 0]
-                if len(sup) == 2 and sup[0] in coords:
-                    joined.add(sup[0])
-        groups: list[list[int]] = []
-        for i in coords:
-            if groups and (i - 1) in joined and groups[-1][-1] == i - 1:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
+        block = range(start, start + size)
+        inside = [(k, coords) for k, coords in windows if coords[0] in block]
+        # the support's windows in the block, and each other coordinate alone
+        covered = {i for _, coords in inside for i in coords}
+        groups = sorted([coords for _, coords in inside]
+                        + [[i] for i in block if i not in covered])
         frac = _fractional(datum.rho0[start])
         if kind == "A":
-            anchor = -frac if frac else Fraction(0)
-            for g, group in enumerate(groups):
-                value = anchor + (len(groups) - 1 - g)
-                for i in group:
-                    target[i] = value
-        else:
-            sign_root_supported = any(
-                r in support and len([c for c in r.weight if c != 0]) == 1
-                and r.weight[coords[-1]] != 0
-                for r in datum.simple_even)
-            base = Fraction(0) if sign_root_supported else (frac if frac else Fraction(1))
-            # strictly decreasing left to right, last group at `base`
-            for g, group in enumerate(groups):
-                value = base + (len(groups) - 1 - g)
-                for i in group:
-                    target[i] = value
+            base = -frac if frac else Fraction(0)
+        else:  # a type C window holds the sign root
+            signed = any(k == "C" for k, _ in inside)
+            base = Fraction(0) if signed else (frac if frac else Fraction(1))
+        # strictly decreasing left to right, last group at `base`
+        for g, group in enumerate(groups):
+            for i in group:
+                target[i] = base + (len(groups) - 1 - g)
     nu = Weight(target) - datum.rho0
     assert upsilon_of(datum, nu) == zeta.support, "dominant partner construction failed"
     return nu

@@ -638,6 +638,16 @@ LITERAL_FORMS = [
     ["antidom", "--family", "osp2", "--n", "2", "--weight=0.5;1e1,1_0", "--zeta", "full"],
 ]
 
+# exponents are bounded by sys.get_int_max_str_digits() (4300) in absolute
+# value, and refused before their integer is built
+EXPONENT_BOUNDS = [
+    ["dot", "--family", "p", "--n", "2", "--w", "(1 2)", "--weight=1e10000000,0"],
+    ["dot", "--family", "p", "--n", "2", "--w", "(1 2)", "--weight=1e-10000000,0"],
+    ["stab", "--family", "p", "--n", "2", "--weight=1e4300,0"],
+    ["stab", "--family", "p", "--n", "2", "--weight=1e4301,0"],
+    ["stab", "--family", "p", "--n", "2", "--weight=1e-4_301,0"],
+]
+
 WEYL_COMMANDS = ("root-data", "dot", "antidom", "stab", "classify", "upsilon", "in-x")
 
 
@@ -651,7 +661,7 @@ def _weyl_cases(rng):
         for argv in (datum_cases[-1], next(a for a in datum_cases if a[0] == command)):
             argv += ["--format", "text"]
         cases += datum_cases
-    return cases + WEYL_REFUSALS + LITERAL_FORMS
+    return cases + WEYL_REFUSALS + LITERAL_FORMS + EXPONENT_BOUNDS
 
 
 def _argvs(name):

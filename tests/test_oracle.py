@@ -66,18 +66,20 @@ def test_box_hash_follows_equality(p2):
         assert _frame(p2, other) is not _frame(p2, same[0])
 
 
-def test_coroots_computed_once_per_datum(gl22, monkeypatch):
+def test_coroots_computed_once_per_datum(monkeypatch):
     """The datum's coroot vectors do not depend on the box; frames of two
-    boxes share them, read once from root_data's coroot table."""
+    boxes share those of root_data's integer frame, built once."""
+    from superlink import root_data
+
     calls = []
-    table = oracle._coroots
-    monkeypatch.setattr(oracle, "_coroots", lambda datum: calls.append(datum) or table(datum))
-    oracle._root_vectors.cache_clear()
+    init = root_data._IntegerFrame.__init__
+    monkeypatch.setattr(root_data._IntegerFrame, "__init__",
+                        lambda self, datum: calls.append(datum) or init(self, datum))
+    gl22 = build_root_datum("gl", m=2, n=2)
     first = oracle._Frame(gl22, WeightBox.cube(4, -1, 1))
     second = oracle._Frame(gl22, WeightBox.cube(4, -2, 2, Fraction(1, 2)))
     assert calls == [gl22]
-    assert first.coroots is second.coroots
-    assert first.coroots == table(gl22)
+    assert first.coroots is second.coroots is root_data._integer_frame(gl22).coroots
 
 
 def test_box_cap():
@@ -219,13 +221,24 @@ def test_frame_moves_match_on_coarse_lattices(family, params):
                 == list(_reference_neighbors(datum, w, box))
 
 
-def test_frame_refuses_fractional_roots(p2):
-    root = p2.simple_even[0]
-    halved = dataclasses.replace(root, weight=root.weight.scale(Fraction(1, 2)))
-    datum = dataclasses.replace(p2, simple_even=(halved,))
-    with pytest.raises(UnsupportedInputError, match="integer roots and coroots"):
-        bfs_linkage_closure(datum, Weight([0, 0]), WeightBox.cube(2, -1, 1),
-                            LinkageGenerators())
+def test_frame_refuses_fractional_roots(p2, red_a1):
+    """root_data's integer frame refuses a datum whose even roots are not
+    integer vectors, and both oracles reach that one refusal."""
+    def halved(datum):
+        roots = tuple(dataclasses.replace(r, weight=r.weight.scale(Fraction(1, 2)))
+                      for r in datum.even_positive)
+        simple = tuple(roots[datum.even_positive.index(r)] for r in datum.simple_even)
+        return dataclasses.replace(datum, even_positive=roots, simple_even=simple)
+
+    refusals = []
+    for datum in (p2, red_a1):
+        with pytest.raises(UnsupportedInputError, match="integer roots and coroots") as got:
+            bfs_linkage_closure(halved(datum), Weight([0, 0]), WeightBox.cube(2, -1, 1),
+                                LinkageGenerators())
+        refusals.append((type(got.value), str(got.value)))
+    with pytest.raises(UnsupportedInputError, match="integer roots and coroots") as got:
+        verma_series_rank_small(halved(red_a1), Weight([0, 0]))
+    assert refusals[-1] == (type(got.value), str(got.value))
 
 
 def test_partition_refusals_keep_type_and_message(p2, gl21, red_a2):

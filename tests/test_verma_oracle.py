@@ -121,14 +121,16 @@ def test_realization_audited_once_per_datum(monkeypatch):
 
 def test_oracle_is_independent_of_kl():
     """Neither the oracle nor any package module it imports reaches the KL
-    engine, so the oracle stays an independent check of it."""
+    engine, so the oracle stays an independent check of it.  From the
+    engine it reads only the dot orbit, the Fraction integrality test and
+    root_data's integer frame: it pairs no weight with a coroot itself."""
     import ast
     from pathlib import Path
 
     import superlink
 
     package = Path(superlink.__file__).resolve().parent
-    seen, todo = set(), ["verma_oracle"]
+    seen, todo, reads = set(), ["verma_oracle"], {}
     while todo:
         name = todo.pop()
         if name in seen:
@@ -141,11 +143,16 @@ def test_oracle_is_independent_of_kl():
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 modules = [node.module] if node.module else [a.name for a in node.names]
                 todo += modules
+                if name == "verma_oracle":
+                    reads.setdefault(node.module, set()).update(a.name for a in node.names)
             elif isinstance(node, (ast.Name, ast.Attribute)):
-                assert "shared_group" not in (getattr(node, "id", None),
-                                              getattr(node, "attr", None))
+                names = (getattr(node, "id", None), getattr(node, "attr", None))
+                assert "shared_group" not in names
+                assert name != "verma_oracle" or "pairing_coroot" not in names
     assert "kl" not in seen
     assert seen == {"verma_oracle", "errors", "root_data", "weights", "weyl"}
+    assert reads["root_data"] == {"RootDatum", "_integer_frame", "_scaled", "is_integral"}
+    assert reads["weyl"] == {"orbit_dot"}
 
 
 def test_models_die_with_the_call(monkeypatch):

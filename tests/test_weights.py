@@ -57,3 +57,22 @@ def test_immutable():
     w = Weight([1])
     with pytest.raises(AttributeError):
         w.coords = (Fraction(2),)
+
+
+def test_exponent_literals_are_bounded():
+    """An exponent beyond sys.get_int_max_str_digits() in absolute value is
+    refused before its integer is built, as promptly as a malformed literal;
+    the bound itself is accepted."""
+    import sys
+    import time
+
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e10000000", "1e-10000000", "-2.5E+10000000", f"1e{limit + 1}",
+                 f"1e-{limit + 1}", f"1e{limit + 1:_}"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent outside"):
+            rational(text)
+        assert time.perf_counter() - start < 1, text
+    assert rational(f"1e{limit}") == 10 ** limit
+    assert rational(f" 3e-{limit} ") == Fraction(3, 10 ** limit)
+    assert rational("1e1") == 10

@@ -10,8 +10,9 @@ from superlink import (CapExceededError, SuperlinkError, UnsupportedInputError, 
                        is_dominant, longest_element, orbit_dot, reduced_word, reflect,
                        reflection_element, stabilizer_roots, weyl_order)
 from superlink.weights import Weight
-from superlink.root_data import _coroots
+from superlink.root_data import _integer_frame
 from superlink.weyl import WeylElement, _group_index, _parabolic_coroots, length, validate_element
+import weyl_reference
 from weyl_reference import dot_reflection, enumerate_subgroup, parabolic_positive_roots
 
 
@@ -298,10 +299,25 @@ def test_parabolic_coroots_match_elimination(family, params):
     subset of Pi_0.  A type A window inside a type C block is where the
     rule must refuse the e_i + e_j."""
     datum = build_root_datum(family, **params)
-    table = _coroots(datum)
+    table = _integer_frame(datum).coroots
     simple = datum.simple_even
     for k in range(len(simple) + 1):
         for chosen in combinations(range(len(simple)), k):
             roots = parabolic_positive_roots(datum, [simple[j] for j in chosen])
             assert _parabolic_coroots(datum, chosen) \
                 == tuple(table[datum.even_positive.index(a)] for a in roots), chosen
+
+
+@pytest.mark.parametrize("family, params", WINDOW_DATA,
+                         ids=["-".join([f, *map(str, p.values())]) for f, p in WINDOW_DATA])
+def test_reflection_element_matches_fraction_reflection(family, params):
+    """s(e_i) = e_i - c_i alpha on the integer root and coroot is the
+    reflection of the unit weights through the Fraction `reflect`, for
+    every even positive root; any other root is refused."""
+    datum = build_root_datum(family, **params)
+    for alpha in datum.even_positive:
+        assert reflection_element(datum, alpha) == weyl_reference.reflection_element(datum, alpha)
+    for alpha in datum.even_positive[:1]:
+        negative = type(alpha)(-alpha.weight, alpha.parity, alpha.isotropic)
+        with pytest.raises(UnsupportedInputError, match="even positive roots"):
+            reflection_element(datum, negative)

@@ -6,6 +6,7 @@ import pytest
 from superlink import (UnsupportedInputError, WhittakerCharacter, classify_simple,
                        dominant_partner, dot, in_X, in_X0, orbit_dot, upsilon_of)
 from superlink.weights import Weight
+import weyl_reference as ref
 
 
 def zeta(datum, spec):
@@ -140,3 +141,26 @@ def test_in_x_members_have_integral_difference(osp32):
             if in_X0(osp32, nu, lam):
                 from superlink import is_integral
                 assert is_integral(osp32, lam - nu)
+
+
+# gl(1..4|1..4), osp(2|2..10), p(2..6), osp(3|2) and A/C products
+PARTNER_DATA = ([("gl", {"m": m, "n": n}) for m in range(1, 5) for n in range(1, 5)]
+                + [("osp2", {"n": n}) for n in range(1, 6)]
+                + [("p", {"n": n}) for n in range(2, 7)] + [("osp32", {})]
+                + [("reductive", {"factors": f}) for f in
+                   ("A1", "A3", "C1", "C3", "A1xC1", "A1xC2", "A2xC2", "C2xA2", "A3xC2")])
+
+
+@pytest.mark.parametrize("family, params", PARTNER_DATA,
+                         ids=["-".join([f, *map(str, p.values())]) for f, p in PARTNER_DATA])
+def test_dominant_partner_matches_reference(family, params):
+    """The groups read off the support's `_runs` windows give the partner
+    the chain-root grouping gives, on every subset of Pi_0."""
+    from superlink import build_root_datum
+    datum = build_root_datum(family, **params)
+    simple = datum.simple_even
+    for k in range(len(simple) + 1):
+        for support in itertools.combinations(simple, k):
+            z = WhittakerCharacter.make(datum, support)
+            assert datum.format_weight(dominant_partner(datum, z)) \
+                == datum.format_weight(ref.dominant_partner(datum, z)), support

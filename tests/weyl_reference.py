@@ -7,15 +7,20 @@ anti-dominant representative through `pairing_coroot` on lam + rho0, and the
 gamma summation set as the anti-dominant points of that orbit.  The
 parabolic positive roots come from expanding every even positive root over
 Pi_0 by Gaussian elimination, where the library reads them off the
-`_runs` windows, and a subgroup's elements from a BFS closure of its
-reflection elements.  Tests compare the library against them.
+`_runs` windows, a reflection element from reflecting the unit weights,
+where the library reads it off the integer root and coroot, and a
+subgroup's elements from a BFS closure of its reflection elements.  The
+dominant partner of a character groups coordinates joined by supported
+chain roots, where the library reads the groups off the `_runs` windows.
+Tests compare the library against them.
 """
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from superlink import (UnsupportedInputError, WeylElement, is_integral, pairing_coroot,
-                       reflect, reflection_element)
+from superlink import (UnsupportedInputError, Weight, WeylElement, is_integral, pairing_coroot,
+                       reflect, upsilon_of)
+from superlink.weights import _fractional
 from superlink.weyl import _closure, _resolve_sub, _runs
 
 
@@ -59,6 +64,19 @@ def parabolic_positive_roots(datum, sub=None):
     expansions = simple_expansions(datum)
     return tuple(root for root in datum.even_positive
                  if all(c == 0 or j in chosen for j, c in enumerate(expansions[root.weight])))
+
+
+def reflection_element(datum, alpha):
+    """s_alpha as a signed permutation: the images of the unit weights
+    under the Fraction `reflect`."""
+    images = []
+    for i in range(datum.dim):
+        image = reflect(datum, alpha, Weight([1 if k == i else 0 for k in range(datum.dim)]))
+        nonzero = [(j, c) for j, c in enumerate(image) if c != 0]
+        assert len(nonzero) == 1 and abs(nonzero[0][1]) == 1, alpha
+        j, c = nonzero[0]
+        images.append((j + 1) if c > 0 else -(j + 1))
+    return WeylElement(tuple(images))
 
 
 def enumerate_subgroup(datum, generators):
@@ -137,3 +155,48 @@ def antidominant_rep(datum, lam, sub=None):
                 images[src] = sign * (slot + 1)
     w = WeylElement(tuple(images))
     return w.apply(mu) - datum.rho0, w
+
+
+def dominant_partner(datum, zeta):
+    """A dominant integral nu with upsilon_of(nu) = Pi_zeta: in each block
+    the (nu + rho0)-values are constant on groups of consecutive coordinates
+    joined by supported chain roots and strictly decrease across groups; a
+    type C block ends at zero exactly when its sign root is supported."""
+    support = set(zeta.support)
+    target = list(datum.rho0.coords)  # overwritten block by block
+    for kind, start, size in datum.blocks:
+        coords = list(range(start, start + size))
+        # group consecutive coordinates joined by supported chain roots
+        joined = set()
+        for r in datum.simple_even:
+            if r in support:
+                sup = [i for i, c in enumerate(r.weight) if c != 0]
+                if len(sup) == 2 and sup[0] in coords:
+                    joined.add(sup[0])
+        groups = []
+        for i in coords:
+            if groups and (i - 1) in joined and groups[-1][-1] == i - 1:
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        frac = _fractional(datum.rho0[start])
+        if kind == "A":
+            anchor = -frac if frac else Fraction(0)
+            for g, group in enumerate(groups):
+                value = anchor + (len(groups) - 1 - g)
+                for i in group:
+                    target[i] = value
+        else:
+            sign_root_supported = any(
+                r in support and len([c for c in r.weight if c != 0]) == 1
+                and r.weight[coords[-1]] != 0
+                for r in datum.simple_even)
+            base = Fraction(0) if sign_root_supported else (frac if frac else Fraction(1))
+            # strictly decreasing left to right, last group at `base`
+            for g, group in enumerate(groups):
+                value = base + (len(groups) - 1 - g)
+                for i in group:
+                    target[i] = value
+    nu = Weight(target) - datum.rho0
+    assert upsilon_of(datum, nu) == zeta.support, "dominant partner construction failed"
+    return nu
