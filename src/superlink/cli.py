@@ -23,7 +23,7 @@ from . import kl as kl_mod
 from . import oracle as oracle_mod
 from .blocks import block_label, same_block, typicality
 from .errors import SuperlinkError
-from .root_data import RootDatum, build_reductive, build_root_datum
+from .root_data import RootDatum, build_root_datum
 from .weights import Weight, format_rational, rational
 from .weyl import (WeylElement, antidominant_rep, dot, stabilizer_roots,
                    validate_element, weyl_order)
@@ -243,7 +243,7 @@ def cmd_enumerate_block(args) -> int:
 
 def cmd_klpoly(args) -> int:
     cap = _config(args)["kl_cap"]
-    datum = build_reductive([(args.type.upper(), args.rank)])
+    datum = _root_datum("reductive", None, None, ((args.type.upper(), args.rank),))
     order = weyl_order(datum)
     if args.config and order > cap:
         raise SuperlinkError(f"|W| = {order} exceeds configured cap")

@@ -2,7 +2,7 @@
 
 The KL engine works over a finite Weyl group presented as a parabolic
 subgroup of a datum's signed-permutation group (type A / type C products).
-A group numbers its elements by weyl's index, cached per (datum, sub):
+A group numbers its elements by weyl's index, kept per (datum, sub):
 ids by (length, images), with per id the left multiplications by simple
 reflections, the length and the left-descent bitmask.  Each group keeps
 its own memos on these integers (`_KLMemo`).  Bruhat order keeps one lower
@@ -41,14 +41,14 @@ and a unique y, and gamma is W_zeta-anti-dominant exactly when y has no left
 descent in zeta's support, so a multiplicity is one KL lookup and a length
 one row of at most |W| lookups.
 
-Concurrency: the per-datum group cache (`shared_group`) is this module's
-only shared state; weyl's index cache and the package's other process-wide
-caches are listed in the README.  The group cache lives for the whole
-process, one Weyl group per datum.  An index is never written after it is
-built, and everything a group memoizes (ideals, polynomials, mu-lists) is
-a pure value written through single atomic assignments, so concurrent calls
-return identical results; at worst two threads duplicate a computation
-before one wins the insert.
+Concurrency: this module keeps no state of its own.  The shared group of a
+datum (`shared_group`) and weyl's index are kept on the datum object by
+root_data's `_derived` and die with it; the package's other caches are
+listed in the README.  An index is never written after it is built, and
+everything a group memoizes (ideals, polynomials, mu-lists) is a pure value
+written through single atomic assignments, so concurrent calls return
+identical results; at worst two threads duplicate a computation before one
+wins the insert.
 """
 from __future__ import annotations
 
@@ -58,10 +58,10 @@ from typing import Iterable, Sequence
 
 from .errors import (CapExceededError, MissingTableEntryError, SuperlinkError,
                      UnsupportedInputError)
-from .root_data import Root, RootDatum, build_reductive, is_integral
+from .root_data import Root, RootDatum, _derived, build_reductive, is_integral
 from .weights import Weight
-from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _group_index, _Index,
-                   _strip, antidominant_rep, is_antidominant, orbit_dot, reflection_element,
+from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _Index, _strip,
+                   antidominant_rep, is_antidominant, orbit_dot, reflection_element,
                    stabilizer_roots, weyl_order)
 
 
@@ -112,7 +112,7 @@ def _bits(mask: int) -> list[int]:
 
 class _KLMemo:
     """One group's Bruhat ideals, KL polynomials and mu-lists, memoized on
-    the ids of its cached weyl index (whose tables it reads in place)."""
+    the ids of its weyl index (whose tables it reads in place)."""
 
     def __init__(self, index: _Index):
         self.n, self.images, self.length = index.n, index.images, index.length
@@ -199,8 +199,8 @@ class _KLMemo:
 
 
 class FiniteWeylGroup:
-    """A parabolic Weyl group: a KL view of weyl's cached index of
-    (datum, sub), with its own KL and Bruhat memos built on first use."""
+    """A parabolic Weyl group: a KL view of weyl's index of (datum, sub), kept
+    on the datum, with its own KL and Bruhat memos built on first use."""
 
     def __init__(self, datum: RootDatum, sub: Sequence[Root] | None = None,
                  cap: int = KL_GROUP_CAP):
@@ -228,7 +228,7 @@ class FiniteWeylGroup:
 
     @cached_property
     def _index(self) -> _Index:
-        return _group_index(self.datum, tuple(map(self.datum.simple_even.index, self.sub)))
+        return _derived(self.datum, _Index, tuple(map(self.datum.simple_even.index, self.sub)))
 
     @cached_property
     def _memo(self) -> _KLMemo:
@@ -257,15 +257,11 @@ class FiniteWeylGroup:
         return WeylElement(self._index.images[-1])
 
 
-_GROUPS: dict[RootDatum, FiniteWeylGroup] = {}
-
-
 def shared_group(datum: RootDatum, cap: int = KL_GROUP_CAP) -> FiniteWeylGroup:
-    """The process-wide Weyl group of the datum, built on first use."""
-    W = _GROUPS.get(datum)
-    if W is None:
-        W = _GROUPS.setdefault(datum, FiniteWeylGroup(datum, cap=cap))
-    elif W.order > cap:
+    """The datum's Weyl group, kept on the datum: built whatever the cap (its
+    index waits for first use), then refused against the caller's cap."""
+    W = _derived(datum, FiniteWeylGroup, None, float("inf"))
+    if W.order > cap:
         raise CapExceededError(f"|W| = {W.order} exceeds the cap {cap}")
     return W
 

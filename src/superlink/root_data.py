@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import attrgetter
 from typing import Sequence
 
 from .errors import ConstructionError, DimensionMismatchError, UnsupportedInputError
@@ -71,7 +69,8 @@ class RootDatum:
 
     def __hash__(self) -> int:
         # these fields determine the rest; hashing every root would cost
-        # tens of microseconds per lookup of a datum-keyed cache
+        # tens of microseconds per lookup of the box oracle's (datum, box)
+        # frame cache, the one cache keyed by a datum
         return hash((self.family, self.params, self.blocks))
 
     def describe(self) -> str:
@@ -96,11 +95,6 @@ class RootDatum:
         if len(w) != self.dim:
             raise DimensionMismatchError(
                 f"{self.describe()} expects {self.dim} coordinates, got {len(w)}")
-
-    @cached_property
-    def _frame(self) -> "_IntegerFrame":
-        # kept here: a cache keyed by data compares equal data field by field
-        return _IntegerFrame(self)
 
 
 def _basis(dim: int, entries: dict[int, Fraction | int]) -> Weight:
@@ -184,8 +178,25 @@ class _IntegerFrame:
                 for n in points]
 
 
-# the datum's integer frame, built on first use
-_integer_frame = attrgetter("_frame")
+def _derived(datum: RootDatum, build, *args):
+    """build(datum, *args), memoized in a dict on the datum object.
+
+    Every table derived from a datum lives here, so it dies with the datum,
+    and a lookup hashes (build, *args) only: it never compares two equal
+    data field by field.  The datum is frozen, so the dict is written
+    through its __dict__.  A refusal raises out of build and is not cached.
+    """
+    memo = datum.__dict__.setdefault("_derived", {})
+    key = (build, *args)
+    value = memo.get(key)
+    if value is None:
+        value = memo.setdefault(key, build(datum, *args))
+    return value
+
+
+def _integer_frame(datum: RootDatum) -> _IntegerFrame:
+    """The datum's integer frame, built on first use."""
+    return _derived(datum, _IntegerFrame)
 
 
 def is_integral(datum: RootDatum, lam: Weight) -> bool:

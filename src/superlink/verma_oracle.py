@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import SuperlinkError, UnsupportedInputError
-from .root_data import RootDatum, _integer_frame, _scaled, is_integral
+from .root_data import RootDatum, _derived, _integer_frame, _scaled, is_integral
 from .weights import Weight
 from .weyl import orbit_dot
 
@@ -188,11 +187,6 @@ class _Frame:
             for key in keys for head in range(len(roots))}
 
 
-@lru_cache(maxsize=16)
-def _frame(datum: RootDatum) -> _Frame:
-    return _Frame(datum)
-
-
 def _height_key(frame: _Frame, n: tuple[int, ...]) -> int:
     return sum(h * c for h, c in zip(frame.height, n))
 
@@ -209,7 +203,7 @@ class VermaModel:
     def __init__(self, datum: RootDatum, lam: Weight):
         self.datum = datum
         self.lam = lam
-        self.frame = _frame(datum)
+        self.frame = _derived(datum, _Frame)
         # per-instance memos: a model and its caches die with the last reference
         self._act_cache: dict = {}
         self._monomial_cache: dict = {}
@@ -364,7 +358,7 @@ def verma_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[Weight, We
         raise UnsupportedInputError("the brute-force oracle is capped at rank 2")
     if not is_integral(datum, lam):
         raise UnsupportedInputError("the brute-force oracle needs an integral weight")
-    frame = _frame(datum)
+    frame = _derived(datum, _Frame)
     # orbit points differ from lam by root-lattice vectors, so heights
     # relative to lam order the orbit as absolute heights would
     orbit = sorted(orbit_dot(datum, lam),

@@ -23,7 +23,7 @@ The single-weight queries `orbit_dot`, `is_antidominant`, `is_dominant`,
 coordinates N = D (x + rho0), each weight converted once per call by
 root_data's integer frame (D a common denominator of x and the frame).  A
 simple reflection permutes N with signs, so the orbit BFS applies it to the
-doubled point (N, -N) as one cached itemgetter and does no arithmetic;
+doubled point (N, -N) as one itemgetter and does no arithmetic;
 (anti-)dominance and stabilizers pair N with the frame's integer coroots,
 and the anti-dominant representative sorts N window by window.  Points
 convert back to weights once, at the end.  A reflection element is read
@@ -34,11 +34,12 @@ their types and messages.
 Moving the integrality test onto N waits on a leaner benchmark worker: the
 speed-up would otherwise read as a peak-memory regression there.
 
-Group structure has one integer index (`_Index`), cached per datum and
-list of Pi_0 indices, which the KL engine reads.  `length`,
-`longest_element` and `reduced_word` query the datum's full-group index
-on the Pi_0 letters of `sub`, after refusing a group above KL_GROUP_CAP
-from its closed-form order.
+Group structure has one integer index (`_Index`) per list of Pi_0
+indices, which the KL engine reads.  It, the reflection itemgetters and the
+parabolic coroots are kept on the datum by root_data's `_derived`, so they
+die with it.  `length`, `longest_element` and `reduced_word` query the
+datum's full-group index on the Pi_0 letters of `sub`, after refusing a
+group above KL_GROUP_CAP from its closed-form order.
 """
 from __future__ import annotations
 
@@ -46,13 +47,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
-from .root_data import EVEN, Root, RootDatum, _integer_frame, is_integral, pairing_coroot
+from .root_data import (EVEN, Root, RootDatum, _derived, _integer_frame, is_integral,
+                        pairing_coroot)
 from .weights import Weight
 
 # parenthesised groups of signed integers, separated by spaces or commas
@@ -254,7 +255,6 @@ def _unshifted(datum: RootDatum, D: int, points) -> list[Weight]:
     return frame.unshifted(D, points, frame.rho0)
 
 
-@lru_cache(maxsize=None)
 def _parabolic_coroots(datum: RootDatum, chosen: tuple[int, ...]) -> tuple:
     """root_data's integer coroots of the parabolic positive roots of the
     simple even roots with these indices.
@@ -287,7 +287,7 @@ def _antidominant_at(coroots, D: int, n) -> bool:
 def is_antidominant(datum: RootDatum, lam: Weight, sub=None) -> bool:
     D, n = _shifted(datum, lam)
     chosen = tuple(map(datum.simple_even.index, _resolve_sub(datum, sub)))
-    return _antidominant_at(_parabolic_coroots(datum, chosen), D, n)
+    return _antidominant_at(_derived(datum, _parabolic_coroots, chosen), D, n)
 
 
 def is_dominant(datum: RootDatum, lam: Weight) -> bool:
@@ -359,7 +359,7 @@ def _sub_index(datum: RootDatum, sub) -> tuple["_Index", list[int]]:
     order = weyl_order(datum)
     if order > KL_GROUP_CAP:
         raise CapExceededError(f"|W| = {order} exceeds the cap {KL_GROUP_CAP}")
-    return (_group_index(datum, tuple(range(len(datum.simple_even)))),
+    return (_derived(datum, _Index, tuple(range(len(datum.simple_even)))),
             [datum.simple_even.index(r) for r in sub])
 
 
@@ -461,11 +461,6 @@ class _Index:
             raise UnsupportedInputError(f"{w!r} is not an element of the group") from None
 
 
-# one index per (datum, chosen), the 16 most recent
-_group_index = lru_cache(maxsize=16)(_Index)
-
-
-@lru_cache(maxsize=None)
 def _reflection_moves(datum: RootDatum) -> tuple[itemgetter, ...]:
     """Per simple even root, its reflection on doubled points (N, -N): an
     itemgetter taking the doubled point of N to that of s_alpha(N)."""
@@ -485,7 +480,7 @@ def _orbit_shifted(datum: RootDatum, lam: Weight, sub: tuple[Root, ...]) -> tupl
     (N, -N), N = D (lam + rho0), for a resolved sub; the BFS moves integer
     entries and does no arithmetic."""
     D, n = _shifted(datum, lam)
-    moves = _reflection_moves(datum)
+    moves = _derived(datum, _reflection_moves)
     gens = [moves[datum.simple_even.index(alpha)] for alpha in sub]
     levels = _closure(n + tuple(-v for v in n), lambda x: [g(x) for g in gens])
     return D, chain.from_iterable(levels)
@@ -504,7 +499,7 @@ def _antidominant_points(datum: RootDatum, lam: Weight, sub) -> list[Weight]:
     """The sub-anti-dominant weights of lam's sub dot orbit, sorted."""
     sub = _resolve_sub(datum, sub)
     D, points = _orbit_shifted(datum, lam, sub)
-    coroots = _parabolic_coroots(datum, tuple(map(datum.simple_even.index, sub)))
+    coroots = _derived(datum, _parabolic_coroots, tuple(map(datum.simple_even.index, sub)))
     return sorted(_unshifted(datum, D, (x for x in points if _antidominant_at(coroots, D, x))))
 
 

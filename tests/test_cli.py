@@ -131,6 +131,20 @@ def test_klpoly_honours_configured_kl_cap(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (3, "", "error: |W| = 10321920 exceeds the cap 40320\n")
 
 
+def test_klpoly_calls_share_one_index(capsys, monkeypatch):
+    """klpoly builds its datum through `_root_datum`, so repeated calls read
+    the group index kept on that one datum."""
+    from superlink import weyl
+    built = []
+    init = weyl._Index.__init__
+    monkeypatch.setattr(weyl._Index, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    cli._root_datum.cache_clear()
+    argv = ["klpoly", "--type", "a", "--rank", "3", "--x", "2", "--w", "2,1,3,2"]
+    assert run_json(capsys, argv) == run_json(capsys, argv) == {"coeffs": [1, 1], "poly": "1 + q"}
+    assert len(built) == 1
+
+
 def test_dot_refuses_malformed_cycles(capsys):
     argv = ["dot", "--family", "gl", "--m", "2", "--n", "1", "--weight=1,0,0"]
     for w in ("garbage", "(1 2", "1 2)", "(1 2)x"):

@@ -1,0 +1,75 @@
+"""Tables derived from a root datum are kept on that datum by root_data's
+`_derived`: they die with the datum, and a lookup never compares two data."""
+import ast
+import gc
+import weakref
+from pathlib import Path
+
+import superlink
+from superlink import (RootDatum, WhittakerCharacter, antidominant_rep, build_root_datum,
+                       is_antidominant, orbit_dot, verma_series_rank_small, whittaker_length)
+from superlink import kl, root_data, verma_oracle, weyl
+from superlink.kl import shared_group
+from superlink.weights import Weight
+from superlink.weyl import WeylElement, length
+
+
+def test_tables_die_with_their_datum():
+    """Every table a query derives sits in the datum's memo, and nothing
+    else holds the datum: once it is dropped, it and its group are freed."""
+    datum = build_root_datum("reductive", factors="A2")
+    lam = Weight([-2, 0, 2])
+    zeta = WhittakerCharacter.from_indices(datum, "1")
+    assert whittaker_length(datum, lam, zeta) == 1
+    assert len(orbit_dot(datum, lam)) == 6
+    assert is_antidominant(datum, lam, datum.simple_even[:1])
+    assert length(datum, WeylElement((2, 1, 3))) == 1
+    assert len(verma_series_rank_small(datum, lam).entries) == 36
+    assert {key[0] for key in datum.__dict__["_derived"]} == {
+        root_data._IntegerFrame, weyl._reflection_moves, weyl._parabolic_coroots,
+        weyl._Index, kl.FiniteWeylGroup, verma_oracle._Frame}
+    refs = [weakref.ref(datum), weakref.ref(shared_group(datum))]
+    del datum, zeta
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_lookups_never_compare_data(monkeypatch):
+    """With the tables of one gl(2|2) and one A2 built, the same queries on
+    equal but freshly built data make no RootDatum.__eq__ call."""
+    def queries(gl, a2):
+        lam = gl.parse_weight("1,0|0,-1")
+        orbit_dot(gl, lam)
+        antidominant_rep(gl, lam)
+        is_antidominant(gl, lam, gl.simple_even[:1])
+        length(gl, WeylElement((2, 1, 3, 4)))
+        shared_group(gl)
+        verma_series_rank_small(a2, Weight([-2, 0, 2]))
+
+    def fresh():
+        return build_root_datum("gl", m=2, n=2), build_root_datum("reductive", factors="A2")
+
+    queries(*fresh())
+    calls = []
+    eq = RootDatum.__eq__
+    monkeypatch.setattr(RootDatum, "__eq__",
+                        lambda self, other: calls.append(other) or eq(self, other))
+    queries(*fresh())
+    assert calls == []
+
+
+def test_functools_caches_left_in_src():
+    """The only function caches left are the CLI's parser and root data and
+    the box oracle's (datum, box) frame; the integer frame's property, its
+    attrgetter and the KL group registry are gone."""
+    package = Path(superlink.__file__).resolve().parent
+    found = set()
+    for path in package.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(stmt)}
+            if names & {"lru_cache", "cache"}:
+                found.add(f"{path.stem}.{getattr(stmt, 'name', None)}")
+    assert found == {"cli._parser", "cli._root_datum", "oracle._frame"}
+    assert not hasattr(RootDatum, "_frame")
+    assert not hasattr(root_data, "attrgetter")
+    assert not hasattr(kl, "_GROUPS")

@@ -287,12 +287,25 @@ def test_table_free_refusals_keep_their_order(red_a2, gl21):
         whittaker_mult(red_a2, lam, lam, z0, cap=5)
 
 
-def test_groups_are_shared_per_datum(red_a2):
-    from superlink import build_root_datum
+def test_groups_are_shared_per_datum(red_a2, capsys, monkeypatch):
+    """One group per datum object, kept on it.  An equal but distinct datum
+    has its own: a lookup never compares data, so callers share a group by
+    reusing one datum, as the CLI does through `cli._root_datum`."""
+    from superlink import build_root_datum, cli, kl
     from superlink.kl import shared_group
     again = build_root_datum("reductive", factors="A2")
-    assert shared_group(red_a2) is shared_group(again)
+    assert again == red_a2
+    assert shared_group(red_a2) is shared_group(red_a2)
+    assert shared_group(red_a2) is not shared_group(again)
     assert shared_group(red_a2) is not shared_group(build_root_datum("reductive", factors="C2"))
+    seen = []
+    monkeypatch.setattr(kl, "shared_group",
+                        lambda datum, cap: seen.append(shared_group(datum, cap)) or seen[-1])
+    argv = ["mult", "--family", "reductive", "--factors", "A2", "--weight=-2,0,2",
+            "--zeta", "all", "--length"]
+    assert cli.main(argv) == cli.main(argv) == 0
+    assert capsys.readouterr().out == '{"length":1}\n' * 2
+    assert len(seen) == 2 and seen[0] is seen[1]
 
 
 @pytest.mark.parametrize("make", [lambda: FiniteWeylGroup.symmetric(4),

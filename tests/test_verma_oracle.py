@@ -111,8 +111,7 @@ def test_realization_audited_once_per_datum(monkeypatch):
         audit(datum, real)
 
     monkeypatch.setattr(verma_oracle, "_check_realization", counted)
-    verma_oracle._frame.cache_clear()  # earlier tests may have built A2's
-    datum = build_root_datum("reductive", factors="A2")
+    datum = build_root_datum("reductive", factors="A2")  # a fresh datum: a fresh frame
     for lam in ([-2, 0, 2], [-3, 0, 2]):  # regular: six orbit points each
         table = verma_oracle.verma_multiplicities(datum, Weight(lam))
         assert len(table) == 36
@@ -122,8 +121,9 @@ def test_realization_audited_once_per_datum(monkeypatch):
 def test_oracle_is_independent_of_kl():
     """Neither the oracle nor any package module it imports reaches the KL
     engine, so the oracle stays an independent check of it.  From the
-    engine it reads only the dot orbit, the Fraction integrality test and
-    root_data's integer frame: it pairs no weight with a coroot itself."""
+    engine it reads only the dot orbit, the Fraction integrality test,
+    root_data's integer frame and the per-datum memo that keeps its own
+    frame: it pairs no weight with a coroot itself."""
     import ast
     from pathlib import Path
 
@@ -151,7 +151,8 @@ def test_oracle_is_independent_of_kl():
                 assert name != "verma_oracle" or "pairing_coroot" not in names
     assert "kl" not in seen
     assert seen == {"verma_oracle", "errors", "root_data", "weights", "weyl"}
-    assert reads["root_data"] == {"RootDatum", "_integer_frame", "_scaled", "is_integral"}
+    assert reads["root_data"] == {"RootDatum", "_derived", "_integer_frame", "_scaled",
+                                  "is_integral"}
     assert reads["weyl"] == {"orbit_dot"}
 
 

@@ -11,7 +11,8 @@ from superlink import (CapExceededError, SuperlinkError, UnsupportedInputError, 
                        reflection_element, stabilizer_roots, weyl_order)
 from superlink.weights import Weight
 from superlink.root_data import _integer_frame
-from superlink.weyl import WeylElement, _group_index, _parabolic_coroots, length, validate_element
+from superlink import weyl
+from superlink.weyl import WeylElement, _parabolic_coroots, length, validate_element
 import weyl_reference
 from weyl_reference import dot_reflection, enumerate_subgroup, parabolic_positive_roots
 
@@ -79,19 +80,22 @@ def test_stabilizer_examples(p2, p3, osp22):
     assert all(dot(p3, w, lam) == lam for w in group)
 
 
-def test_group_queries_refuse_above_the_cap():
+def test_group_queries_refuse_above_the_cap(monkeypatch):
     """p(9) has |W| = 9! = 362,880: length, longest_element and reduced_word
     refuse it from the closed-form order, before any index is built."""
     p9 = build_root_datum("p", n=9)
     e = WeylElement.identity(9)
-    built = _group_index.cache_info().misses
+    built = []
+    init = weyl._Index.__init__
+    monkeypatch.setattr(weyl._Index, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
     start = time.perf_counter()
     for query in (lambda: length(p9, e), lambda: longest_element(p9),
                   lambda: reduced_word(p9, e)):
         with pytest.raises(CapExceededError, match="362880"):
             query()
     assert time.perf_counter() - start < 1
-    assert _group_index.cache_info().misses == built
+    assert built == []
 
 
 def test_group_queries_refuse_foreign_elements(p2):
