@@ -25,8 +25,8 @@ from .blocks import block_label, same_block, typicality
 from .errors import SuperlinkError
 from .root_data import RootDatum, build_root_datum
 from .weights import Weight, format_rational, rational
-from .weyl import (WeylElement, antidominant_rep, dot, stabilizer_roots,
-                   validate_element, weyl_order)
+from .weyl import (WeylElement, _refuse_above, _window_order, antidominant_rep, dot,
+                   stabilizer_roots, validate_element)
 from .whittaker import WhittakerCharacter, classify_simple, in_X, in_X0, upsilon_of
 
 SCHEMA_VERSION = 1
@@ -243,19 +243,23 @@ def cmd_enumerate_block(args) -> int:
 
 def cmd_klpoly(args) -> int:
     cap = _config(args)["kl_cap"]
-    datum = _root_datum("reductive", None, None, ((args.type.upper(), args.rank),))
-    order = weyl_order(datum)
-    if args.config and order > cap:
-        raise SuperlinkError(f"|W| = {order} exceeds configured cap")
-    W = kl_mod.FiniteWeylGroup(datum, cap=cap)
+    kind = args.type.upper()
+    if args.rank > 0:  # else the datum refuses the factor
+        # refused from the closed-form order before the datum is built
+        order = _window_order(kind, args.rank + 1 if kind == "A" else args.rank)
+        if args.config and order > cap:
+            raise SuperlinkError(f"|W| = {order} exceeds configured cap")
+        _refuse_above(order, cap)
+    datum = _root_datum("reductive", None, None, ((kind, args.rank),))
+    W = kl_mod.shared_group(datum, cap)
 
     def word_of(text: str):
         if text.strip() in ("e", ""):
             return []
         letters = [int(t) for t in text.replace(",", " ").split()]
         for t in letters:
-            if not 1 <= t <= len(W.simple):
-                raise SuperlinkError(f"word letter {t} out of range 1..{len(W.simple)}")
+            if not 1 <= t <= args.rank:
+                raise SuperlinkError(f"word letter {t} out of range 1..{args.rank}")
         return [t - 1 for t in letters]
 
     x = W.from_word(word_of(args.x))

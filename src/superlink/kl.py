@@ -1,14 +1,13 @@
 """Kazhdan-Lusztig polynomials and standard-module composition multiplicities.
 
-The KL engine works over a finite Weyl group presented as a parabolic
-subgroup of a datum's signed-permutation group (type A / type C products).
-A group numbers its elements by weyl's index, kept per (datum, sub):
-ids by (length, images), with per id the left multiplications by simple
-reflections, the length and the left-descent bitmask.  Each group keeps
-its own memos on these integers (`_KLMemo`).  Bruhat order keeps one lower
-ideal per element as a bitset, built
-by [e, w] = [e, sw] u s[e, sw] for a left descent s.  The KL recursion is the
-classical one on a left descent s of w:
+The KL engine works over the Weyl group of a datum, a group of signed
+permutations of its coordinates (type A / type C products).  A group
+numbers its elements by weyl's index, one per datum: ids by (length,
+images), with per id the left multiplications by simple reflections, the
+length and the left-descent bitmask.  Each group keeps its own memos on
+these integers (`_KLMemo`).  Bruhat order keeps one lower ideal per element
+as a bitset, built by [e, w] = [e, sw] u s[e, sw] for a left descent s.  The
+KL recursion is the classical one on a left descent s of w:
 
     P_{x,w} = q^{1-c} P_{sx,sw} + q^c P_{x,sw}
               - sum_z mu(z, sw) q^{(l(w)-l(z))/2} P_{x,z}
@@ -42,9 +41,10 @@ descent in zeta's support, so a multiplicity is one KL lookup and a length
 one row of at most |W| lookups.
 
 Concurrency: this module keeps no state of its own.  The shared group of a
-datum (`shared_group`) and weyl's index are kept on the datum object by
-root_data's `_derived` and die with it; the package's other caches are
-listed in the README.  An index is never written after it is built, and
+datum (`shared_group`, whose KL memo every caller of that datum reuses, the
+CLI's `klpoly` and `mult` included) and weyl's index are kept on the datum
+object by root_data's `_derived` and die with it; the package's other
+caches are listed in the README.  An index is never written after it is built, and
 everything a group memoizes (ideals, polynomials, mu-lists) is a pure value
 written through single atomic assignments, so concurrent calls return
 identical results; at worst two threads duplicate a computation before one
@@ -54,13 +54,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import (CapExceededError, MissingTableEntryError, SuperlinkError,
-                     UnsupportedInputError)
-from .root_data import Root, RootDatum, _derived, build_reductive, is_integral
+from .errors import MissingTableEntryError, SuperlinkError, UnsupportedInputError
+from .root_data import RootDatum, _derived, build_reductive, is_integral
 from .weights import Weight
-from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _Index, _strip,
+from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _Index, _refuse_above,
                    antidominant_rep, is_antidominant, orbit_dot, reflection_element,
                    stabilizer_roots, weyl_order)
 
@@ -199,17 +198,16 @@ class _KLMemo:
 
 
 class FiniteWeylGroup:
-    """A parabolic Weyl group: a KL view of weyl's index of (datum, sub), kept
-    on the datum, with its own KL and Bruhat memos built on first use."""
+    """A datum's Weyl group: a KL view of weyl's index of the datum, kept on
+    the datum, with its own KL and Bruhat memos built on first use.  The
+    i-th generator is the reflection of the i-th root of `datum.simple_even`;
+    lengths, reduced words and the longest element are weyl's `length`,
+    `reduced_word` and `longest_element`."""
 
-    def __init__(self, datum: RootDatum, sub: Sequence[Root] | None = None,
-                 cap: int = KL_GROUP_CAP):
+    def __init__(self, datum: RootDatum, cap: int = KL_GROUP_CAP):
         self.datum = datum
-        self.sub = tuple(sub) if sub is not None else datum.simple_even
-        self.order = weyl_order(datum, self.sub)
-        if self.order > cap:
-            raise CapExceededError(f"|W| = {self.order} exceeds the cap {cap}")
-        self.simple = list(self.sub)
+        self.order = weyl_order(datum)
+        _refuse_above(self.order, cap)
         self.identity = WeylElement.identity(datum.dim)
 
     @staticmethod
@@ -224,11 +222,11 @@ class FiniteWeylGroup:
 
     @cached_property
     def reflections(self) -> list[WeylElement]:
-        return [reflection_element(self.datum, r) for r in self.simple]
+        return [reflection_element(self.datum, r) for r in self.datum.simple_even]
 
     @cached_property
     def _index(self) -> _Index:
-        return _derived(self.datum, _Index, tuple(map(self.datum.simple_even.index, self.sub)))
+        return _derived(self.datum, _Index)
 
     @cached_property
     def _memo(self) -> _KLMemo:
@@ -237,32 +235,21 @@ class FiniteWeylGroup:
     def elements(self) -> list[WeylElement]:
         return [WeylElement(x) for x in self._index.images]
 
-    def length(self, w: WeylElement) -> int:
-        return self._index.length[self._index.of(w)]
-
-    def word(self, w: WeylElement) -> tuple[int, ...]:
-        """Reduced word as indices into the simple list, by lowest left descents."""
-        return tuple(_strip(self._index, self._index.of(w), range(len(self.simple)))[0])
-
     def from_word(self, word: Iterable[int]) -> WeylElement:
         w = self.identity
         for i in word:
-            if not 0 <= int(i) < len(self.simple):
+            if not 0 <= int(i) < len(self.reflections):
                 raise UnsupportedInputError(
-                    f"word letter {i} out of range 0..{len(self.simple) - 1}")
+                    f"word letter {i} out of range 0..{len(self.reflections) - 1}")
             w = w.compose(self.reflections[int(i)])
         return w
-
-    def longest(self) -> WeylElement:
-        return WeylElement(self._index.images[-1])
 
 
 def shared_group(datum: RootDatum, cap: int = KL_GROUP_CAP) -> FiniteWeylGroup:
     """The datum's Weyl group, kept on the datum: built whatever the cap (its
     index waits for first use), then refused against the caller's cap."""
-    W = _derived(datum, FiniteWeylGroup, None, float("inf"))
-    if W.order > cap:
-        raise CapExceededError(f"|W| = {W.order} exceeds the cap {cap}")
+    W = _derived(datum, FiniteWeylGroup, float("inf"))
+    _refuse_above(W.order, cap)
     return W
 
 
@@ -389,7 +376,7 @@ def whittaker_length(datum: RootDatum, lam: Weight, zeta,
         W = shared_group(datum, cap=cap)
         ix, memo = W._index, W._memo
         k = _position(datum, W, lam)[1]
-        J = sum(1 << W.simple.index(r) for r in zeta.support)
+        J = sum(1 << datum.simple_even.index(r) for r in zeta.support)
         return sum(memo.value(k, ix.w0x[y]) for y in range(ix.n) if not ix.desc[y] & J)
     total = 0
     for gamma in table.gammas_for(lam):

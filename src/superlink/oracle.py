@@ -379,6 +379,7 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
 # -- KL cross-check ---------------------------------------------------------
 
 _KL_LIMIT = 1 << 32  # bound on an accepted KL coefficient
+CROSS_CHECK_CAP = 1152  # |W| above which kl_cross_check refuses
 
 class _RPolynomials:
     """The group on the oracle's own int ids, with every nonzero R_{x,w}.
@@ -473,10 +474,10 @@ class CrossCheckReport:
                 "ok": self.ok}
 
 
-def kl_cross_check(W: FiniteWeylGroup, cap: int = 1152) -> CrossCheckReport:
+def kl_cross_check(W: FiniteWeylGroup) -> CrossCheckReport:
     """Diff the KL recursion against the R-polynomial inversion on all pairs."""
-    if W.order > cap:
-        raise CapExceededError(f"|W| = {W.order} exceeds cross-check cap {cap}")
+    if W.order > CROSS_CHECK_CAP:
+        raise CapExceededError(f"|W| = {W.order} exceeds cross-check cap {CROSS_CHECK_CAP}")
     inverted = kl_via_inversion(W)
     # the oracle's own elements, in its order: each w's first key is (w, w)
     elements = [WeylElement(w) for x, w in inverted if x == w]

@@ -27,19 +27,21 @@ doubled point (N, -N) as one itemgetter and does no arithmetic;
 (anti-)dominance and stabilizers pair N with the frame's integer coroots,
 and the anti-dominant representative sorts N window by window.  Points
 convert back to weights once, at the end.  A reflection element is read
-off the frame's integer root and coroot.  `reflect`, `dot` and root_data's
-`is_integral` still pair through the Fraction `bilinear`.  `antidominant_rep`
-and `stabilizer_roots` call `is_integral` first, so their refusals keep
-their types and messages.
+off the frame's integer root and coroot.  `reflect` and root_data's
+`is_integral` still pair through the Fraction `bilinear`; `dot` applies the
+signed permutation to Fraction coordinates.  `antidominant_rep` and
+`stabilizer_roots` call `is_integral` first, so their refusals keep their
+types and messages.
 Moving the integrality test onto N waits on a leaner benchmark worker: the
 speed-up would otherwise read as a peak-memory regression there.
 
-Group structure has one integer index (`_Index`) per list of Pi_0
-indices, which the KL engine reads.  It, the reflection itemgetters and the
-parabolic coroots are kept on the datum by root_data's `_derived`, so they
-die with it.  `length`, `longest_element` and `reduced_word` query the
-datum's full-group index on the Pi_0 letters of `sub`, after refusing a
-group above KL_GROUP_CAP from its closed-form order.
+Group structure has one integer index (`_Index`) per datum, numbering the
+whole Weyl group; the KL engine reads it too.  It, the reflection
+itemgetters and the parabolic coroots are kept on the datum by root_data's
+`_derived`, so they die with it.  `length`, `longest_element` and
+`reduced_word` query that index on the Pi_0 letters of `sub`, after
+refusing a group above KL_GROUP_CAP from its closed-form order
+(`_refuse_above`, the one place that words the cap refusal).
 """
 from __future__ import annotations
 
@@ -352,15 +354,18 @@ def stabilizer_roots(datum: RootDatum, lam: Weight) -> tuple[Root, ...]:
                  if not sum(c * n[i] for i, c in coroot))
 
 
+def _refuse_above(order: int, cap) -> None:
+    """Refuse a group of this order above the cap."""
+    if order > cap:
+        raise CapExceededError(f"|W| = {order} exceeds the cap {cap}")
+
+
 def _sub_index(datum: RootDatum, sub) -> tuple["_Index", list[int]]:
-    """The index of the datum's whole Weyl group, refused above the cap
-    before anything is built, and sub as Pi_0 indices in its order."""
+    """The datum's group index, refused above the cap before anything is
+    built, and sub as Pi_0 indices in its order."""
     sub = _resolve_sub(datum, sub)
-    order = weyl_order(datum)
-    if order > KL_GROUP_CAP:
-        raise CapExceededError(f"|W| = {order} exceeds the cap {KL_GROUP_CAP}")
-    return (_derived(datum, _Index, tuple(range(len(datum.simple_even)))),
-            [datum.simple_even.index(r) for r in sub])
+    _refuse_above(weyl_order(datum), KL_GROUP_CAP)
+    return _derived(datum, _Index), [datum.simple_even.index(r) for r in sub]
 
 
 def _strip(ix: "_Index", x: int, letters: Sequence[int]) -> tuple[list[int], int]:
@@ -427,9 +432,9 @@ def _left_mult(s: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Index:
-    """The elements of the group generated by the simple even roots with
-    indices `chosen` (the i-th generator is the i-th of them), as ids
-    0..n-1 ordered by (length, images).
+    """The elements of the datum's Weyl group (the i-th generator is the
+    reflection of the i-th simple even root), as ids 0..n-1 ordered by
+    (length, images).
 
     Id 0 is the identity and id n-1 the longest element.  `images[x]` are
     the images of x and `ids` maps them back; `lmul[i][x]` is the id of
@@ -438,8 +443,8 @@ class _Index:
     come from `_strip`.
     """
 
-    def __init__(self, datum: RootDatum, chosen: tuple[int, ...]):
-        gens = [reflection_element(datum, datum.simple_even[j]).images for j in chosen]
+    def __init__(self, datum: RootDatum):
+        gens = [reflection_element(datum, alpha).images for alpha in datum.simple_even]
         # BFS distance from e is the Coxeter length
         levels = [sorted(level) for level in _closure(
             tuple(range(1, datum.dim + 1)), lambda x: (_left_mult(g, x) for g in gens))]
@@ -503,10 +508,13 @@ def _antidominant_points(datum: RootDatum, lam: Weight, sub) -> list[Weight]:
     return sorted(_unshifted(datum, D, (x for x in points if _antidominant_at(coroots, D, x))))
 
 
+def _window_order(kind: str, size: int) -> int:
+    """The order of the Weyl group of one window of `size` coordinates:
+    S_size for type A, the hyperoctahedral group for type C."""
+    return math.factorial(size) * (2 ** size if kind == "C" else 1)
+
+
 def weyl_order(datum: RootDatum, sub=None) -> int:
     """|W_J| in closed form from the run decomposition."""
     sub = _resolve_sub(datum, sub)
-    order = 1
-    for kind, coords in _runs(datum, sub):
-        order *= math.factorial(len(coords)) * (2 ** len(coords) if kind == "C" else 1)
-    return order
+    return math.prod(_window_order(kind, len(coords)) for kind, coords in _runs(datum, sub))

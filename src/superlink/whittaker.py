@@ -1,12 +1,12 @@
 """Whittaker characters, canonical simple parameters and singular-support sets.
 
 A character zeta of the even nilradical is identified with its support
-Pi_zeta, the set of simple even roots on which it is nonzero; optional
-scalar values are carried as opaque metadata.  The classification data of a
-simple Whittaker module is the pair (zeta, rep) where rep is the canonical
-W_zeta-anti-dominant representative of the weight's W_zeta dot orbit: two
-integral weights parameterize the same simple module for a fixed zeta
-exactly when they share this representative.
+Pi_zeta, the set of simple even roots on which it is nonzero.  The
+classification data of a simple Whittaker module is the pair (zeta, rep)
+where rep is the canonical W_zeta-anti-dominant representative of the
+weight's W_zeta dot orbit: two integral weights parameterize the same
+simple module for a fixed zeta exactly when they share this
+representative.
 
 For a dominant integral weight nu, upsilon_of returns the simple roots
 singular at nu; X0(nu) consists of the nu-integral weights that are
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import UnsupportedInputError
 from .root_data import Root, RootDatum, _integer_frame, is_integral
@@ -29,29 +29,18 @@ from .weyl import WeylElement, _runs, _shifted, antidominant_rep, is_antidominan
 
 @dataclass(frozen=True)
 class WhittakerCharacter:
-    """zeta, recorded by its support inside Pi_0 (values are metadata only)."""
+    """zeta, recorded by its support inside Pi_0."""
 
     support: tuple[Root, ...]
-    values: tuple[tuple[Root, Fraction], ...] = ()
 
     @staticmethod
-    def make(datum: RootDatum, support: Sequence[Root],
-             values: Mapping[Root, Fraction] | None = None) -> "WhittakerCharacter":
+    def make(datum: RootDatum, support: Sequence[Root]) -> "WhittakerCharacter":
         allowed = list(datum.simple_even)
         support = tuple(sorted(set(support), key=allowed.index))
         for r in support:
             if r not in allowed:
                 raise UnsupportedInputError("zeta support must lie inside Pi_0")
-        items: tuple[tuple[Root, Fraction], ...] = ()
-        if values:
-            for r, v in values.items():
-                if r not in support:
-                    raise UnsupportedInputError("zeta value attached outside the support")
-                if Fraction(v) == 0:
-                    raise UnsupportedInputError("zeta values must be nonzero")
-            items = tuple(sorted(((r, Fraction(v)) for r, v in values.items()),
-                                 key=lambda rv: allowed.index(rv[0])))
-        return WhittakerCharacter(support, items)
+        return WhittakerCharacter(support)
 
     @staticmethod
     def from_indices(datum: RootDatum, spec) -> "WhittakerCharacter":

@@ -145,6 +145,48 @@ def test_klpoly_calls_share_one_index(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_klpoly_calls_share_one_kl_memo(capsys, monkeypatch):
+    """klpoly reads the datum's shared group, so repeated calls reuse its
+    KL memo as well as its index."""
+    from superlink import kl
+    built = []
+    init = kl._KLMemo.__init__
+    monkeypatch.setattr(kl._KLMemo, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    cli._root_datum.cache_clear()
+    argv = ["klpoly", "--type", "c", "--rank", "3", "--x", "2", "--w", "2,1,3,2,1,3,2"]
+    assert run_json(capsys, argv) == run_json(capsys, argv) \
+        == {"coeffs": [1, 1, 1], "poly": "1 + q + q^2"}
+    assert len(built) == 1
+
+
+def test_klpoly_refuses_a_large_rank_before_building_the_datum(capsys, tmp_path, monkeypatch):
+    """|W| of A160 is 161!: klpoly refuses it from the closed-form order,
+    with the texts it gave when it built the datum first (36 s); a rank
+    below 1 keeps the datum's own refusal."""
+    import math
+    import time
+    built = []
+    monkeypatch.setattr(cli, "build_root_datum", lambda *a, **kw: built.append(a))
+    cli._root_datum.cache_clear()
+    argv = ["klpoly", "--type", "a", "--rank", "160", "--x", "e", "--w", "e"]
+    start = time.perf_counter()
+    assert run(capsys, argv) == (
+        3, "", f"error: |W| = {math.factorial(161)} exceeds the cap 40320\n")
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("kl_cap=50000\n")
+    assert run(capsys, [*argv, "--config", str(cfg)]) == (
+        3, "", f"error: |W| = {math.factorial(161)} exceeds configured cap\n")
+    assert time.perf_counter() - start < 1
+    assert built == []
+    monkeypatch.undo()
+    for rank in ("0", "-1"):
+        code, out, err = run(capsys, ["klpoly", "--type", "c", "--rank", rank,
+                                      "--x", "e", "--w", "e"])
+        assert (code, out, err) == (
+            3, "", f"error: bad reductive factor ('C', {rank}); use A<k> or C<k>\n")
+
+
 def test_dot_refuses_malformed_cycles(capsys):
     argv = ["dot", "--family", "gl", "--m", "2", "--n", "1", "--weight=1,0,0"]
     for w in ("garbage", "(1 2", "1 2)", "(1 2)x"):

@@ -2,16 +2,20 @@
 `_derived`: they die with the datum, and a lookup never compares two data."""
 import ast
 import gc
+import inspect
 import weakref
 from pathlib import Path
+
+import pytest
 
 import superlink
 from superlink import (RootDatum, WhittakerCharacter, antidominant_rep, build_root_datum,
                        is_antidominant, orbit_dot, verma_series_rank_small, whittaker_length)
 from superlink import kl, root_data, verma_oracle, weyl
+from superlink.errors import CapExceededError
 from superlink.kl import shared_group
 from superlink.weights import Weight
-from superlink.weyl import WeylElement, length
+from superlink.weyl import WeylElement, length, longest_element, reduced_word
 
 
 def test_tables_die_with_their_datum():
@@ -73,3 +77,35 @@ def test_functools_caches_left_in_src():
     assert not hasattr(RootDatum, "_frame")
     assert not hasattr(root_data, "attrgetter")
     assert not hasattr(kl, "_GROUPS")
+
+
+def test_one_group_index_per_datum():
+    """The parabolic queries and the KL group read one index of the whole
+    group, kept under the key (_Index,); the group API carries no parabolic
+    subset and no copy of weyl's length, reduced_word or longest_element."""
+    datum = build_root_datum("reductive", factors="A1,C2")
+    first = datum.simple_even[:1]
+    assert length(datum, WeylElement((2, 1, 3, 4)), first) == 1
+    assert longest_element(datum, first) == WeylElement((2, 1, 3, 4))
+    assert reduced_word(datum, WeylElement((1, 2, 3, -4))) == [datum.simple_even[2]]
+    W = shared_group(datum)
+    assert W.order == W._index.n == 16
+    keys = [key for key in datum.__dict__["_derived"] if weyl._Index in key]
+    assert keys == [(weyl._Index,)]
+    assert W._index is datum.__dict__["_derived"][(weyl._Index,)]
+    assert list(inspect.signature(weyl._Index).parameters) == ["datum"]
+    assert list(inspect.signature(kl.FiniteWeylGroup).parameters) == ["datum", "cap"]
+    assert not [name for name in ("sub", "simple", "length", "word", "longest")
+                if hasattr(W, name)]
+
+
+def test_group_cap_refusal_is_worded_once():
+    """One weyl helper words `|W| = N exceeds the cap C`; the parabolic
+    queries, a new group and the shared group all raise through it."""
+    package = Path(superlink.__file__).resolve().parent
+    assert sum(path.read_text(encoding="utf-8").count("exceeds the cap")
+               for path in package.glob("*.py")) == 1
+    a3 = build_root_datum("reductive", factors="A3")
+    for refuse in (lambda: kl.FiniteWeylGroup(a3, cap=23), lambda: shared_group(a3, 23)):
+        with pytest.raises(CapExceededError, match=r"^\|W\| = 24 exceeds the cap 23$"):
+            refuse()

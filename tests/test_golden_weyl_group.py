@@ -1,9 +1,10 @@
 """Byte-for-byte replay of the Weyl-group structure queries.
 
 `golden/weyl_group.json` pins, per datum, the order of
-`FiniteWeylGroup.elements()` with each element's `word` and the group's
-`longest`, and, for every parabolic subset of Pi_0 (plus Pi_0 in reversed
-order, which changes the letter choice of `reduced_word`):
+`FiniteWeylGroup.elements()` with each element's `reduced_word` and the
+group's `longest_element`, and, for every parabolic subset of Pi_0 (plus
+Pi_0 in reversed order, which changes the letter choice of
+`reduced_word`):
 
 * `longest_element(datum, sub)`;
 * `length(datum, w, sub)` for every element w of the full group, so the
@@ -45,8 +46,8 @@ def _answer(spec: dict) -> dict:
     elements = W.elements()
     pi0 = datum.simple_even
     out = {"elements": [w.to_cycles() for w in elements],
-           "words": [list(W.word(w)) for w in elements],
-           "longest": W.longest().to_cycles(),
+           "words": [[pi0.index(r) for r in reduced_word(datum, w)] for w in elements],
+           "longest": longest_element(datum).to_cycles(),
            "subsets": []}
     for idx in _subsets(len(pi0)):
         sub = [pi0[i] for i in idx]

@@ -16,10 +16,6 @@ def zeta(datum, spec):
 def test_support_validation(p2):
     with pytest.raises(UnsupportedInputError):
         WhittakerCharacter.from_indices(p2, "2")  # p(2) has one simple root
-    with pytest.raises(UnsupportedInputError):
-        WhittakerCharacter.make(p2, p2.simple_even, {p2.simple_even[0]: Fraction(0)})
-    z = WhittakerCharacter.make(p2, p2.simple_even, {p2.simple_even[0]: Fraction(2, 3)})
-    assert z.values[0][1] == Fraction(2, 3)
 
 
 def test_support_from_indices(p2, gl22):
