@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from . import oracle as oracle_mod
 from .blocks import block_label, same_block, typicality
 from .errors import SuperlinkError
 from .root_data import RootDatum, build_root_datum
-from .weights import Weight, format_rational, rational
+from .weights import format_rational, rational
 from .weyl import (WeylElement, _refuse_above, _window_order, antidominant_rep, dot,
                    stabilizer_roots, validate_element)
 from .whittaker import WhittakerCharacter, classify_simple, in_X, in_X0, upsilon_of
@@ -107,10 +108,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _weight(datum: RootDatum, text: str) -> Weight:
-    return datum.parse_weight(text)
-
-
 def _zeta(datum: RootDatum, spec) -> WhittakerCharacter:
     return WhittakerCharacter.from_indices(datum, spec if spec is not None else "none")
 
@@ -139,7 +136,7 @@ def cmd_dot(args) -> int:
     datum = _datum(args)
     w = WeylElement.from_cycles(args.w, datum.dim)
     validate_element(datum, w)
-    lam = _weight(datum, args.weight)
+    lam = datum.parse_weight(args.weight)
     result = dot(datum, w, lam)
     _emit(args, {"result": datum.format_weight(result)}, datum.format_weight(result))
     return 0
@@ -147,7 +144,7 @@ def cmd_dot(args) -> int:
 
 def cmd_antidom(args) -> int:
     datum = _datum(args)
-    lam = _weight(datum, args.weight)
+    lam = datum.parse_weight(args.weight)
     sub = _zeta(datum, args.zeta if args.zeta is not None else "all").support
     rep, w = antidominant_rep(datum, lam, sub)
     payload = {"rep": datum.format_weight(rep), "witness": w.to_cycles()}
@@ -157,7 +154,7 @@ def cmd_antidom(args) -> int:
 
 def cmd_stab(args) -> int:
     datum = _datum(args)
-    lam = _weight(datum, args.weight)
+    lam = datum.parse_weight(args.weight)
     roots = stabilizer_roots(datum, lam)
     payload = {"stabilizer_roots": [datum.format_weight(r.weight) for r in roots]}
     _emit(args, payload, " ".join(payload["stabilizer_roots"]) or "(regular)")
@@ -167,7 +164,7 @@ def cmd_stab(args) -> int:
 def cmd_classify(args) -> int:
     datum = _datum(args)
     zeta = _zeta(datum, args.zeta)
-    lam = _weight(datum, args.weight)
+    lam = datum.parse_weight(args.weight)
     param = classify_simple(datum, lam, zeta)
     payload = {
         "zeta": [datum.simple_even.index(r) + 1 for r in zeta.support],
@@ -180,7 +177,7 @@ def cmd_classify(args) -> int:
 
 def cmd_upsilon(args) -> int:
     datum = _datum(args)
-    nu = _weight(datum, args.nu)
+    nu = datum.parse_weight(args.nu)
     roots = upsilon_of(datum, nu)
     payload = {
         "indices": [datum.simple_even.index(r) + 1 for r in roots],
@@ -192,8 +189,8 @@ def cmd_upsilon(args) -> int:
 
 def cmd_in_x(args) -> int:
     datum = _datum(args)
-    nu = _weight(datum, args.nu)
-    lam = _weight(datum, args.weight)
+    nu = datum.parse_weight(args.nu)
+    lam = datum.parse_weight(args.weight)
     payload = {"in_x0": in_X0(datum, nu, lam), "in_x": in_X(datum, nu, lam)}
     _emit(args, payload, f"in_x={payload['in_x']} in_x0={payload['in_x0']}")
     return 0
@@ -201,7 +198,7 @@ def cmd_in_x(args) -> int:
 
 def cmd_typicality(args) -> int:
     datum = _datum(args)
-    lam = _weight(datum, args.weight)
+    lam = datum.parse_weight(args.weight)
     t = typicality(datum, lam)
     payload = {"kind": t.kind}
     if t.kind == "atypical":
@@ -212,7 +209,7 @@ def cmd_typicality(args) -> int:
 
 def cmd_block_label(args) -> int:
     datum = _datum(args)
-    lam = _weight(datum, args.weight)
+    lam = datum.parse_weight(args.weight)
     label = block_label(datum, lam)
     _emit(args, label.to_json(), label.json_str())
     return 0
@@ -220,8 +217,8 @@ def cmd_block_label(args) -> int:
 
 def cmd_same_block(args) -> int:
     datum = _datum(args)
-    lam = _weight(datum, args.weight)
-    mu = _weight(datum, args.mu)
+    lam = datum.parse_weight(args.weight)
+    mu = datum.parse_weight(args.mu)
     status = same_block(datum, lam, mu)
     _emit(args, {"status": status.value}, status.value)
     return 0
@@ -230,7 +227,7 @@ def cmd_same_block(args) -> int:
 def cmd_enumerate_block(args) -> int:
     datum = _datum(args)
     cfg = _config(args)
-    lam = _weight(datum, args.weight)
+    lam = datum.parse_weight(args.weight)
     target = block_label(datum, lam)
     box = _parse_box(datum, args.box, args.anchor)
     matches = oracle_mod.block_members(datum, box, target, cfg["box_cap"])
@@ -245,11 +242,16 @@ def cmd_klpoly(args) -> int:
     cap = _config(args)["kl_cap"]
     kind = args.type.upper()
     if args.rank > 0:  # else the datum refuses the factor
-        # refused from the closed-form order before the datum is built
-        order = _window_order(kind, args.rank + 1 if kind == "A" else args.rank)
+        # refused before the datum is built; an order past the digits Python
+        # prints (640 or more, and k! > 10^k from k = 25) is named by formula
+        size = args.rank + 1 if kind == "A" else args.rank
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        order = _window_order(kind, size) if size <= digits else math.inf
+        shown = (order if order < 10 ** digits
+                 else f"2^{size} {size}!" if kind == "C" else f"{size}!")
         if args.config and order > cap:
-            raise SuperlinkError(f"|W| = {order} exceeds configured cap")
-        _refuse_above(order, cap)
+            raise SuperlinkError(f"|W| = {shown} exceeds configured cap")
+        _refuse_above(order, cap, shown)
     datum = _root_datum("reductive", None, None, ((kind, args.rank),))
     W = kl_mod.shared_group(datum, cap)
 
@@ -274,7 +276,7 @@ def cmd_mult(args) -> int:
     datum = _datum(args)
     cap = _config(args)["kl_cap"]
     zeta = _zeta(datum, args.zeta)
-    lam = _weight(datum, args.weight)
+    lam = datum.parse_weight(args.weight)
     table = None
     if args.mult_table:
         table = kl_mod.load_mult_table(datum, args.mult_table)
@@ -284,7 +286,7 @@ def cmd_mult(args) -> int:
         value = kl_mod.whittaker_length(datum, lam, zeta, table, cap)
         _emit(args, {"length": value}, str(value))
         return 0
-    mu = _weight(datum, args.mu)
+    mu = datum.parse_weight(args.mu)
     value = kl_mod.whittaker_mult(datum, lam, mu, zeta, table, cap)
     _emit(args, {"multiplicity": value}, str(value))
     return 0

@@ -206,7 +206,7 @@ class FiniteWeylGroup:
 
     def __init__(self, datum: RootDatum, cap: int = KL_GROUP_CAP):
         self.datum = datum
-        self.order = weyl_order(datum)
+        self.order = _derived(datum, weyl_order)
         _refuse_above(self.order, cap)
         self.identity = WeylElement.identity(datum.dim)
 

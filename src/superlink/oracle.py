@@ -146,20 +146,12 @@ class _Frame:
         shift = ints.rho if datum.family == "osp32" else ints.rho0
         self.reflections = [(ints.roots[j], ints.coroots[j], k * sum(
             c * shift[i] for i, c in ints.coroots[j])) for j in ints.simple]
-        # per isotropic line {a, -a}, <lam + rho, a> = 0 reads
-        # k + sum_i f_i N_i = 0 with f_i = s_i a_i
-        self.lines, seen = [], set()
-        for iso in datum.isotropic_roots:
-            a = _scaled(iso.weight, 1)
-            if a is None:
-                raise UnsupportedInputError(f"{datum.describe()} needs integer roots and coroots")
-            key = min(a, tuple(-v for v in a))
-            if key in seen:
-                continue
-            seen.add(key)
-            root = tuple((i, v) for i, v in enumerate(a) if v)
-            form = tuple((i, int(datum.form_signature[i]) * v) for i, v in root)
-            self.lines.append((root, form, k * sum(f * ints.rho[i] for i, f in form)))
+        # per isotropic line {a, -a}, a its positive root, <lam + rho, a> = 0
+        # reads k + sum_i f_i N_i = 0 with f_i = s_i a_i
+        self.lines = []
+        for a in (r.vector for r in datum.odd_positive if r.isotropic):
+            form = tuple((i, int(datum.form_signature[i]) * v) for i, v in a)
+            self.lines.append((a, form, k * sum(f * ints.rho[i] for i, f in form)))
 
     def points(self) -> list[tuple[int, ...]]:
         """The box's points N, in `itertools.product` order over the axes."""

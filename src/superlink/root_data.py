@@ -20,13 +20,18 @@ p(n), which uses the normalized rho0 = (n-1, n-2, ..., 1, 0): the dot action
 only sees rho0 up to a W-fixed vector, and every downstream p(n) statement
 is phrased against this representative.  rho = rho0 - rho1 always holds
 coordinate-exactly.
+
+Each root is built once, as the sparse integer vector ((i, c_i), ...) that
+`Root.vector` holds (every root here has at most two nonzero coordinates);
+isotropy, rho0, rho1 and the integer frame are computed on these integers,
+and the dense `Root.weight` is built on first use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
 
 from .errors import ConstructionError, DimensionMismatchError, UnsupportedInputError
 from .weights import Weight, format_weight, parse_weight
@@ -37,13 +42,24 @@ ODD = "odd"
 # Weyl-group coordinate blocks: kind "A" permutes the window, kind "C"
 # signed-permutes it.  A window of size 1 with kind "A" is fixed pointwise.
 Block = tuple[str, int, int]  # (kind, start, size)
+Vector = tuple[tuple[int, int], ...]
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class Root:
-    weight: Weight
+    vector: Vector  # sparse integer coordinates ((i, c_i), ...), c_i != 0, i ascending
+    dim: int
     parity: str  # "even" | "odd"
     isotropic: bool
+
+    @cached_property
+    def weight(self) -> Weight:
+        """The root as a dense weight, built on first use."""
+        coords = [_ZERO] * self.dim
+        for i, c in self.vector:
+            coords[i] = Fraction(c)
+        return Weight._of(tuple(coords))
 
     def __repr__(self):
         tag = "iso" if self.isotropic else self.parity
@@ -97,13 +113,6 @@ class RootDatum:
                 f"{self.describe()} expects {self.dim} coordinates, got {len(w)}")
 
 
-def _basis(dim: int, entries: dict[int, Fraction | int]) -> Weight:
-    coords = [Fraction(0)] * dim
-    for i, v in entries.items():
-        coords[i] = Fraction(v)
-    return Weight(coords)
-
-
 def bilinear(datum: RootDatum, lam: Weight, mu: Weight) -> Fraction:
     """The family's W-invariant form: sum_i s_i lam_i mu_i with s_i = +-1."""
     datum.check_dim(lam)
@@ -135,33 +144,33 @@ def _scaled(w: Weight, D: int) -> tuple[int, ...] | None:
 class _IntegerFrame:
     """The datum's integer data over D, the least common denominator of rho0
     and rho: `rho0` and `rho` are D rho0 and D rho; `roots` and `coroots`
-    hold, per even positive root in even_positive order, its root and
-    coroot as sparse int pairs (i, c_i), c_i != 0, where <lam, alpha^vee> =
-    sum_i c_i lam_i, i.e. c = 2 s alpha / <alpha, alpha> for the form
+    hold, per even positive root in even_positive order, its root vector and
+    its coroot as sparse int pairs (i, c_i), c_i != 0, where <lam, alpha^vee>
+    = sum_i c_i lam_i, i.e. c = 2 s alpha / <alpha, alpha> for the form
     signature s; `height`, their sum, is the dense functional mu -> sum_a
-    <mu, a^vee>; `simple` holds the positions of Pi_0 among them.  A datum
-    without integer roots and coroots is refused; every supported family
-    has them.  A weight lam and an integer shift (such as `rho0`) convert to
-    (E, N): E the lcm of D and lam's denominators, and N = E lam + (E / D)
-    shift = E (lam + shift / D).
+    <mu, a^vee>; `position` maps each even positive root to its index, and
+    `simple` holds the positions of Pi_0.  A datum whose coroots are not
+    integral is refused; every supported family has integral ones.  A weight
+    lam and an integer shift (such as `rho0`) convert to (E, N): E the lcm
+    of D and lam's denominators, and N = E lam + (E / D) shift = E (lam +
+    shift / D).
     """
 
     def __init__(self, datum: RootDatum):
         self.D = D = math.lcm(*(c.denominator for c in (*datum.rho0, *datum.rho)))
         self.rho0, self.rho = _scaled(datum.rho0, D), _scaled(datum.rho, D)
-        sig, roots, coroots, height = datum.form_signature, [], [], [0] * datum.dim
+        sig, coroots, height = list(map(int, datum.form_signature)), [], [0] * datum.dim
         for root in datum.even_positive:
-            alpha = [(i, a) for i, a in enumerate(root.weight) if a]
-            norm = sum(sig[i] * a * a for i, a in alpha)
-            coroot = [(i, 2 * sig[i] * a / norm) for i, a in alpha]
-            if any(c.denominator != 1 for _, c in alpha + coroot):
+            norm = sum(sig[i] * a * a for i, a in root.vector)
+            if any(2 * sig[i] * a % norm for i, a in root.vector):
                 raise UnsupportedInputError(f"{datum.describe()} needs integer roots and coroots")
-            roots.append(tuple((i, int(a)) for i, a in alpha))
-            coroots.append(tuple((i, int(c)) for i, c in coroot))
+            coroots.append(tuple((i, 2 * sig[i] * a // norm) for i, a in root.vector))
             for i, c in coroots[-1]:
                 height[i] += c
-        self.roots, self.coroots, self.height = tuple(roots), tuple(coroots), tuple(height)
-        self.simple = tuple(map(datum.even_positive.index, datum.simple_even))
+        self.roots = tuple(r.vector for r in datum.even_positive)
+        self.coroots, self.height = tuple(coroots), tuple(height)
+        self.position = {r: k for k, r in enumerate(datum.even_positive)}
+        self.simple = tuple(map(self.position.__getitem__, datum.simple_even))
 
     def shifted(self, lam: Weight, shift: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """(E, N) with N = E lam + (E / D) shift."""
@@ -206,38 +215,42 @@ def is_integral(datum: RootDatum, lam: Weight) -> bool:
                for a in datum.even_positive)
 
 
-def _half_sum(dim: int, roots: Sequence[Root]) -> Weight:
-    total = Weight.zero(dim)
-    for r in roots:
-        total = total + r.weight
-    return total.scale(Fraction(1, 2))
+def _vector(*terms: tuple[int, int]) -> Vector:
+    """The sparse vector sum_k c_k e_{i_k} of the terms (i_k, c_k)."""
+    out: dict[int, int] = {}
+    for i, c in terms:
+        out[i] = out.get(i, 0) + c
+    return tuple(sorted((i, c) for i, c in out.items() if c))
+
+
+def _half_sum(dim: int, vectors: list[Vector]) -> Weight:
+    total = [0] * dim
+    for v in vectors:
+        for i, c in v:
+            total[i] += c
+    return Weight._of(tuple(Fraction(t, 2) for t in total))
 
 
 def _finish(family, params, dim, signature, simple, even_pos, odd_pos, odd_neg,
             blocks, seps, rho0=None) -> RootDatum:
-    signature = tuple(Fraction(s) for s in signature)
-    odd_all = tuple(odd_pos) + tuple(odd_neg)
+    def mk(v: Vector, parity: str) -> Root:
+        return Root(v, dim, parity, not sum(signature[i] * c * c for i, c in v))
 
-    def norm(w: Weight) -> Fraction:
-        return sum((s * a * a for s, a in zip(signature, w)), Fraction(0))
-
-    def mk(w: Weight, parity: str) -> Root:
-        return Root(w, parity, norm(w) == 0)
-
-    even_roots = tuple(mk(w, EVEN) for w in even_pos)
+    even_roots = tuple(mk(v, EVEN) for v in even_pos)
     # keep Pi_0 in the order the family lists it
-    by_weight = {r.weight: r for r in even_roots}
-    simple_roots = tuple(by_weight[w] for w in simple)
-    odd_roots = tuple(mk(w, ODD) for w in odd_all)
-    odd_positive = tuple(mk(w, ODD) for w in odd_pos)
+    by_vector = {r.vector: r for r in even_roots}
+    simple_roots = tuple(by_vector[v] for v in simple)
+    odd_roots = tuple(mk(v, ODD) for v in (*odd_pos, *odd_neg))
+    odd_positive = tuple(mk(v, ODD) for v in odd_pos)
     iso = tuple(r for r in odd_roots if r.isotropic)
     if any(r.isotropic for r in even_roots):
         raise ConstructionError("even roots must be non-isotropic")
 
-    rho0 = rho0 if rho0 is not None else _half_sum(dim, even_roots)
-    rho1 = _half_sum(dim, odd_positive)
+    rho0 = rho0 if rho0 is not None else _half_sum(dim, even_pos)
+    rho1 = _half_sum(dim, odd_pos)
     return RootDatum(
-        family=family, params=tuple(params), dim=dim, form_signature=signature,
+        family=family, params=tuple(params), dim=dim,
+        form_signature=tuple(Fraction(s) for s in signature),
         simple_even=simple_roots, even_positive=even_roots,
         odd_roots=odd_roots, odd_positive=odd_positive, isotropic_roots=iso,
         rho0=rho0, rho1=rho1, rho=rho0 - rho1,
@@ -248,13 +261,13 @@ def build_gl(m: int, n: int) -> RootDatum:
     if m < 1 or n < 1:
         raise ConstructionError(f"gl(m|n) needs positive m, n; got ({m}|{n})")
     dim = m + n
-    e = lambda i: _basis(dim, {i: 1})
-    even_pos = [e(i) - e(j) for i in range(m) for j in range(i + 1, m)]
-    even_pos += [e(i) - e(j) for i in range(m, dim) for j in range(i + 1, dim)]
-    simple = [e(i) - e(i + 1) for i in range(m - 1)]
-    simple += [e(i) - e(i + 1) for i in range(m, dim - 1)]
-    odd_pos = [e(i) - e(j) for i in range(m) for j in range(m, dim)]
-    odd_neg = [-w for w in odd_pos]
+    diff = lambda i, j: _vector((i, 1), (j, -1))
+    even_pos = [diff(i, j) for i in range(m) for j in range(i + 1, m)]
+    even_pos += [diff(i, j) for i in range(m, dim) for j in range(i + 1, dim)]
+    simple = [diff(i, i + 1) for i in range(m - 1)]
+    simple += [diff(i, i + 1) for i in range(m, dim - 1)]
+    odd_pos = [diff(i, j) for i in range(m) for j in range(m, dim)]
+    odd_neg = [tuple((i, -c) for i, c in v) for v in odd_pos]
     signature = [1] * m + [-1] * n
     blocks = [("A", 0, m), ("A", m, n)]
     return _finish("gl", (m, n), dim, signature, simple, even_pos, odd_pos,
@@ -265,16 +278,16 @@ def build_osp2(n: int) -> RootDatum:
     if n < 1:
         raise ConstructionError(f"osp(2|2n) needs positive n; got n={n}")
     dim = n + 1
-    d = lambda i: _basis(dim, {i + 1: 1})  # delta_i at coordinate i+1
-    eps = _basis(dim, {0: 1})
+    d = lambda i, c=1: (i + 1, c)  # c delta_i at coordinate i+1
     even_pos = []
     for i in range(n):
         for j in range(i + 1, n):
-            even_pos += [d(i) - d(j), d(i) + d(j)]
-        even_pos.append(d(i).scale(2))
-    simple = [d(i) - d(i + 1) for i in range(n - 1)] + [d(n - 1).scale(2)]
-    odd_pos = [eps - d(i) for i in range(n)] + [eps + d(i) for i in range(n)]
-    odd_neg = [-w for w in odd_pos]
+            even_pos += [_vector(d(i), d(j, -1)), _vector(d(i), d(j))]
+        even_pos.append(_vector(d(i, 2)))
+    simple = [_vector(d(i), d(i + 1, -1)) for i in range(n - 1)] + [_vector(d(n - 1, 2))]
+    odd_pos = [_vector((0, 1), d(i, -1)) for i in range(n)]
+    odd_pos += [_vector((0, 1), d(i)) for i in range(n)]
+    odd_neg = [tuple((i, -c) for i, c in v) for v in odd_pos]
     signature = [1] + [-1] * n
     blocks = [("A", 0, 1), ("C", 1, n)]
     return _finish("osp2", (n,), dim, signature, simple, even_pos, odd_pos,
@@ -285,13 +298,12 @@ def build_p(n: int) -> RootDatum:
     if n < 2:
         raise ConstructionError(f"p(n) needs n >= 2; got n={n}")
     dim = n
-    e = lambda i: _basis(dim, {i: 1})
-    even_pos = [e(i) - e(j) for i in range(n) for j in range(i + 1, n)]
-    simple = [e(i) - e(i + 1) for i in range(n - 1)]
+    even_pos = [_vector((i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
+    simple = [_vector((i, 1), (i + 1, -1)) for i in range(n - 1)]
     # odd part of n^+ is symmetric matrices (weights e_i + e_j, i <= j);
     # the opposite side is antisymmetric, so -2e_i is not a root
-    odd_pos = [e(i) + e(j) for i in range(n) for j in range(i, n)]
-    odd_neg = [-(e(i) + e(j)) for i in range(n) for j in range(i + 1, n)]
+    odd_pos = [_vector((i, 1), (j, 1)) for i in range(n) for j in range(i, n)]
+    odd_neg = [_vector((i, -1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
     rho0 = Weight([n - 1 - i for i in range(n)])
     return _finish("p", (n,), dim, [1] * n, simple, even_pos, odd_pos, odd_neg,
                    [("A", 0, n)], [], rho0=rho0)
@@ -299,15 +311,11 @@ def build_p(n: int) -> RootDatum:
 
 def build_osp32() -> RootDatum:
     # basis (d, e) with <d,d> = -1, <e,e> = 1; Pi_0 = {2d, e}
-    dim = 2
-    d = _basis(dim, {0: 1})
-    e = _basis(dim, {1: 1})
-    even_pos = [d.scale(2), e]
-    simple = list(even_pos)
-    odd_pos = [d + e, d - e, d]
-    odd_neg = [-w for w in odd_pos]
+    even_pos = [_vector((0, 2)), _vector((1, 1))]
+    odd_pos = [_vector((0, 1), (1, 1)), _vector((0, 1), (1, -1)), _vector((0, 1))]
+    odd_neg = [tuple((i, -c) for i, c in v) for v in odd_pos]
     blocks = [("C", 0, 1), ("C", 1, 1)]
-    return _finish("osp32", (), dim, [-1, 1], simple, even_pos, odd_pos,
+    return _finish("osp32", (), 2, [-1, 1], even_pos, even_pos, odd_pos,
                    odd_neg, blocks, [])
 
 
@@ -336,22 +344,21 @@ def build_reductive(factors) -> RootDatum:
         raise ConstructionError("reductive datum needs at least one factor")
     even_pos, simple, blocks, seps, signature = [], [], [], [], []
     dim = sum(rank + 1 if kind == "A" else rank for kind, rank in parsed)
-    e = lambda i: _basis(dim, {i: 1})
     start = 0
     for kind, rank in parsed:
         size = rank + 1 if kind == "A" else rank
         idx = range(start, start + size)
         if kind == "A":
-            even_pos += [e(i) - e(j) for i in idx for j in idx if i < j]
-            simple += [e(i) - e(i + 1) for i in idx if i + 1 in idx]
+            even_pos += [_vector((i, 1), (j, -1)) for i in idx for j in idx if i < j]
         else:
             for i in idx:
                 for j in idx:
                     if i < j:
-                        even_pos += [e(i) - e(j), e(i) + e(j)]
-                even_pos.append(e(i).scale(2))
-            simple += [e(i) - e(i + 1) for i in idx if i + 1 in idx]
-            simple.append(e(start + size - 1).scale(2))
+                        even_pos += [_vector((i, 1), (j, -1)), _vector((i, 1), (j, 1))]
+                even_pos.append(_vector((i, 2)))
+        simple += [_vector((i, 1), (i + 1, -1)) for i in idx if i + 1 in idx]
+        if kind == "C":
+            simple.append(_vector((start + size - 1, 2)))
         blocks.append((kind, start, size))
         if start:
             seps.append((start, "|"))

@@ -98,8 +98,8 @@ def realize(datum: RootDatum) -> _Realization:
     n = len(slots)
     cartan = [_matrix(n, {(a, a): wt[i] for a, (_, wt) in enumerate(slots)}) for i in range(dim)]
     root_matrix: dict[Weight, Matrix] = {}
-    for root, ints in zip(datum.even_positive, _integer_frame(datum).roots):
-        alpha = tuple(dict(ints).get(k, 0) for k in range(dim))
+    for root in datum.even_positive:
+        alpha = tuple(dict(root.vector).get(k, 0) for k in range(dim))
         a, b = next((a, b) for a, (p, u) in enumerate(slots) for b, (q, v) in enumerate(slots)
                     if p == q and tuple(x - y for x, y in zip(u, v)) == alpha)
         entries = {(a, b): 1}
@@ -153,8 +153,8 @@ class _Frame:
     """Everything the Verma models of one datum share; none of it depends on lam.
 
     * the audited matrix realization;
-    * root_data's integer even positive roots, dense (PBW index order), and
-      its height functional mu -> sum_a <mu, a^vee>;
+    * the even positive root vectors, dense (PBW index order), and root_data's
+      height functional mu -> sum_a <mu, a^vee>;
     * the bracket table (x, i) -> [x, f_i] expanded over the generators,
       for every generator x and positive-root index i.
     """
@@ -164,7 +164,8 @@ class _Frame:
         self.real = realize(datum)
         self.weights = tuple(r.weight for r in datum.even_positive)
         index = {w: i for i, w in enumerate(self.weights)}
-        roots = [tuple(dict(r).get(i, 0) for i in range(datum.dim)) for r in ints.roots]
+        roots = [tuple(dict(r.vector).get(i, 0) for i in range(datum.dim))
+                 for r in datum.even_positive]
         self.roots, self.height = tuple(roots), ints.height
 
         def matrix(key: Generator) -> Matrix:

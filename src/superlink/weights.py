@@ -78,10 +78,6 @@ class Weight:
         object.__setattr__(w, "coords", coords)
         return w
 
-    @staticmethod
-    def zero(dim: int) -> "Weight":
-        return Weight([0] * dim)
-
     def __len__(self) -> int:
         return len(self.coords)
 

@@ -40,8 +40,8 @@ whole Weyl group; the KL engine reads it too.  It, the reflection
 itemgetters and the parabolic coroots are kept on the datum by root_data's
 `_derived`, so they die with it.  `length`, `longest_element` and
 `reduced_word` query that index on the Pi_0 letters of `sub`, after
-refusing a group above KL_GROUP_CAP from its closed-form order
-(`_refuse_above`, the one place that words the cap refusal).
+refusing a group above KL_GROUP_CAP from its closed-form order, also kept
+on the datum (`_refuse_above`, the one place that words the cap refusal).
 """
 from __future__ import annotations
 
@@ -207,9 +207,10 @@ def reflection_element(datum: RootDatum, alpha: Root) -> WeylElement:
     permutation: s(e_i) = e_i - c_i alpha for the integer root alpha and
     coroot c of root_data's frame."""
     _require_even(alpha)
-    if alpha not in datum.even_positive:
+    frame = _integer_frame(datum)
+    k = frame.position.get(alpha)
+    if k is None:
         raise UnsupportedInputError("reflections are built for the datum's even positive roots")
-    k, frame = datum.even_positive.index(alpha), _integer_frame(datum)
     root, coroot = frame.roots[k], dict(frame.coroots[k])
     images = []
     for i in range(datum.dim):
@@ -304,7 +305,7 @@ def _runs(datum: RootDatum, sub: Sequence[Root]) -> list[tuple[str, list[int]]]:
     A component is type C exactly when it contains a one-coordinate root
     (2d_n, e, 2e_k); otherwise it is a type A chain.
     """
-    supports = [frozenset(i for i, c in enumerate(r.weight) if c != 0) for r in sub]
+    supports = [frozenset(i for i, _ in r.vector) for r in sub]
     out, seen = [], set()
     for k in range(len(sub)):
         if k not in seen:
@@ -354,17 +355,17 @@ def stabilizer_roots(datum: RootDatum, lam: Weight) -> tuple[Root, ...]:
                  if not sum(c * n[i] for i, c in coroot))
 
 
-def _refuse_above(order: int, cap) -> None:
-    """Refuse a group of this order above the cap."""
+def _refuse_above(order, cap, shown=None) -> None:
+    """Refuse a group of this order above the cap, named `shown` if given."""
     if order > cap:
-        raise CapExceededError(f"|W| = {order} exceeds the cap {cap}")
+        raise CapExceededError(f"|W| = {order if shown is None else shown} exceeds the cap {cap}")
 
 
 def _sub_index(datum: RootDatum, sub) -> tuple["_Index", list[int]]:
     """The datum's group index, refused above the cap before anything is
     built, and sub as Pi_0 indices in its order."""
     sub = _resolve_sub(datum, sub)
-    _refuse_above(weyl_order(datum), KL_GROUP_CAP)
+    _refuse_above(_derived(datum, weyl_order), KL_GROUP_CAP)
     return _derived(datum, _Index), [datum.simple_even.index(r) for r in sub]
 
 

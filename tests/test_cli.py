@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,6 +186,25 @@ def test_klpoly_refuses_a_large_rank_before_building_the_datum(capsys, tmp_path,
                                       "--x", "e", "--w", "e"])
         assert (code, out, err) == (
             3, "", f"error: bad reductive factor ('C', {rank}); use A<k> or C<k>\n")
+
+
+@pytest.mark.parametrize("kind, rank, order", [
+    ("a", 1557, str(math.factorial(1558))), ("a", 1558, "1559!"), ("a", 1000000, "1000001!"),
+    ("c", 1423, str(2 ** 1423 * math.factorial(1423))), ("c", 1424, "2^1424 1424!")],
+    ids=["A1557", "A1558", "A1000000", "C1423", "C1424"])
+def test_klpoly_names_an_unprintable_order_by_its_formula(capsys, tmp_path, kind, rank, order):
+    """An order with more digits than Python prints (4,300) is refused as a
+    formula, and one it prints is refused with its exact value; no factorial
+    past that size is multiplied out, so each refusal takes under a second."""
+    import time
+    argv = ["klpoly", "--type", kind, "--rank", str(rank), "--x", "e", "--w", "e"]
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("kl_cap=40320\n")
+    for extra, text in (([], "exceeds the cap 40320"),
+                        (["--config", str(cfg)], "exceeds configured cap")):
+        start = time.perf_counter()
+        assert run(capsys, [*argv, *extra]) == (3, "", f"error: |W| = {order} {text}\n")
+        assert time.perf_counter() - start < 1
 
 
 def test_dot_refuses_malformed_cycles(capsys):

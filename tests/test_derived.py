@@ -31,7 +31,7 @@ def test_tables_die_with_their_datum():
     assert len(verma_series_rank_small(datum, lam).entries) == 36
     assert {key[0] for key in datum.__dict__["_derived"]} == {
         root_data._IntegerFrame, weyl._reflection_moves, weyl._parabolic_coroots,
-        weyl._Index, kl.FiniteWeylGroup, verma_oracle._Frame}
+        weyl.weyl_order, weyl._Index, kl.FiniteWeylGroup, verma_oracle._Frame}
     refs = [weakref.ref(datum), weakref.ref(shared_group(datum))]
     del datum, zeta
     gc.collect()
@@ -97,6 +97,20 @@ def test_one_group_index_per_datum():
     assert list(inspect.signature(kl.FiniteWeylGroup).parameters) == ["datum", "cap"]
     assert not [name for name in ("sub", "simple", "length", "word", "longest")
                 if hasattr(W, name)]
+
+
+def test_group_order_computed_once_per_datum(monkeypatch):
+    """The parabolic queries and a new group read the whole group's order
+    from the datum's memo: the `_runs` closure behind it runs once."""
+    calls = []
+    runs = weyl._runs
+    monkeypatch.setattr(weyl, "_runs", lambda *args: calls.append(args) or runs(*args))
+    datum = build_root_datum("gl", m=3, n=3)
+    w0 = longest_element(datum)
+    assert [length(datum, w0) for _ in range(3)] == [6, 6, 6]
+    assert len(reduced_word(datum, w0)) == 6
+    assert kl.FiniteWeylGroup(datum).order == 36
+    assert len(calls) == 1
 
 
 def test_group_cap_refusal_is_worded_once():

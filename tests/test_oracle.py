@@ -222,10 +222,11 @@ def test_frame_moves_match_on_coarse_lattices(family, params):
 
 
 def test_frame_refuses_fractional_roots(p2, red_a1):
-    """root_data's integer frame refuses a datum whose even roots are not
-    integer vectors, and both oracles reach that one refusal."""
-    def halved(datum):
-        roots = tuple(dataclasses.replace(r, weight=r.weight.scale(Fraction(1, 2)))
+    """root_data's integer frame refuses a datum whose even coroots are not
+    integer vectors (doubled roots 2 alpha have coroots alpha^vee / 2), and
+    both oracles reach that one refusal."""
+    def doubled(datum):
+        roots = tuple(dataclasses.replace(r, vector=tuple((i, 2 * c) for i, c in r.vector))
                       for r in datum.even_positive)
         simple = tuple(roots[datum.even_positive.index(r)] for r in datum.simple_even)
         return dataclasses.replace(datum, even_positive=roots, simple_even=simple)
@@ -233,11 +234,11 @@ def test_frame_refuses_fractional_roots(p2, red_a1):
     refusals = []
     for datum in (p2, red_a1):
         with pytest.raises(UnsupportedInputError, match="integer roots and coroots") as got:
-            bfs_linkage_closure(halved(datum), Weight([0, 0]), WeightBox.cube(2, -1, 1),
+            bfs_linkage_closure(doubled(datum), Weight([0, 0]), WeightBox.cube(2, -1, 1),
                                 LinkageGenerators())
         refusals.append((type(got.value), str(got.value)))
     with pytest.raises(UnsupportedInputError, match="integer roots and coroots") as got:
-        verma_series_rank_small(halved(red_a1), Weight([0, 0]))
+        verma_series_rank_small(doubled(red_a1), Weight([0, 0]))
     assert refusals[-1] == (type(got.value), str(got.value))
 
 

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import root_data_reference as ref
 from superlink import (ConstructionError, UnsupportedInputError, bilinear,
                        build_root_datum, is_integral, pairing_coroot, reflect)
 from superlink.weights import Weight
@@ -46,7 +48,7 @@ def test_osp32_form(osp32):
 
 def test_rho0_is_half_sum_for_gl_osp(gl22, osp24):
     for datum in (gl22, osp24):
-        total = Weight.zero(datum.dim)
+        total = Weight([0] * datum.dim)
         for r in datum.even_positive:
             total = total + r.weight
         assert datum.rho0 == total.scale(Fraction(1, 2))
@@ -149,3 +151,44 @@ def test_weight_literal_round_trip(gl21, osp24, p3, osp32):
         w = datum.parse_weight(text)
         assert datum.format_weight(w) == text
         assert datum.parse_weight(datum.format_weight(w)) == w
+
+
+REFERENCE_DATA = ([("gl", {"m": m, "n": n}) for m in range(1, 5) for n in range(1, 5)]
+                  + [("osp2", {"n": n}) for n in range(1, 6)]
+                  + [("p", {"n": n}) for n in range(2, 9)] + [("osp32", {})])
+FACTORS = [(kind, rank) for kind in "AC" for rank in range(1, 4)]
+
+
+def _matches_reference(datum, expected):
+    assert ref.fields(datum) == expected
+    assert datum.describe() == ref.describe(expected)
+    for r in (*datum.even_positive, *datum.odd_roots, *datum.odd_positive):
+        assert r.vector == tuple((i, int(c)) for i, c in enumerate(r.weight) if c)
+
+
+@pytest.mark.parametrize("family, params", REFERENCE_DATA,
+                         ids=["-".join([f, *map(str, p.values())]) for f, p in REFERENCE_DATA])
+def test_builders_match_fraction_reference(family, params):
+    """Every field of the sparse-integer build, root order included, equals
+    the dense Fraction build's, and so does describe(); each root vector is
+    the sparse form of its weight."""
+    builder = getattr(ref, f"build_{family}")
+    _matches_reference(build_root_datum(family, **params), builder(**params))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_reductive_builders_match_fraction_reference(count):
+    """The same on every product of `count` A/C factors of rank at most 3."""
+    for factors in itertools.product(FACTORS, repeat=count):
+        _matches_reference(build_root_datum("reductive", factors=factors),
+                           ref.build_reductive(list(factors)))
+
+
+def test_building_a_datum_makes_no_dense_roots(monkeypatch):
+    """p(30) has 1,335 roots; the build constructs a handful of weights (rho0
+    and rho), not one per root."""
+    calls = []
+    init = Weight.__init__
+    monkeypatch.setattr(Weight, "__init__", lambda self, coords: calls.append(1) or init(self, coords))
+    build_root_datum("p", n=30)
+    assert len(calls) <= 8

@@ -275,7 +275,7 @@ def test_parabolic_subsets_are_resolved_by_equality(red_a2, osp24):
     from superlink.weyl import _resolve_sub
     for datum in (red_a2, osp24):
         for r in datum.simple_even:
-            twin = Root(Weight(list(r.weight.coords)), r.parity, r.isotropic)
+            twin = Root(tuple((i, c) for i, c in r.vector), r.dim, r.parity, r.isotropic)
             assert twin == r and twin is not r
             assert _resolve_sub(datum, [twin]) == (twin,)
             assert parabolic_positive_roots(datum, [twin]) == parabolic_positive_roots(datum, [r])
@@ -322,6 +322,7 @@ def test_reflection_element_matches_fraction_reflection(family, params):
     for alpha in datum.even_positive:
         assert reflection_element(datum, alpha) == weyl_reference.reflection_element(datum, alpha)
     for alpha in datum.even_positive[:1]:
-        negative = type(alpha)(-alpha.weight, alpha.parity, alpha.isotropic)
+        negative = type(alpha)(tuple((i, -c) for i, c in alpha.vector), alpha.dim,
+                               alpha.parity, alpha.isotropic)
         with pytest.raises(UnsupportedInputError, match="even positive roots"):
             reflection_element(datum, negative)
