@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -26,8 +25,8 @@ from .blocks import block_label, same_block, typicality
 from .errors import SuperlinkError
 from .root_data import RootDatum, build_root_datum
 from .weights import format_rational, rational
-from .weyl import (WeylElement, _refuse_above, _window_order, antidominant_rep, dot,
-                   stabilizer_roots, validate_element)
+from .weyl import (WeylElement, _refuse_above, antidominant_rep, dot, stabilizer_roots,
+                   validate_element)
 from .whittaker import WhittakerCharacter, classify_simple, in_X, in_X0, upsilon_of
 
 SCHEMA_VERSION = 1
@@ -242,16 +241,9 @@ def cmd_klpoly(args) -> int:
     cap = _config(args)["kl_cap"]
     kind = args.type.upper()
     if args.rank > 0:  # else the datum refuses the factor
-        # refused before the datum is built; an order past the digits Python
-        # prints (640 or more, and k! > 10^k from k = 25) is named by formula
+        # refused from its one window before the datum is built
         size = args.rank + 1 if kind == "A" else args.rank
-        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        order = _window_order(kind, size) if size <= digits else math.inf
-        shown = (order if order < 10 ** digits
-                 else f"2^{size} {size}!" if kind == "C" else f"{size}!")
-        if args.config and order > cap:
-            raise SuperlinkError(f"|W| = {shown} exceeds configured cap")
-        _refuse_above(order, cap, shown)
+        _refuse_above([(kind, size)], cap, configured=bool(args.config))
     datum = _root_datum("reductive", None, None, ((kind, args.rank),))
     W = kl_mod.shared_group(datum, cap)
 

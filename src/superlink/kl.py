@@ -59,9 +59,9 @@ from typing import Iterable
 from .errors import MissingTableEntryError, SuperlinkError, UnsupportedInputError
 from .root_data import RootDatum, _derived, build_reductive, is_integral
 from .weights import Weight
-from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _Index, _refuse_above,
-                   antidominant_rep, is_antidominant, orbit_dot, reflection_element,
-                   stabilizer_roots, weyl_order)
+from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _antidominant_rep,
+                   _Index, _refuse_group, is_antidominant, orbit_dot, reflection_element,
+                   stabilizer_roots)
 
 
 def _pnorm(a: Iterable[int]) -> tuple[int, ...]:
@@ -206,8 +206,7 @@ class FiniteWeylGroup:
 
     def __init__(self, datum: RootDatum, cap: int = KL_GROUP_CAP):
         self.datum = datum
-        self.order = _derived(datum, weyl_order)
-        _refuse_above(self.order, cap)
+        self.order = _refuse_group(datum, cap)
         self.identity = WeylElement.identity(datum.dim)
 
     @staticmethod
@@ -246,11 +245,11 @@ class FiniteWeylGroup:
 
 
 def shared_group(datum: RootDatum, cap: int = KL_GROUP_CAP) -> FiniteWeylGroup:
-    """The datum's Weyl group, kept on the datum: built whatever the cap (its
-    index waits for first use), then refused against the caller's cap."""
-    W = _derived(datum, FiniteWeylGroup, float("inf"))
-    _refuse_above(W.order, cap)
-    return W
+    """The datum's Weyl group, kept on the datum: refused against the
+    caller's cap, then built whatever the cap (its index waits for first
+    use)."""
+    _refuse_group(datum, cap)
+    return _derived(datum, FiniteWeylGroup, float("inf"))
 
 
 def bruhat_leq(W: FiniteWeylGroup, x: WeylElement, y: WeylElement) -> bool:
@@ -302,8 +301,12 @@ def _require_regular_antidominant(datum: RootDatum, lam: Weight) -> None:
 
 def _position(datum: RootDatum, W: FiniteWeylGroup, mu: Weight) -> tuple[Weight, int]:
     """(base, k): the anti-dominant base of mu's dot orbit and the id k of
-    w0 y, where y . base = mu; then [M(mu) : L(gamma)] = P_{k(mu),k(gamma)}(1)."""
-    base, witness = antidominant_rep(datum, mu)
+    w0 y, where y . base = mu; then [M(mu) : L(gamma)] = P_{k(mu),k(gamma)}(1).
+
+    mu is integral: a weight its caller refused unless integral, or a dot
+    image of one (rho0 pairs integrally with the even coroots, which W
+    permutes)."""
+    base, witness = _antidominant_rep(datum, mu)
     return base, W._index.w0x[W._index.of(witness.inverse())]
 
 
@@ -323,7 +326,7 @@ def builtin_verma_table(datum: RootDatum, lam: Weight) -> MultTable:
         raise UnsupportedInputError("multiplicities need an integral weight")
     _require_regular(datum, lam)
     W = shared_group(datum)
-    base, _ = antidominant_rep(datum, lam)
+    base, _ = _antidominant_rep(datum, lam)
     ks = {mu: _position(datum, W, mu)[1] for mu in sorted(orbit_dot(datum, base))}
     entries = {(mu, gamma): W._memo.value(k, j)
                for mu, k in ks.items() for gamma, j in ks.items()}

@@ -31,9 +31,18 @@ off the frame's integer root and coroot.  `reflect` and root_data's
 `is_integral` still pair through the Fraction `bilinear`; `dot` applies the
 signed permutation to Fraction coordinates.  `antidominant_rep` and
 `stabilizer_roots` call `is_integral` first, so their refusals keep their
-types and messages.
-Moving the integrality test onto N waits on a leaner benchmark worker: the
-speed-up would otherwise read as a peak-memory regression there.
+types and messages.  The integer body of `antidominant_rep` is
+`_antidominant_rep`, which checks nothing; three callers that have already
+refused a non-integral weight call it directly: kl's `_position` (both
+weights of `whittaker_mult`, the weight of `whittaker_length` and every
+orbit point of `builtin_verma_table`), the base weight of
+`builtin_verma_table`, and whittaker's `classify_simple`.  One re-check is
+left: kl's `_require_regular` calls `stabilizer_roots` on a weight its
+caller has checked.  Dropping it as well moved the `kl` benchmark's
+`peak_rss_mb` by +10.0% (26.00 to 28.60 MB), at its bound, and by +10.8%
+to +13.7% in three later runs (2 vCPU, Python 3.11.7), since the
+benchmark worker keeps every op's latency.  Moving the integrality test
+onto N waits on a leaner worker for the same reason.
 
 Group structure has one integer index (`_Index`) per datum, numbering the
 whole Weyl group; the KL engine reads it too.  It, the reflection
@@ -41,12 +50,16 @@ itemgetters and the parabolic coroots are kept on the datum by root_data's
 `_derived`, so they die with it.  `length`, `longest_element` and
 `reduced_word` query that index on the Pi_0 letters of `sub`, after
 refusing a group above KL_GROUP_CAP from its closed-form order, also kept
-on the datum (`_refuse_above`, the one place that words the cap refusal).
+on the datum.  `_refuse_above` is the one place that words the cap
+refusal: it prints the order, or names one with more digits than Python
+prints as an int by its window formula (`400!`, `2^k k!` and their
+products).
 """
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -327,6 +340,13 @@ def antidominant_rep(datum: RootDatum, lam: Weight, sub=None) -> tuple[Weight, W
     datum.check_dim(lam)
     if not is_integral(datum, lam):
         raise UnsupportedInputError("anti-dominant representatives need an integral weight")
+    return _antidominant_rep(datum, lam, sub)
+
+
+def _antidominant_rep(datum: RootDatum, lam: Weight, sub=None) -> tuple[Weight, WeylElement]:
+    """`antidominant_rep` for a weight its caller has already refused unless
+    integral (and so of the datum's dimension); the body sorts N = D (lam +
+    rho0) window by window and checks nothing."""
     sub = _resolve_sub(datum, sub)
     D, n = _shifted(datum, lam)
     images = list(range(1, datum.dim + 1))
@@ -355,17 +375,43 @@ def stabilizer_roots(datum: RootDatum, lam: Weight) -> tuple[Root, ...]:
                  if not sum(c * n[i] for i, c in coroot))
 
 
-def _refuse_above(order, cap, shown=None) -> None:
-    """Refuse a group of this order above the cap, named `shown` if given."""
+def _refuse_above(windows, cap, configured=False) -> None:
+    """Refuse a Weyl group with these (kind, size) windows above the cap.
+
+    The refusal prints the order, or names it by its window formula (`400!`,
+    `2^k k!`, a product as the factors side by side) once it has more digits
+    than Python prints as an int; a window past those digits is not
+    multiplied out.  A configured cap words the refusal as such, as a plain
+    SuperlinkError.
+    """
+    # the limit is 640 digits or more and k! > 10^k from k = 25, so a window
+    # longer than the limit has an unprintable order
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    order = (math.prod(_window_order(kind, size) for kind, size in windows)
+             if all(size <= digits for _, size in windows) else math.inf)
     if order > cap:
-        raise CapExceededError(f"|W| = {order if shown is None else shown} exceeds the cap {cap}")
+        shown = order if order < 10 ** digits else " ".join(
+            f"2^{size} {size}!" if kind == "C" else f"{size}!" for kind, size in windows)
+        if configured:
+            raise SuperlinkError(f"|W| = {shown} exceeds configured cap")
+        raise CapExceededError(f"|W| = {shown} exceeds the cap {cap}")
+
+
+def _refuse_group(datum: RootDatum, cap) -> int:
+    """The order of the datum's Weyl group, kept on the datum, refused above
+    the cap."""
+    order = _derived(datum, weyl_order)
+    if order > cap:  # only a refusal reads the windows
+        _refuse_above([(kind, len(coords)) for kind, coords in _runs(datum, datum.simple_even)],
+                      cap)
+    return order
 
 
 def _sub_index(datum: RootDatum, sub) -> tuple["_Index", list[int]]:
     """The datum's group index, refused above the cap before anything is
     built, and sub as Pi_0 indices in its order."""
     sub = _resolve_sub(datum, sub)
-    _refuse_above(_derived(datum, weyl_order), KL_GROUP_CAP)
+    _refuse_group(datum, KL_GROUP_CAP)
     return _derived(datum, _Index), [datum.simple_even.index(r) for r in sub]
 
 

@@ -24,7 +24,8 @@ from typing import Sequence
 from .errors import UnsupportedInputError
 from .root_data import Root, RootDatum, _integer_frame, is_integral
 from .weights import Weight, _fractional
-from .weyl import WeylElement, _runs, _shifted, antidominant_rep, is_antidominant, is_dominant
+from .weyl import (WeylElement, _antidominant_rep, _runs, _shifted, is_antidominant,
+                   is_dominant)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def classify_simple(datum: RootDatum, lam: Weight,
     """Canonical (zeta, rep) data; constant exactly on W_zeta dot orbits."""
     if not is_integral(datum, lam):
         raise UnsupportedInputError("simple-parameter classification needs an integral weight")
-    rep, w = antidominant_rep(datum, lam, zeta.support)
+    rep, w = _antidominant_rep(datum, lam, zeta.support)
     return SimpleWhittakerParam(datum.family, datum.params, zeta, rep, w)
 
 

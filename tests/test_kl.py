@@ -114,9 +114,12 @@ def test_verma_mult_validations(red_a1):
         verma_mult(red_a1, Weight([Fraction(1, 3), 0]), e, e)
 
 
-def test_builtin_table_reductive_only(p2):
+def test_builtin_table_reductive_only(p2, red_a2):
     with pytest.raises(UnsupportedInputError):
         builtin_verma_table(p2, Weight([0, 0]))
+    with pytest.raises(UnsupportedInputError) as err:  # its own text, not weyl's
+        builtin_verma_table(red_a2, Weight([Fraction(1, 2), 0, 0]))
+    assert str(err.value) == "multiplicities need an integral weight"
 
 
 def test_gamma_summation_singleton(red_a2, p3):
@@ -272,10 +275,18 @@ def test_table_free_refusals_keep_their_order(red_a2, gl21):
     with pytest.raises(MissingTableEntryError) as err:
         whittaker_mult(red_a2, lam, Weight([-3, 0, 5]), z0)  # another orbit
     assert err.value.missing == [(lam, Weight([-3, 0, 5]))]
-    # a non-integral weight is refused before anything else
-    with pytest.raises(UnsupportedInputError, match="integral"):
-        whittaker_mult(gl21, gl21.parse_weight("1/2,0|0"), gl21.parse_weight("0,0|0"),
-                       WhittakerCharacter.from_indices(gl21, "none"))
+    # a non-integral weight is refused before anything else, with the
+    # caller's own text: lam, then mu, then the length's lam
+    half = Weight([Fraction(1, 2), 0, 0])
+    for call in (lambda: whittaker_mult(gl21, gl21.parse_weight("1/2,0|0"),
+                                        gl21.parse_weight("0,0|0"),
+                                        WhittakerCharacter.from_indices(gl21, "none")),
+                 lambda: whittaker_mult(red_a2, half, lam, z0),
+                 lambda: whittaker_mult(red_a2, lam, half, z0),
+                 lambda: whittaker_length(red_a2, half, z0)):
+        with pytest.raises(UnsupportedInputError) as err:
+            call()
+        assert str(err.value) == "Whittaker multiplicities need integral weights"
     with pytest.raises(UnsupportedInputError, match="reductive"):
         whittaker_length(gl21, gl21.parse_weight("0,-2|5"),
                          WhittakerCharacter.from_indices(gl21, "1"))
@@ -370,3 +381,35 @@ def test_bruhat_order_matches_rank_matrices(make, n, signed):
             assert bruhat_leq(W, x, w) == expected, (x, w)
             comparable += expected
     assert len(elements) < comparable < len(elements) ** 2
+
+
+def test_integrality_is_checked_once_on_the_antidominant_path(monkeypatch):
+    """Each public call refuses a non-integral weight once; the KL positions,
+    the orbit table and classify_simple read weyl's unchecked body.  Counted
+    on reductive A2xC2 (|W| = 48): builtin_verma_table made 51 calls when
+    every orbit point was checked again."""
+    import importlib
+    import pkgutil
+    import superlink
+    from superlink import antidominant_rep, build_root_datum, classify_simple, root_data
+    from superlink.weyl import WeylElement
+    checked = root_data.is_integral
+    calls = []
+    counted = lambda *args: calls.append(args) or checked(*args)
+    for info in pkgutil.iter_modules(superlink.__path__):
+        module = importlib.import_module(f"superlink.{info.name}")
+        if getattr(module, "is_integral", None) is checked:
+            monkeypatch.setattr(module, "is_integral", counted)
+    datum = build_root_datum("reductive", factors="A2xC2")
+    lam = datum.parse_weight("-3,0,4|-5,-2")
+    zeta = WhittakerCharacter.from_indices(datum, "1,3")
+    base = antidominant_rep(datum, lam)[0]
+    e = WeylElement.identity(datum.dim)
+    for expected, call in ((2, lambda: builtin_verma_table(datum, lam)),
+                           (3, lambda: whittaker_mult(datum, lam, lam, zeta)),
+                           (2, lambda: whittaker_length(datum, lam, zeta)),
+                           (1, lambda: classify_simple(datum, lam, zeta)),
+                           (2, lambda: verma_mult(datum, base, e, e))):
+        calls.clear()
+        call()
+        assert len(calls) == expected

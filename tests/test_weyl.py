@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -96,6 +97,32 @@ def test_group_queries_refuse_above_the_cap(monkeypatch):
             query()
     assert time.perf_counter() - start < 1
     assert built == []
+
+
+def test_group_refusals_name_an_unprintable_order_by_its_formula():
+    """Once |W| has more digits than Python prints as an int, every group
+    query names it by its window formula and keeps CapExceededError: 400!
+    has 869 digits, over the lowest limit Python allows (640)."""
+    from superlink.kl import FiniteWeylGroup, shared_group
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        a399 = build_root_datum("reductive", factors="A399")
+        e = WeylElement.identity(400)
+        for query in (lambda: length(a399, e), lambda: longest_element(a399),
+                      lambda: reduced_word(a399, e), lambda: FiniteWeylGroup(a399),
+                      lambda: shared_group(a399)):
+            with pytest.raises(CapExceededError) as err:
+                query()
+            assert str(err.value) == "|W| = 400! exceeds the cap 40320"
+        with pytest.raises(CapExceededError) as err:  # a product, factors side by side
+            weyl._refuse_above([("A", 400), ("C", 2)], 40320)
+        assert str(err.value) == "|W| = 400! 2^2 2! exceeds the cap 40320"
+        with pytest.raises(CapExceededError) as err:  # a printable order prints
+            FiniteWeylGroup(build_root_datum("reductive", factors="A2xC2"), cap=47)
+        assert str(err.value) == "|W| = 48 exceeds the cap 47"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_group_queries_refuse_foreign_elements(p2):

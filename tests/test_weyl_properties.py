@@ -2,7 +2,8 @@
 agrees with its Fraction references (`weyl_reference`) and with the group
 itself, on every family, every parabolic subset and integral, fractional-coset
 and non-integral weights.  The anti-dominant representative, the stabilizer
-roots and dominance are compared result for result, and refusal for refusal."""
+roots and dominance are compared result for result, and refusal for refusal;
+on integral weights, weyl's unchecked anti-dominant body agrees too."""
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from superlink import (SuperlinkError, WeylElement, WhittakerCharacter,  # noqa:
                        antidominant_rep, build_root_datum, dot, gamma_summation_set,
                        is_antidominant, is_dominant, orbit_dot, stabilizer_roots)
 from superlink.weights import Weight  # noqa: E402
+from superlink.weyl import _antidominant_rep  # noqa: E402
 
 DATA = [("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}), ("osp2", {"n": 1}),
         ("osp2", {"n": 2}), ("p", {"n": 2}), ("p", {"n": 3}), ("osp32", {}),
@@ -75,6 +77,9 @@ def test_orbit_machinery_matches_references(family, params, hypothesis_home):
         assert is_antidominant(datum, lam) == ref.is_antidominant(datum, lam)
         assert is_dominant(datum, lam) == ref.is_dominant(datum, lam)
         assert _outcome(stabilizer_roots, datum, lam) == _outcome(ref.stabilizer_roots, datum, lam)
+        full = _outcome(antidominant_rep, datum, lam)
+        if isinstance(full[1], WeylElement):  # the unchecked body, without sub
+            assert _antidominant_rep(datum, lam) == full
         identity = WeylElement.identity(datum.dim)
         for sub in subsets:
             found = _outcome(antidominant_rep, datum, lam, sub)
@@ -83,6 +88,7 @@ def test_orbit_machinery_matches_references(family, params, hypothesis_home):
                 rep, w = found
                 assert dot(datum, w, lam) == rep
                 assert antidominant_rep(datum, rep, sub) == (rep, identity)
+                assert _antidominant_rep(datum, lam, sub) == found
             orbit = orbit_dot(datum, lam, sub)
             assert orbit == ref.orbit_dot(datum, lam, sub)
             assert orbit == {dot(datum, w, lam) for w in groups[sub]}

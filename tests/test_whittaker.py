@@ -35,9 +35,13 @@ def test_classify_simple_examples(p2, gl21):
         == gl21.parse_weight("-3,1|5")
 
 
-def test_classify_requires_integral(osp22):
+def test_classify_requires_integral(osp22, gl21):
     with pytest.raises(UnsupportedInputError):
         classify_simple(osp22, osp22.parse_weight("0;1/2"), zeta(osp22, "none"))
+    for spec in ("none", "1"):  # its own text, not weyl's
+        with pytest.raises(UnsupportedInputError) as err:
+            classify_simple(gl21, gl21.parse_weight("1/3,0|0"), zeta(gl21, spec))
+        assert str(err.value) == "simple-parameter classification needs an integral weight"
 
 
 def test_classify_constant_on_orbits_injective_across(p3, gl22):
