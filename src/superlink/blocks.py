@@ -28,8 +28,9 @@ W-invariant there, and the dot action genuinely changes the central
 character.  For every other supported family the two actions coincide.
 
 The labels of the four super families are computed on the integer vector
-D (lam + rho) over a common denominator D (see _label), which the box
-oracle also uses to label a whole box on its integer lattice.
+D (lam + rho) over a common denominator D as integer keys (see _label),
+which the box oracle also uses to label a whole box on its integer
+lattice, building each distinct label's payload once (see _payload).
 """
 from __future__ import annotations
 
@@ -158,16 +159,17 @@ def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
         raise UnsupportedInputError(f"block labels are not defined for {datum.family!r}")
     _require_integral(datum, lam)
     D, mu = _integer_frame(datum).shifted(lam, _label_shift(datum))
-    return BlockLabel(datum.family, _label(datum, D, mu, lambda v: Fraction(v, D)))
+    key = _label(datum, D, mu)
+    return BlockLabel(datum.family, _payload(datum.family, key, lambda v: Fraction(v, D)))
 
 
-def _label(datum: RootDatum, D: int, mu: list[int], q) -> tuple:
-    """The label payload of an integral weight lam of gl, osp(2|2n), p(n) or
-    osp(3|2), from mu = D (lam + shift), shift being rho or, for p(n), rho0
-    (see _label_shift), and D a positive integer.  Each rational entry r of
-    the payload is written q(D r): q(v) = v / D gives the payload, q = int
-    an integer key equal for two weights with the same D exactly when their
-    labels are equal.
+def _label(datum: RootDatum, D: int, mu: list[int]) -> tuple:
+    """The integer label key of an integral weight lam of gl, osp(2|2n),
+    p(n) or osp(3|2), from mu = D (lam + shift), shift being rho or, for
+    p(n), rho0 (see _label_shift), and D a positive integer.  Each rational
+    entry r of the label is held as the int D r, so two weights with the
+    same D have equal keys exactly when their labels are equal; _payload
+    turns a key into the label's payload.
 
     Callers guarantee integrality (block_label refuses other weights, and
     oracle._box_labels passes only points its frame proves integral); for
@@ -176,21 +178,36 @@ def _label(datum: RootDatum, D: int, mu: list[int], q) -> tuple:
     family = datum.family
     if family == "gl":
         m = datum.params[0]
-        a, b, k = _cancel(mu[:m], [-c for c in mu[m:]])
-        return (tuple(map(q, a)), tuple(map(q, b)), k)
+        return _cancel(mu[:m], [-c for c in mu[m:]])
     if family == "osp2":
         x, d = mu[0], sorted(abs(c) for c in mu[1:])
         if abs(x) in d:
             d.remove(abs(x))
-            return (tuple(map(q, d)), q(x % D), 1)
-        return (tuple(map(q, d)), q(x), 0)
+            return (tuple(d), x % D, 1)
+        return (tuple(d), x, 0)
     if family == "p":
         # rho0 is integral for p(n), so lam + rho0 lies in lam's coset c + Z,
         # c = s / D
         s = mu[0] % D
-        return (sum((c - s) // D % 2 for c in mu), q(s))
+        return (sum((c - s) // D % 2 for c in mu), s)
     a, b = abs(mu[0]), abs(mu[1])  # osp(3|2)
-    return (1, q(a % D)) if a == b else (0, (q(a), q(b)))
+    return (1, a % D) if a == b else (0, (a, b))
+
+
+def _payload(family: str, key: tuple, q) -> tuple:
+    """The BlockLabel payload of a _label key: q(v) is the rational v / D
+    of each int entry v."""
+    if family == "gl":
+        a, b, k = key
+        return (tuple(map(q, a)), tuple(map(q, b)), k)
+    if family == "osp2":
+        d, x, atyp = key
+        return (tuple(map(q, d)), q(x), atyp)
+    if family == "p":
+        j, s = key
+        return (j, q(s))
+    atyp, data = key  # osp(3|2)
+    return (1, q(data)) if atyp else (0, tuple(map(q, data)))
 
 
 def same_block(datum: RootDatum, lam: Weight, mu: Weight) -> LinkStatus:

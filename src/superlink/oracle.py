@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, block_label
+from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, _payload, block_label
 from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
 from .kl import FiniteWeylGroup, KLPolynomial, MultTable, kl_polynomial
 from .root_data import RootDatum, _integer_frame, _scaled
@@ -302,9 +302,9 @@ def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
         # the frame cannot prove the point integral
         if proven or on_lattice and frame.integral(n):
             mu = [a + b for a, b in zip(n, shift)]
-            key = _label(datum, D, mu, int)
+            key = _label(datum, D, mu)
             if key not in labels:
-                labels[key] = BlockLabel(datum.family, _label(datum, D, mu, frame.value))
+                labels[key] = BlockLabel(datum.family, _payload(datum.family, key, frame.value))
         else:
             key = block_label(datum, frame.weight(n))  # the label is its own key
             labels.setdefault(key, key)

@@ -3,17 +3,30 @@
 Ground truth for Verma composition multiplicities, computed without any
 Kazhdan-Lusztig input:
 
-1. realize the datum's Lie algebra by explicit matrices (gl blocks for
-   type A factors, sp blocks for type C), each root vector by one rule
+1. realize the datum's Lie algebra by explicit integer matrices (gl blocks
+   for type A factors, sp blocks for type C), each root vector by one rule
    from root_data's integer roots (see realize), and read all structure
-   constants off exact matrix brackets, once per datum (see _Frame);
+   constants off exact matrix brackets, once per datum (see _Frame); the
+   realization is Chevalley-normalised, so they are all integers;
 2. realize Verma-module weight spaces as PBW monomials in the negative
    root vectors, found by a search on integer root-lattice coordinates
-   pruned by root_data's height functional, and straighten products
+   pruned by root_data's height functional (one table per call, shared by
+   the models of every orbit point: see _PBW), and straighten products
    recursively;
 3. the weight multiplicities of a simple module are the ranks of the
    contravariant (transpose) form's Gram matrices on the Verma weight
-   spaces, an exact rational rank computation;
+   spaces.  The Gram entries are integers for an integral weight: the
+   structure constants are, and so are the values of the Cartan elements
+   H_i once each type A block's coordinates are shifted by their common
+   fractional part.  That shift subtracts a multiple of the block's
+   identity matrix, which is central and never occurs in a bracket
+   [x, f_beta] (only coroots do, and a type A coroot sums to 0 over its
+   block), so no Gram entry changes; a type C coordinate of an integral
+   weight is already an integer.  A weight that stays fractional keeps
+   Fraction entries.  Each Gram entry <f_i f_rest v, f_right v> is read as
+   <f_rest v, e_i f_right v> off the Gram one root higher (see _gram_of),
+   and the rank is exact fraction-free (Bareiss) elimination over Z (see
+   _rank);
 4. composition multiplicities fall out of the unitriangular system
    [dim M(mu)_gamma] = [mult] x [dim L _gamma] on the dot orbit.
 
@@ -23,42 +36,32 @@ objects here are finite and exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import SuperlinkError, UnsupportedInputError
 from .root_data import RootDatum, _derived, _integer_frame, _scaled, is_integral
 from .weights import Weight
 from .weyl import orbit_dot
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def _zeros(n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _freeze(rows) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def _bracket(a: Matrix, b: Matrix) -> Matrix:
+def _product(a: Matrix, b: Matrix) -> list[list[int]]:
     n = len(a)
-    ab = _zeros(n)
+    ab = [[0] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
             if a[i][k] == 0:
                 continue
             for j in range(n):
                 ab[i][j] += a[i][k] * b[k][j]
-    ba = _zeros(n)
-    for i in range(n):
-        for k in range(n):
-            if b[i][k] == 0:
-                continue
-            for j in range(n):
-                ba[i][j] += b[i][k] * a[k][j]
-    return _freeze([[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)])
+    return ab
+
+
+def _bracket(a: Matrix, b: Matrix) -> Matrix:
+    ab, ba = _product(a, b), _product(b, a)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class _Realization:
 
 
 def _matrix(n: int, entries: dict[tuple[int, int], int]) -> Matrix:
-    return _freeze([[entries.get((a, b), 0) for b in range(n)] for a in range(n)])
+    return tuple(tuple(entries.get((a, b), 0) for b in range(n)) for a in range(n))
 
 
 def realize(datum: RootDatum) -> _Realization:
@@ -126,15 +129,17 @@ def _check_realization(datum: RootDatum, real: _Realization) -> None:
 
 def _decompose(datum: RootDatum, real: _Realization, mat: Matrix):
     """Expand a Lie algebra matrix over root vectors and Cartan coordinates,
-    reading each coefficient off the first nonzero entry of its basis
-    matrix."""
-    parts: list[tuple[str, object, Fraction]] = []
+    reading each (integer) coefficient off the first nonzero entry of its
+    basis matrix."""
+    parts: list[tuple[str, object, int]] = []
     residue = [list(row) for row in mat]
     basis = [("root", w, rm) for w, rm in real.root_matrix.items()]
     basis += [("h", coord, hm) for coord, hm in enumerate(real.cartan)]
     for kind, key, bm in basis:
         i, j = next((a, b) for a, row in enumerate(bm) for b, v in enumerate(row) if v)
-        c = residue[i][j] / bm[i][j]
+        c, r = divmod(residue[i][j], bm[i][j])
+        if r:
+            raise SuperlinkError("a structure constant is not an integer")
         if c != 0:
             parts.append((kind, key, c))
             for a in range(real.size):
@@ -155,8 +160,8 @@ class _Frame:
     * the audited matrix realization;
     * the even positive root vectors, dense (PBW index order), and root_data's
       height functional mu -> sum_a <mu, a^vee>;
-    * the bracket table (x, i) -> [x, f_i] expanded over the generators,
-      for every generator x and positive-root index i.
+    * the bracket table (x, i) -> [x, f_i] expanded over the generators with
+      integer coefficients, for every root vector x and positive-root index i.
     """
 
     def __init__(self, datum: RootDatum):
@@ -179,9 +184,9 @@ class _Frame:
                 return ("h", data)
             return ("e", index[data]) if data in index else ("f", index[-data])
 
+        # a Cartan element acts on a weight vector by its weight (see VermaModel._act)
         keys = [(kind, i) for kind in "ef" for i in range(len(roots))]
-        keys += [("h", i) for i in range(datum.dim)]
-        self.brackets: dict[tuple[Generator, int], tuple[tuple[Generator, Fraction], ...]] = {
+        self.brackets: dict[tuple[Generator, int], tuple[tuple[Generator, int], ...]] = {
             (key, head): tuple((generator(kind, data), c) for kind, data, c in
                                _decompose(datum, self.real,
                                           _bracket(matrix(key), matrix(("f", head)))))
@@ -192,156 +197,196 @@ def _height_key(frame: _Frame, n: tuple[int, ...]) -> int:
     return sum(h * c for h, c in zip(frame.height, n))
 
 
+class _PBW:
+    """The PBW monomials of each weight -beta, beta an int tuple, and the
+    position of each monomial in its weight space's basis.  Neither depends
+    on lam, so the models of one verma_multiplicities call share one table;
+    it dies with the call."""
+
+    def __init__(self, frame: _Frame):
+        self.frame = frame
+        self.top = len(frame.roots) - 1
+        self._below_cache: dict = {}
+        self._index_cache: dict = {}
+
+    def monomials(self, n: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
+        """All PBW monomials of weight -n (none unless n is a nonnegative
+        root sum; None stands for a beta off the integer lattice)."""
+        return () if n is None else self._below(n, self.top)
+
+    def index(self, n: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """Each monomial of weight -n -> its position in monomials(n)."""
+        index = self._index_cache.get(n)
+        if index is None:
+            index = self._index_cache[n] = {m: k for k, m in enumerate(self.monomials(n))}
+        return index
+
+    def _below(self, n: tuple[int, ...], max_idx: int) -> tuple[tuple[int, ...], ...]:
+        """The monomials of weight -n whose indices are all <= max_idx, in
+        PBW order (nondecreasing indices), memoized on (n, max_idx)."""
+        key = (n, max_idx)
+        cached = self._below_cache.get(key)
+        if cached is None:
+            cached = self._below_cache[key] = self._expand(n, max_idx)
+        return cached
+
+    def _expand(self, n: tuple[int, ...], max_idx: int) -> tuple[tuple[int, ...], ...]:
+        if not any(n):
+            return ((),)
+        # every positive root has positive height, so the search stops
+        if _height_key(self.frame, n) < 0:
+            return ()
+        roots = self.frame.roots
+        return tuple(m + (i,) for i in range(max_idx, -1, -1)
+                     for m in self._below(tuple(a - b for a, b in zip(n, roots[i])), i))
+
+
+def _cartan_values(datum: RootDatum, lam: Weight) -> tuple:
+    """The values of H_0, ..., H_{dim-1} on the highest weight vector: lam
+    with each type A block shifted by the fractional part of its first
+    coordinate (see step 3 of the module docstring), as ints where they are
+    integers and Fractions elsewhere."""
+    coords = list(lam.coords)
+    for kind, start, size in datum.blocks:
+        if kind == "A" and coords[start].denominator != 1:
+            shift = coords[start] % 1
+            coords[start:start + size] = [c - shift for c in coords[start:start + size]]
+    return tuple(c.numerator if c.denominator == 1 else c for c in coords)
+
+
 class VermaModel:
     """Verma module over a small reductive datum, with exact PBW arithmetic.
 
     Weight-space vectors are dicts {monomial: coefficient} where a monomial
-    is a nonincreasing tuple of positive-root indices (the PBW order), and
+    is a nondecreasing tuple of positive-root indices (the PBW order), and
     applying generators straightens products via the datum's bracket table.
-    Weight spaces M(lam)_{lam - beta} are searched on the int tuple of beta.
+    Weight spaces M(lam)_{lam - beta} are searched on the int tuple of beta
+    (a Weight beta is converted); `pbw` is a monomial table to share.
     """
 
-    def __init__(self, datum: RootDatum, lam: Weight):
+    def __init__(self, datum: RootDatum, lam: Weight, pbw: _PBW | None = None):
+        datum.check_dim(lam)
         self.datum = datum
         self.lam = lam
         self.frame = _derived(datum, _Frame)
+        self.pbw = _PBW(self.frame) if pbw is None else pbw
+        self.cartan = _cartan_values(datum, lam)
         # per-instance memos: a model and its caches die with the last reference
         self._act_cache: dict = {}
-        self._monomial_cache: dict = {}
-        self._expressible_cache: dict = {}
+        self._gram_cache: dict = {}
+
+    def _lattice(self, beta: Weight | tuple[int, ...]) -> tuple[int, ...] | None:
+        if not isinstance(beta, Weight):
+            return beta
+        self.datum.check_dim(beta)
+        return _scaled(beta, 1)
 
     # -- generator actions ------------------------------------------------
     def _apply_parts(self, parts, mono):
         out: dict = {}
         for key, coeff in parts:
             for m, c in self._act(key, mono).items():
-                out[m] = out.get(m, Fraction(0)) + coeff * c
+                out[m] = out.get(m, 0) + coeff * c
         return {m: c for m, c in out.items() if c != 0}
 
     def _act(self, key: Generator, mono):
+        kind, idx = key
+        if kind == "h":
+            # f_mono v has weight lam minus the sum of mono's roots
+            value = self.cartan[idx] - sum(self.frame.roots[m][idx] for m in mono)
+            return {mono: value} if value != 0 else {}
         cache_key = (key, mono)
         result = self._act_cache.get(cache_key)
         if result is not None:
             return result
-        kind, idx = key
         if not mono:
-            if kind == "f":
-                result = {(idx,): Fraction(1)}
-            elif kind == "e":
-                result = {}
-            else:
-                value = self.lam[idx]
-                result = {(): value} if value != 0 else {}
+            result = {(idx,): 1} if kind == "f" else {}
         else:
             head, rest = mono[0], mono[1:]
             if kind == "f" and idx <= head:
-                result = {(idx,) + mono: Fraction(1)}
+                result = {(idx,) + mono: 1}
             else:
                 # x f_head = f_head x + [x, f_head]
                 out: dict = {}
                 for m, c in self._act(key, rest).items():
                     for m2, c2 in self._act(("f", head), m).items():
-                        out[m2] = out.get(m2, Fraction(0)) + c * c2
+                        out[m2] = out.get(m2, 0) + c * c2
                 for m, c in self._apply_parts(self.frame.brackets[key, head], rest).items():
-                    out[m] = out.get(m, Fraction(0)) + c
+                    out[m] = out.get(m, 0) + c
                 result = {m: c for m, c in out.items() if c != 0}
         self._act_cache[cache_key] = result
         return result
 
     # -- weight spaces -----------------------------------------------------
-    def _monomials(self, beta: Weight) -> tuple[tuple[int, ...], ...]:
+    def _monomials(self, beta: Weight | tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """All PBW monomials of weight -beta (none unless beta is a
         nonnegative root sum)."""
-        if len(beta) != self.datum.dim:
-            raise ValueError("weight dimensions differ")
-        n = _scaled(beta, 1)
-        if n is None:
-            return ()
-        cached = self._monomial_cache.get(n)
-        if cached is not None:
-            return cached
-        roots = self.frame.roots
-        out = []
+        return self.pbw.monomials(self._lattice(beta))
 
-        def rec(remaining: tuple[int, ...], max_idx: int, acc):
-            if not any(remaining):
-                out.append(tuple(reversed(acc)))  # PBW order: nondecreasing indices
-                return
-            for i in range(max_idx, -1, -1):
-                nxt = tuple(a - b for a, b in zip(remaining, roots[i]))
-                if self._plausible(nxt, i):
-                    rec(nxt, i, acc + [i])
-
-        rec(n, len(roots) - 1, [])
-        result = self._monomial_cache[n] = tuple(out)
-        return result
-
-    def _plausible(self, remaining: tuple[int, ...], max_idx: int) -> bool:
-        # cheap cone test: remaining must stay expressible over allowed roots
-        if not any(remaining):
-            return True
-        return _height_key(self.frame, remaining) >= 0 and self._expressible(remaining, max_idx)
-
-    def _expressible(self, remaining: tuple[int, ...], max_idx: int) -> bool:
-        key = (remaining, max_idx)
-        cached = self._expressible_cache.get(key)
-        if cached is None:
-            cached = self._expressible_cache[key] = self._search(remaining, max_idx)
-        return cached
-
-    def _search(self, remaining: tuple[int, ...], max_idx: int) -> bool:
-        if not any(remaining):
-            return True
-        roots = self.frame.roots
-        for i in range(max_idx, -1, -1):
-            nxt = tuple(a - b for a, b in zip(remaining, roots[i]))
-            if _height_key(self.frame, nxt) >= 0 and self._expressible(nxt, i):
-                return True
-        return False
-
-    def verma_dim(self, beta: Weight) -> int:
+    def verma_dim(self, beta: Weight | tuple[int, ...]) -> int:
         return len(self._monomials(beta))
 
-    def _gram(self, beta: Weight) -> list[list[Fraction]]:
+    def _gram(self, beta: Weight | tuple[int, ...]) -> list[list]:
         """The contravariant form on M(lam)_{lam - beta} in the PBW basis."""
-        monos = self._monomials(beta)
+        n = self._lattice(beta)
+        return self._gram_of(n) if self.pbw.monomials(n) else []
+
+    def _gram_of(self, n: tuple[int, ...]) -> list[list]:
+        # <f_i f_rest v, f_right v> = <f_rest v, e_i f_right v> (e_i is f_i's
+        # transpose): each entry is a short sum over the Gram of the weight
+        # space one root higher, memoized per weight
+        gram = self._gram_cache.get(n)
+        if gram is not None:
+            return gram
+        if not any(n):
+            gram = self._gram_cache[n] = [[1]]
+            return gram
+        monos, roots, below = self.pbw.monomials(n), self.frame.roots, {}
         gram = []
-        for left in monos:
-            row = []
-            for right in monos:
-                vec = {right: Fraction(1)}
-                for f_idx in left:  # transpose of f-monomial: e's applied in order
-                    nxt: dict = {}
-                    for m, c in vec.items():
-                        for m2, c2 in self._act(("e", f_idx), m).items():
-                            nxt[m2] = nxt.get(m2, Fraction(0)) + c * c2
-                    vec = nxt
-                row.append(vec.get((), Fraction(0)))
-            gram.append(row)
+        for i, *rest in monos:
+            if i not in below:
+                m = tuple(a - b for a, b in zip(n, roots[i]))
+                below[i] = self._gram_of(m), self.pbw.index(m)
+            sub, index = below[i]
+            row = sub[index[tuple(rest)]]
+            gram.append([sum(c * row[index[m]] for m, c in self._act(("e", i), right).items())
+                         for right in monos])
+        self._gram_cache[n] = gram
         return gram
 
-    def simple_dim(self, beta: Weight) -> int:
+    def simple_dim(self, beta: Weight | tuple[int, ...]) -> int:
         """dim L(lam) at weight lam - beta: the rank of the contravariant Gram."""
         gram = self._gram(beta)
         return _rank(gram) if gram else 0
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
+def _integral(row: list) -> list[int]:
+    """The row times the lcm of its denominators (an int row is unchanged)."""
+    m = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (m // v.denominator) for v in row]
+
+
+def _rank(rows: list[list]) -> int:
+    """The rank of a nonempty matrix of ints and Fractions, by fraction-free
+    Gaussian elimination (Bareiss, Math. Comp. 22, 1968): each row is first
+    scaled to ints, and every division below is exact on ints."""
+    rows = [_integral(row) for row in rows]
     n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    col = 0
+    rank, previous = 0, 1
     for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
+        piv = next((r for r in range(rank, n_rows) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        rows[rank] = [v / pivot for v in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        pivot = top[col]
+        # every entry below is a minor of the original matrix, so the
+        # division by the previous pivot (the last such minor) is exact
+        for r in range(rank + 1, n_rows):
+            f = rows[r][col]
+            rows[r][col:] = [(pivot * a - f * b) // previous
+                             for a, b in zip(rows[r][col:], top[col:])]
+        previous = pivot
         rank += 1
     return rank
 
@@ -360,19 +405,24 @@ def verma_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[Weight, We
     if not is_integral(datum, lam):
         raise UnsupportedInputError("the brute-force oracle needs an integral weight")
     frame = _derived(datum, _Frame)
-    # orbit points differ from lam by root-lattice vectors, so heights
-    # relative to lam order the orbit as absolute heights would
-    orbit = sorted(orbit_dot(datum, lam),
-                   key=lambda w: (_height_key(frame, _scaled(w - lam, 1)), w.coords))
-    models = {mu: VermaModel(datum, mu) for mu in orbit}
+    # orbit points differ from lam by root-lattice vectors: their int
+    # offsets from lam order the orbit by height as the points would, and
+    # give each beta = mu - gamma as an int tuple
+    points = sorted(((_scaled(mu - lam, 1), mu) for mu in orbit_dot(datum, lam)),
+                    key=lambda p: (_height_key(frame, p[0]), p[1].coords))
+    offsets, orbit = [n for n, _ in points], [mu for _, mu in points]
+    pbw = _PBW(frame)
     r = len(orbit)
-    # A[i][j] = dim M(orbit[i]) at weight orbit[j]; L likewise for simples
+    # A[i][j] = dim M(orbit[i]) at weight orbit[j]; L likewise for simples;
+    # only j <= i is read (a higher gamma is no weight of M(mu))
     A = [[0] * r for _ in range(r)]
     L = [[0] * r for _ in range(r)]
-    for i, mu in enumerate(orbit):
-        for j, gamma in enumerate(orbit):
-            A[i][j] = models[mu].verma_dim(mu - gamma)
-            L[i][j] = models[mu].simple_dim(mu - gamma)
+    for i, (mu, n) in enumerate(zip(orbit, offsets)):
+        model = VermaModel(datum, mu, pbw)
+        for j in range(i + 1):
+            beta = tuple(a - b for a, b in zip(n, offsets[j]))
+            A[i][j] = model.verma_dim(beta)
+            L[i][j] = model.simple_dim(beta)
     # forward-substitute D from A = D L (both lower triangular, unit diagonal)
     D = [[0] * r for _ in range(r)]
     for i in range(r):

@@ -1,6 +1,8 @@
 """Internal checks of the matrix-realization machinery behind the oracle."""
 from fractions import Fraction
 
+import pytest
+
 from superlink import build_root_datum
 from superlink.verma_oracle import VermaModel, _bracket, realize
 from superlink.weights import Weight
@@ -29,6 +31,35 @@ def test_coroot_brackets_match_pairings():
             for probe in (Weight(range(1, datum.dim + 1)), Weight([2] * datum.dim)):
                 value = sum(c * probe[i] for _, i, c in parts)
                 assert value == pairing_coroot(datum, probe, root)
+
+
+def test_brackets_are_integral_and_blind_to_type_a_centers():
+    """Every structure constant is an int, and the Cartan part of every
+    bracket [x, f_i] sums to 0 over each type A block: the block's identity
+    never occurs, which is what lets a model shift lam by a central part."""
+    from superlink.root_data import _derived
+    from superlink.verma_oracle import _Frame
+
+    for factors in ("A1", "A2", "C2", "A1xA1", "A1,C1"):
+        datum = build_root_datum("reductive", factors=factors)
+        for parts in _derived(datum, _Frame).brackets.values():
+            assert all(type(c) is int for _, c in parts)
+            h = {i: c for (kind, i), c in parts if kind == "h"}
+            for kind, start, size in datum.blocks:
+                if kind == "A":
+                    assert sum(h.get(i, 0) for i in range(start, start + size)) == 0
+
+
+def test_models_check_the_weight_dimension():
+    from superlink.errors import DimensionMismatchError
+
+    datum = build_root_datum("reductive", factors="A2")
+    alpha = datum.simple_even[0].weight
+    for coords in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(DimensionMismatchError, match="expects 3 coordinates"):
+            VermaModel(datum, Weight(coords)).simple_dim(alpha)
+        with pytest.raises(DimensionMismatchError, match="expects 3 coordinates"):
+            VermaModel(datum, Weight([0, 0, 0])).simple_dim(Weight(coords))
 
 
 def test_sl2_verma_weight_dims():
