@@ -30,7 +30,8 @@ character.  For every other supported family the two actions coincide.
 The labels of the four super families are computed on the integer vector
 D (lam + rho) over a common denominator D as integer keys (see _label),
 which the box oracle also uses to label a whole box on its integer
-lattice, building each distinct label's payload once (see _payload).
+lattice, building each distinct label's payload once (see _payload), and
+from which typicality reads the atypicality degree.
 """
 from __future__ import annotations
 
@@ -109,20 +110,18 @@ def typicality(datum: RootDatum, lam: Weight) -> Typicality:
     the maximal matching a_i = -b_j, the cancellation count of the block
     label.  osp(2|2n) and osp(3|2): every isotropic root meets the leading
     coordinate, so the degree is 1 when |x| equals some |d_i| (|a| = |b|
-    for osp(3|2)) and 0 otherwise.  Reductive data are typical, and p(n)
+    for osp(3|2)) and 0 otherwise.  All three are read off the block
+    label's integer key (see _label).  Reductive data are typical, and p(n)
     carries no such notion here and reports not-applicable.  Weights need
     not be integral.
     """
     datum.check_dim(lam)
     if datum.family == "p":
         return Typicality("not-applicable")
-    mu = (lam + datum.rho).coords
     degree = 0
-    if datum.family == "gl":
-        m = datum.params[0]
-        degree = _cancel(mu[:m], [-c for c in mu[m:]])[2]
-    elif datum.family in ("osp2", "osp32"):
-        degree = int(abs(mu[0]) in {abs(c) for c in mu[1:]})
+    if datum.family in _LATTICE_FAMILIES:  # the label key's atypicality entry
+        key = _label(datum, *_integer_frame(datum).shifted(lam, _label_shift(datum)))
+        degree = key[0] if datum.family == "osp32" else key[2]
     return Typicality("atypical", degree) if degree else Typicality("typical")
 
 
@@ -171,10 +170,11 @@ def _label(datum: RootDatum, D: int, mu: list[int]) -> tuple:
     same D have equal keys exactly when their labels are equal; _payload
     turns a key into the label's payload.
 
-    Callers guarantee integrality (block_label refuses other weights, and
-    oracle._box_labels passes only points its frame proves integral); for
-    p(n) an integral weight lies in one coset c + Z, as the even coroots
-    e_i - e_j require."""
+    Only the p(n) key needs lam integral: an integral weight lies in one
+    coset c + Z, as the even coroots e_i - e_j require (block_label refuses
+    other weights, and oracle._box_labels passes only points its frame
+    proves integral).  The other keys hold for any rational weight, and
+    typicality passes any."""
     family = datum.family
     if family == "gl":
         m = datum.params[0]

@@ -35,7 +35,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, _payload, block_label
 from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
@@ -61,11 +60,6 @@ class WeightBox:
         if self.step <= 0:
             raise UnsupportedInputError(
                 f"box step must be positive, got {format_rational(self.step)}")
-        # hashed once: every BFS closure looks the box up in the frame cache
-        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.step, self.anchor)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def cube(dim: int, lo, hi, step=1) -> "WeightBox":
@@ -107,7 +101,8 @@ class WeightBox:
 
 
 class _Frame:
-    """A box's lattice in integer coordinates N = D lam.
+    """A box's lattice in integer coordinates N = D lam, for the datum it
+    holds.
 
     D is the least common denominator of the box's bounds, step and anchor
     and of root_data's integer frame, whose ints (rho0, rho, the roots and
@@ -124,7 +119,7 @@ class _Frame:
         anchor = box._anchor()
         ints = _integer_frame(datum)
         D = math.lcm(ints.D, *(c.denominator for c in (*box.lo, *box.hi, box.step, *anchor)))
-        self.D, self.dim = D, datum.dim
+        self.datum, self.D, self.dim = datum, D, datum.dim
         self.lo = tuple(int(c * D) for c in box.lo)
         self.hi = tuple(int(c * D) for c in box.hi)
         self.anchor = tuple(int(c * D) for c in anchor)
@@ -132,7 +127,7 @@ class _Frame:
         # each axis starts at a + step * ceil((lo - a) / step)
         self.axes = [range(a - step * ((a - lo) // step), hi + 1, step)
                      for a, lo, hi in zip(self.anchor, self.lo, self.hi)]
-        # v -> v / D for every axis value; label payloads add theirs
+        # v -> v / D for every axis value
         self.values = {v: Fraction(v, D) for axis in self.axes for v in axis}
         k = D // ints.D  # scales the integer frame's ints to this one
         self.label_shift = tuple(k * v for v in _label_shift(datum))
@@ -172,19 +167,19 @@ class _Frame:
         """D w, or None when w has the wrong length or D w is not integral."""
         return _scaled(w, self.D) if len(w) == self.dim else None
 
-    def value(self, v: int) -> Fraction:
-        """The rational v / D."""
-        values = self.values
-        return values[v] if v in values else values.setdefault(v, Fraction(v, self.D))
-
     def weight(self, n: tuple[int, ...]) -> Weight:
         """The weight n / D of a box point n."""
         return Weight._of(tuple(map(self.values.__getitem__, n)))
 
 
-@lru_cache(maxsize=16)
 def _frame(datum: RootDatum, box: WeightBox) -> _Frame:
-    return _Frame(datum, box)
+    """The box's frame for datum, kept on the box object (frozen, so written
+    through its __dict__) and rebuilt when the box is used with another
+    datum object: it dies with the box."""
+    frame = box.__dict__.get("_frame")
+    if frame is None or frame.datum is not datum:
+        frame = box.__dict__["_frame"] = _Frame(datum, box)
+    return frame
 
 
 @dataclass(frozen=True)
@@ -304,7 +299,8 @@ def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
             mu = [a + b for a, b in zip(n, shift)]
             key = _label(datum, D, mu)
             if key not in labels:
-                labels[key] = BlockLabel(datum.family, _payload(datum.family, key, frame.value))
+                labels[key] = BlockLabel(datum.family,
+                                         _payload(datum.family, key, lambda v: Fraction(v, D)))
         else:
             key = block_label(datum, frame.weight(n))  # the label is its own key
             labels.setdefault(key, key)

@@ -83,12 +83,6 @@ class RootDatum:
     blocks: tuple[Block, ...]
     literal_seps: tuple[tuple[int, str], ...]  # block markers for weight literals
 
-    def __hash__(self) -> int:
-        # these fields determine the rest; hashing every root would cost
-        # tens of microseconds per lookup of the box oracle's (datum, box)
-        # frame cache, the one cache keyed by a datum
-        return hash((self.family, self.params, self.blocks))
-
     def describe(self) -> str:
         if self.family == "gl":
             return f"gl({self.params[0]}|{self.params[1]})"

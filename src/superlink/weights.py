@@ -62,7 +62,7 @@ def format_rational(value: Fraction | int) -> str:
 class Weight:
     """An element of h* in a fixed basis; immutable, exact and hashable."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_hash")  # _hash is set by the first __hash__
 
     def __init__(self, coords: Iterable[Fraction | int | str]):
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
@@ -91,7 +91,11 @@ class Weight:
         return isinstance(other, Weight) and self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self.coords)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __lt__(self, other: "Weight") -> bool:
         # lexicographic; used only to make orderings deterministic

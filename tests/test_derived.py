@@ -11,7 +11,7 @@ import pytest
 import superlink
 from superlink import (RootDatum, WhittakerCharacter, antidominant_rep, build_root_datum,
                        is_antidominant, orbit_dot, verma_series_rank_small, whittaker_length)
-from superlink import kl, root_data, verma_oracle, weyl
+from superlink import kl, oracle, root_data, verma_oracle, weyl
 from superlink.errors import CapExceededError
 from superlink.kl import shared_group
 from superlink.weights import Weight
@@ -63,9 +63,10 @@ def test_lookups_never_compare_data(monkeypatch):
 
 
 def test_functools_caches_left_in_src():
-    """The only function caches left are the CLI's parser and root data and
-    the box oracle's (datum, box) frame; the integer frame's property, its
-    attrgetter and the KL group registry are gone."""
+    """The only function caches left are the CLI's parser and root data;
+    the integer frame's property, its attrgetter, the KL group registry and
+    the box oracle's (datum, box) frame cache are gone, and neither
+    WeightBox nor RootDatum hashes by hand."""
     package = Path(superlink.__file__).resolve().parent
     found = set()
     for path in package.glob("*.py"):
@@ -73,7 +74,9 @@ def test_functools_caches_left_in_src():
             names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(stmt)}
             if names & {"lru_cache", "cache"}:
                 found.add(f"{path.stem}.{getattr(stmt, 'name', None)}")
-    assert found == {"cli._parser", "cli._root_datum", "oracle._frame"}
+    assert found == {"cli._parser", "cli._root_datum"}
+    for cls in (oracle.WeightBox, RootDatum):  # the dataclass hash only
+        assert "def __hash__" not in inspect.getsource(cls)
     assert not hasattr(RootDatum, "_frame")
     assert not hasattr(root_data, "attrgetter")
     assert not hasattr(kl, "_GROUPS")

@@ -48,22 +48,45 @@ def test_box_refuses_nonpositive_step():
 
 
 def test_box_hash_follows_equality(p2):
-    """A box keeps the hash it computed at construction: boxes built apart
-    are equal exactly when their hashes are, and share one frame."""
+    """Boxes built apart are equal exactly when their hashes are, also
+    after a frame has been kept on one of them."""
     lo, hi = (Fraction(-2),) * 2, (Fraction(2),) * 2
     small = WeightBox.cube(2, -1, 1)
     same = [WeightBox.cube(2, -2, 2), WeightBox(lo, hi),
             dataclasses.replace(small, lo=lo, hi=hi), small.enlarged(1)]
+    _frame(p2, same[0])
     for box in same:
         assert box == same[0] and hash(box) == hash(same[0])
-    _frame.cache_clear()
-    assert len({id(_frame(p2, box)) for box in same}) == 1
-    assert _frame.cache_info().currsize == 1
     for other in (dataclasses.replace(same[0], hi=(Fraction(3), Fraction(2))), small,
                   dataclasses.replace(same[0], step=Fraction(1, 2)),
                   dataclasses.replace(same[0], anchor=(Fraction(1, 2), Fraction(0)))):
         assert other != same[0] and hash(other) != hash(same[0])
-        assert _frame(p2, other) is not _frame(p2, same[0])
+
+
+def test_frame_kept_on_its_box(monkeypatch, osp24, p2, gl11):
+    """partition_box builds one frame for its box, and one more for the
+    enlarged box when labels split, however many splits it closes there; a
+    box used with a second datum gets that datum's frame, never a stale
+    one."""
+    built = []
+    init = oracle._Frame.__init__
+    monkeypatch.setattr(oracle._Frame, "__init__",
+                        lambda self, datum, box: built.append(box) or init(self, datum, box))
+    slab = WeightBox((Fraction(1), Fraction(-6), Fraction(0)),
+                     (Fraction(1), Fraction(6), Fraction(0)))
+    report = partition_box(osp24, slab, LinkageGenerators())
+    assert len(report.label_splits) > 1 and built == [slab, slab.enlarged()]
+    built.clear()
+    partition_box(osp24, slab, LinkageGenerators(), enlarge=False)
+    assert built == []  # the box keeps its frame
+    box = WeightBox.cube(2, -2, 2)
+    assert not partition_box(p2, box, LinkageGenerators()).label_splits
+    assert built == [box]
+    twin = build_root_datum("p", n=2)
+    for datum in (twin, gl11, p2):
+        frame = _frame(datum, box)
+        assert frame.datum is datum and _frame(datum, box) is frame
+    assert built == [box] * 4
 
 
 def test_coroots_computed_once_per_datum(monkeypatch):

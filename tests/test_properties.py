@@ -1,6 +1,7 @@
 """Property tests: root_data's integer frame against Fractions, the weight
-and signed-cycle literal round trips, and block-label invariance under
-every move of the box oracle's linkage generators."""
+and signed-cycle literal round trips, block-label invariance under every
+move of the box oracle's linkage generators, and typicality against its
+Fraction reference."""
 import math
 from fractions import Fraction
 
@@ -9,17 +10,22 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from superlink import block_label, build_root_datum, is_integral, pairing_coroot  # noqa: E402
+from superlink import (block_label, build_root_datum, is_integral, pairing_coroot,  # noqa: E402
+                       typicality)
 from superlink.oracle import LinkageGenerators, WeightBox, _frame  # noqa: E402
 from superlink.root_data import _integer_frame, _scaled  # noqa: E402
 from superlink.weights import Weight, parse_weight  # noqa: E402
 from superlink.weyl import WeylElement, validate_element  # noqa: E402
+
+from blocks_reference import typicality_fractions  # noqa: E402
 
 DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 2}), ("gl", {"m": 3, "n": 2}),
         ("osp2", {"n": 1}), ("osp2", {"n": 3}), ("p", {"n": 2}), ("p", {"n": 5}),
         ("osp32", {}), ("reductive", {"factors": "A2xC2"}), ("reductive", {"factors": "C3"})]
 LABEL_DATA = [("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}), ("osp2", {"n": 2}),
               ("p", {"n": 3}), ("osp32", {})]
+TYPICALITY_DATA = [*(("gl", {"m": m, "n": n}) for m in (1, 2, 3) for n in (1, 2, 3)),
+                   *(("osp2", {"n": n}) for n in (1, 2, 3)), ("osp32", {})]
 COSETS = (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4))
 
 
@@ -139,3 +145,25 @@ def test_label_invariant_under_linkage_moves(family, params, hypothesis_home):
 
     invariant()
     assert moved
+
+
+@pytest.mark.parametrize("family, params", TYPICALITY_DATA, ids=_ids(TYPICALITY_DATA))
+def test_typicality_matches_fractions(family, params, hypothesis_home):
+    """The atypicality degree read off the integer label key equals the one
+    the Fraction reference reads off lam + rho, on integral weights, on
+    half-integer weights (often atypical) and on any rational weight."""
+    datum = build_root_datum(family, **params)
+    halves = st.lists(st.integers(-8, 8).map(lambda k: Fraction(k, 2)),
+                      min_size=datum.dim, max_size=datum.dim).map(Weight)
+    kinds = set()
+
+    @_check
+    @given(st.one_of(integral_weights(datum), halves, weights(datum)))
+    def agree(lam):
+        got = typicality(datum, lam)
+        assert got == typicality_fractions(datum, lam), lam
+        kinds.add((got.kind, all(c.denominator == 1 for c in lam)))
+
+    agree()
+    assert {"typical", "atypical"} <= {kind for kind, _ in kinds}
+    assert {True, False} <= {whole for _, whole in kinds}

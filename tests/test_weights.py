@@ -53,6 +53,22 @@ def test_weights_hashable_and_ordered():
     assert sorted([b, a]) == [a, b]
 
 
+def test_weight_hash_computed_once(monkeypatch):
+    """The first hash of a weight is kept: a second one hashes no Fraction,
+    and equal weights built apart still hash equal."""
+    w = Weight([-3, 0, Fraction(2, 3)])
+    first = hash(w)
+    calls = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: calls.append(self) or real(self))
+    assert hash(w) == first and calls == []
+    twins = [Weight(["-3", 0, "2/3"]), Weight._of(w.coords), parse_weight("-3,0|2/3")]
+    for twin in twins:
+        assert twin == w and hash(twin) == first
+    assert len(calls) == 3 * len(twins)
+    assert {w: 1}[twins[0]] == 1 and len(calls) == 3 * len(twins)
+
+
 def test_immutable():
     w = Weight([1])
     with pytest.raises(AttributeError):
