@@ -245,7 +245,7 @@ def cmd_klpoly(args) -> int:
         size = args.rank + 1 if kind == "A" else args.rank
         _refuse_above([(kind, size)], cap, configured=bool(args.config))
     datum = _root_datum("reductive", None, None, ((kind, args.rank),))
-    W = kl_mod.shared_group(datum, cap)
+    W = kl_mod.FiniteWeylGroup(datum, cap)
 
     def word_of(text: str):
         if text.strip() in ("e", ""):

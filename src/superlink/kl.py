@@ -4,10 +4,11 @@ The KL engine works over the Weyl group of a datum, a group of signed
 permutations of its coordinates (type A / type C products).  A group
 numbers its elements by weyl's index, one per datum: ids by (length,
 images), with per id the left multiplications by simple reflections, the
-length and the left-descent bitmask.  Each group keeps its own memos on
-these integers (`_KLMemo`).  Bruhat order keeps one lower ideal per element
-as a bitset, built by [e, w] = [e, sw] u s[e, sw] for a left descent s.  The
-KL recursion is the classical one on a left descent s of w:
+length and the left-descent bitmask.  One memo on these integers
+(`_KLMemo`) is kept beside the index, also one per datum.  Bruhat order
+keeps one lower ideal per element as a bitset, built by [e, w] = [e, sw] u
+s[e, sw] for a left descent s.  The KL recursion is the classical one on a
+left descent s of w:
 
     P_{x,w} = q^{1-c} P_{sx,sw} + q^c P_{x,sw}
               - sum_z mu(z, sw) q^{(l(w)-l(z))/2} P_{x,z}
@@ -40,15 +41,15 @@ and a unique y, and gamma is W_zeta-anti-dominant exactly when y has no left
 descent in zeta's support, so a multiplicity is one KL lookup and a length
 one row of at most |W| lookups.
 
-Concurrency: this module keeps no state of its own.  The shared group of a
-datum (`shared_group`, whose KL memo every caller of that datum reuses, the
-CLI's `klpoly` and `mult` included) and weyl's index are kept on the datum
-object by root_data's `_derived` and die with it; the package's other
-caches are listed in the README.  An index is never written after it is built, and
-everything a group memoizes (ideals, polynomials, mu-lists) is a pure value
-written through single atomic assignments, so concurrent calls return
-identical results; at worst two threads duplicate a computation before one
-wins the insert.
+Concurrency: this module keeps no state of its own.  weyl's index and the
+KL memo over it are kept on the datum object by root_data's `_derived`
+and die with it: every group object of a datum, the multiplicity functions
+and the CLI's `klpoly` and `mult` read that one memo, so repeated calls on
+one datum reuse it.  The package's other caches are listed in the README.
+An index is never written after it is built, and everything the memo holds
+(ideals, polynomials, mu-lists) is a pure value written through single
+atomic assignments, so concurrent calls return identical results; at worst
+two threads duplicate a computation before one wins the insert.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ from .errors import MissingTableEntryError, SuperlinkError, UnsupportedInputErro
 from .root_data import RootDatum, _derived, build_reductive, is_integral
 from .weights import Weight
 from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _antidominant_rep,
-                   _Index, _refuse_group, is_antidominant, orbit_dot, reflection_element,
+                   _Index, _refuse_group, dot, is_antidominant, reflection_element,
                    stabilizer_roots)
 
 
@@ -110,10 +111,11 @@ def _bits(mask: int) -> list[int]:
 
 
 class _KLMemo:
-    """One group's Bruhat ideals, KL polynomials and mu-lists, memoized on
+    """The datum's Bruhat ideals, KL polynomials and mu-lists, memoized on
     the ids of its weyl index (whose tables it reads in place)."""
 
-    def __init__(self, index: _Index):
+    def __init__(self, datum: RootDatum):
+        index = _derived(datum, _Index)
         self.n, self.images, self.length = index.n, index.images, index.length
         self.lmul, self.desc, self.first = index.lmul, index.desc, index.first
         self._ideal: list[int | None] = [1] + [None] * (self.n - 1)
@@ -198,11 +200,12 @@ class _KLMemo:
 
 
 class FiniteWeylGroup:
-    """A datum's Weyl group: a KL view of weyl's index of the datum, kept on
-    the datum, with its own KL and Bruhat memos built on first use.  The
-    i-th generator is the reflection of the i-th root of `datum.simple_even`;
-    lengths, reduced words and the longest element are weyl's `length`,
-    `reduced_word` and `longest_element`."""
+    """A datum's Weyl group: a KL view of weyl's index of the datum and of
+    the KL and Bruhat memo beside it, both kept on the datum, so every group
+    of one datum object shares them.  The i-th generator is the reflection
+    of the i-th root of `datum.simple_even`; lengths, reduced words and the
+    longest element are weyl's `length`, `reduced_word` and
+    `longest_element`."""
 
     def __init__(self, datum: RootDatum, cap: int = KL_GROUP_CAP):
         self.datum = datum
@@ -229,7 +232,7 @@ class FiniteWeylGroup:
 
     @cached_property
     def _memo(self) -> _KLMemo:
-        return _KLMemo(self._index)
+        return _derived(self.datum, _KLMemo)
 
     def elements(self) -> list[WeylElement]:
         return [WeylElement(x) for x in self._index.images]
@@ -244,12 +247,11 @@ class FiniteWeylGroup:
         return w
 
 
-def shared_group(datum: RootDatum, cap: int = KL_GROUP_CAP) -> FiniteWeylGroup:
-    """The datum's Weyl group, kept on the datum: refused against the
-    caller's cap, then built whatever the cap (its index waits for first
-    use)."""
+def _tables(datum: RootDatum, cap: int = KL_GROUP_CAP) -> tuple[_Index, _KLMemo]:
+    """The datum's group index and KL memo, refused above the cap before
+    anything is built."""
     _refuse_group(datum, cap)
-    return _derived(datum, FiniteWeylGroup, float("inf"))
+    return _derived(datum, _Index), _derived(datum, _KLMemo)
 
 
 def bruhat_leq(W: FiniteWeylGroup, x: WeylElement, y: WeylElement) -> bool:
@@ -258,7 +260,7 @@ def bruhat_leq(W: FiniteWeylGroup, x: WeylElement, y: WeylElement) -> bool:
 
 
 def kl_polynomial(W: FiniteWeylGroup, x: WeylElement, w: WeylElement) -> KLPolynomial:
-    """The Kazhdan-Lusztig polynomial P_{x,w}, memoized per group."""
+    """The Kazhdan-Lusztig polynomial P_{x,w}, memoized per datum."""
     return KLPolynomial(W._memo.kl(W._index.of(x), W._index.of(w)))
 
 
@@ -299,7 +301,7 @@ def _require_regular_antidominant(datum: RootDatum, lam: Weight) -> None:
         raise UnsupportedInputError("the base weight must be anti-dominant")
 
 
-def _position(datum: RootDatum, W: FiniteWeylGroup, mu: Weight) -> tuple[Weight, int]:
+def _position(datum: RootDatum, ix: _Index, mu: Weight) -> tuple[Weight, int]:
     """(base, k): the anti-dominant base of mu's dot orbit and the id k of
     w0 y, where y . base = mu; then [M(mu) : L(gamma)] = P_{k(mu),k(gamma)}(1).
 
@@ -307,28 +309,32 @@ def _position(datum: RootDatum, W: FiniteWeylGroup, mu: Weight) -> tuple[Weight,
     image of one (rho0 pairs integrally with the even coroots, which W
     permutes)."""
     base, witness = _antidominant_rep(datum, mu)
-    return base, W._index.w0x[W._index.of(witness.inverse())]
+    return base, ix.w0x[ix.of(witness.inverse())]
 
 
 def verma_mult(datum: RootDatum, lam: Weight, w: WeylElement, x: WeylElement) -> int:
     """[M(w . lam) : L(x . lam)] for anti-dominant regular integral lam."""
     _require_regular_antidominant(datum, lam)
-    W = shared_group(datum)
-    w0x = W._index.w0x
-    return W._memo.value(w0x[W._index.of(w)], w0x[W._index.of(x)])
+    ix, memo = _tables(datum)
+    return memo.value(ix.w0x[ix.of(w)], ix.w0x[ix.of(x)])
 
 
 def builtin_verma_table(datum: RootDatum, lam: Weight) -> MultTable:
     """The KL-backed table over the full dot orbit of a regular integral
-    weight of a reductive datum."""
+    weight of a reductive datum.
+
+    The orbit is read off the index: id y gives the point y . base of the
+    anti-dominant base, distinct for distinct y as the orbit is regular,
+    and its KL position w0 y."""
     _require_reductive(datum)
     if not is_integral(datum, lam):
         raise UnsupportedInputError("multiplicities need an integral weight")
     _require_regular(datum, lam)
-    W = shared_group(datum)
+    ix, memo = _tables(datum)
     base, _ = _antidominant_rep(datum, lam)
-    ks = {mu: _position(datum, W, mu)[1] for mu in sorted(orbit_dot(datum, base))}
-    entries = {(mu, gamma): W._memo.value(k, j)
+    ks = dict(sorted((dot(datum, WeylElement(ix.images[y]), base), ix.w0x[y])
+                     for y in range(ix.n)))
+    entries = {(mu, gamma): memo.value(k, j)
                for mu, k in ks.items() for gamma, j in ks.items()}
     return MultTable(entries, provenance="builtin-KL")
 
@@ -353,12 +359,12 @@ def whittaker_mult(datum: RootDatum, lam: Weight, mu: Weight, zeta,
     if table is None:
         _require_reductive(datum)
         _require_regular(datum, lam)
-        W = shared_group(datum, cap=cap)
-        base, k = _position(datum, W, lam)
-        gamma_base, j = _position(datum, W, gammas[0])
+        ix, memo = _tables(datum, cap)
+        base, k = _position(datum, ix, lam)
+        gamma_base, j = _position(datum, ix, gammas[0])
         if gamma_base != base:
             raise MissingTableEntryError([(lam, gammas[0])])
-        return W._memo.value(k, j)
+        return memo.value(k, j)
     missing = [(lam, g) for g in gammas if (lam, g) not in table.entries]
     if missing:
         raise MissingTableEntryError(missing)
@@ -376,9 +382,8 @@ def whittaker_length(datum: RootDatum, lam: Weight, zeta,
     if table is None:
         _require_reductive(datum)
         _require_regular(datum, lam)
-        W = shared_group(datum, cap=cap)
-        ix, memo = W._index, W._memo
-        k = _position(datum, W, lam)[1]
+        ix, memo = _tables(datum, cap)
+        k = _position(datum, ix, lam)[1]
         J = sum(1 << datum.simple_even.index(r) for r in zeta.support)
         return sum(memo.value(k, ix.w0x[y]) for y in range(ix.n) if not ix.desc[y] & J)
     total = 0

@@ -292,6 +292,14 @@ def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
     proven = on_lattice and frame.all_integral
     keys = {}  # N -> its label's key
     labels = {}  # key -> BlockLabel, built once per distinct label
+    values = {}  # v -> v / D, built once per distinct label value
+
+    def value(v: int) -> Fraction:
+        q = values.get(v)
+        if q is None:
+            q = values[v] = Fraction(v, D)
+        return q
+
     for n in frame.points():
         # block_label's own integrality check, and its refusals, only where
         # the frame cannot prove the point integral
@@ -299,8 +307,7 @@ def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
             mu = [a + b for a, b in zip(n, shift)]
             key = _label(datum, D, mu)
             if key not in labels:
-                labels[key] = BlockLabel(datum.family,
-                                         _payload(datum.family, key, lambda v: Fraction(v, D)))
+                labels[key] = BlockLabel(datum.family, _payload(datum.family, key, value))
         else:
             key = block_label(datum, frame.weight(n))  # the label is its own key
             labels.setdefault(key, key)

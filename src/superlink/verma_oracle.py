@@ -64,12 +64,16 @@ def _bracket(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
 
 
+Generator = tuple[str, int]  # ("e" | "f", positive-root index) or ("h", coordinate)
+
+
 @dataclass(frozen=True)
 class _Realization:
     """Matrices for every root vector and per-coordinate Cartan element."""
 
     size: int
-    root_matrix: dict[Weight, Matrix]       # one matrix per root (both signs)
+    roots: tuple[tuple[int, ...], ...]      # the even positive roots, dense
+    root_matrix: dict[Generator, Matrix]    # ("e", k) and ("f", k) per root
     cartan: list[Matrix]                    # H_i dual to the i-th coordinate
 
 
@@ -100,9 +104,10 @@ def realize(datum: RootDatum) -> _Realization:
              for sign in ((1, -1) if kind == "C" else (1,)) for i in range(start, start + size)]
     n = len(slots)
     cartan = [_matrix(n, {(a, a): wt[i] for a, (_, wt) in enumerate(slots)}) for i in range(dim)]
-    root_matrix: dict[Weight, Matrix] = {}
-    for root in datum.even_positive:
-        alpha = tuple(dict(root.vector).get(k, 0) for k in range(dim))
+    roots = tuple(tuple(dict(root.vector).get(k, 0) for k in range(dim))
+                  for root in datum.even_positive)
+    root_matrix: dict[Generator, Matrix] = {}
+    for k, alpha in enumerate(roots):
         a, b = next((a, b) for a, (p, u) in enumerate(slots) for b, (q, v) in enumerate(slots)
                     if p == q and tuple(x - y for x, y in zip(u, v)) == alpha)
         entries = {(a, b): 1}
@@ -110,38 +115,38 @@ def realize(datum: RootDatum) -> _Realization:
             minus = [(p, tuple(-x for x in u)) for p, u in slots]
             entries.setdefault((slots.index(minus[b]), slots.index(minus[a])),
                                -sum(slots[a][1]) * sum(slots[b][1]))
-        root_matrix[root.weight] = x = _matrix(n, entries)
-        root_matrix[-root.weight] = tuple(zip(*x))
-    real = _Realization(n, root_matrix, cartan)
+        root_matrix["e", k] = x = _matrix(n, entries)
+        root_matrix["f", k] = tuple(zip(*x))
+    real = _Realization(n, roots, root_matrix, cartan)
     _check_realization(datum, real)
     return real
 
 
 def _check_realization(datum: RootDatum, real: _Realization) -> None:
     # every root vector must be an h-eigenvector with its own weight
-    for w, mat in real.root_matrix.items():
+    for (kind, k), mat in real.root_matrix.items():
+        sign = 1 if kind == "e" else -1
         for i, h in enumerate(real.cartan):
             br = _bracket(h, mat)
-            expect = tuple(tuple(w[i] * v for v in row) for row in mat)
+            expect = tuple(tuple(sign * real.roots[k][i] * v for v in row) for row in mat)
             if br != expect:
                 raise SuperlinkError("matrix realization failed an eigenvalue check")
 
 
 def _decompose(datum: RootDatum, real: _Realization, mat: Matrix):
     """Expand a Lie algebra matrix over root vectors and Cartan coordinates,
-    reading each (integer) coefficient off the first nonzero entry of its
-    basis matrix."""
-    parts: list[tuple[str, object, int]] = []
+    as (generator, coefficient) pairs, reading each (integer) coefficient
+    off the first nonzero entry of its basis matrix."""
+    parts: list[tuple[Generator, int]] = []
     residue = [list(row) for row in mat]
-    basis = [("root", w, rm) for w, rm in real.root_matrix.items()]
-    basis += [("h", coord, hm) for coord, hm in enumerate(real.cartan)]
-    for kind, key, bm in basis:
+    basis = [*real.root_matrix.items(), *((("h", i), hm) for i, hm in enumerate(real.cartan))]
+    for key, bm in basis:
         i, j = next((a, b) for a, row in enumerate(bm) for b, v in enumerate(row) if v)
         c, r = divmod(residue[i][j], bm[i][j])
         if r:
             raise SuperlinkError("a structure constant is not an integer")
         if c != 0:
-            parts.append((kind, key, c))
+            parts.append((key, c))
             for a in range(real.size):
                 for b in range(real.size):
                     if bm[a][b] != 0:
@@ -151,46 +156,27 @@ def _decompose(datum: RootDatum, real: _Realization, mat: Matrix):
     return parts
 
 
-Generator = tuple[str, int]  # ("e" | "f", positive-root index) or ("h", coordinate)
-
-
 class _Frame:
     """Everything the Verma models of one datum share; none of it depends on lam.
 
-    * the audited matrix realization;
-    * the even positive root vectors, dense (PBW index order), and root_data's
-      height functional mu -> sum_a <mu, a^vee>;
-    * the bracket table (x, i) -> [x, f_i] expanded over the generators with
-      integer coefficients, for every root vector x and positive-root index i.
+    * the audited matrix realization, its root vectors keyed ("e", k) and
+      ("f", k) by the index k of the positive root in `datum.even_positive`
+      (the PBW index order), its Cartan elements ("h", i) by coordinate;
+    * the even positive roots, dense, and root_data's height functional
+      mu -> sum_a <mu, a^vee>;
+    * the bracket table (x, i) -> [x, f_i] expanded over those generator
+      keys with integer coefficients, for every root vector x and
+      positive-root index i.
     """
 
     def __init__(self, datum: RootDatum):
-        ints = _integer_frame(datum)
-        self.real = realize(datum)
-        self.weights = tuple(r.weight for r in datum.even_positive)
-        index = {w: i for i, w in enumerate(self.weights)}
-        roots = [tuple(dict(r.vector).get(i, 0) for i in range(datum.dim))
-                 for r in datum.even_positive]
-        self.roots, self.height = tuple(roots), ints.height
-
-        def matrix(key: Generator) -> Matrix:
-            kind, i = key
-            if kind == "h":
-                return self.real.cartan[i]
-            return self.real.root_matrix[self.weights[i] if kind == "e" else -self.weights[i]]
-
-        def generator(kind: str, data) -> Generator:
-            if kind == "h":
-                return ("h", data)
-            return ("e", index[data]) if data in index else ("f", index[-data])
-
+        self.height = _integer_frame(datum).height  # its refusal comes first
+        self.real = real = realize(datum)
+        self.roots = real.roots
         # a Cartan element acts on a weight vector by its weight (see VermaModel._act)
-        keys = [(kind, i) for kind in "ef" for i in range(len(roots))]
         self.brackets: dict[tuple[Generator, int], tuple[tuple[Generator, int], ...]] = {
-            (key, head): tuple((generator(kind, data), c) for kind, data, c in
-                               _decompose(datum, self.real,
-                                          _bracket(matrix(key), matrix(("f", head)))))
-            for key in keys for head in range(len(roots))}
+            (key, head): tuple(_decompose(datum, real, _bracket(x, real.root_matrix["f", head])))
+            for key, x in real.root_matrix.items() for head in range(len(real.roots))}
 
 
 def _height_key(frame: _Frame, n: tuple[int, ...]) -> int:

@@ -32,20 +32,12 @@ off the frame's integer root and coroot.  `reflect` and root_data's
 signed permutation to Fraction coordinates.  `antidominant_rep` and
 `stabilizer_roots` call `is_integral` first, so their refusals keep their
 types and messages.  The integer body of `antidominant_rep` is
-`_antidominant_rep`, which checks nothing; three callers that have already
-refused a non-integral weight call it directly: kl's `_position` (both
-weights of `whittaker_mult`, the weight of `whittaker_length` and every
-orbit point of `builtin_verma_table`), the base weight of
-`builtin_verma_table`, and whittaker's `classify_simple`.  One re-check is
-left: kl's `_require_regular` calls `stabilizer_roots` on a weight its
-caller has checked.  Dropping it as well moved the `kl` benchmark's
-`peak_rss_mb` by +10.0% (26.00 to 28.60 MB), at its bound, and by +10.8%
-to +13.7% in three later runs (2 vCPU, Python 3.11.7), since the
-benchmark worker keeps every op's latency.  Moving the integrality test
-onto N waits on a leaner worker for the same reason.
+`_antidominant_rep`, which checks nothing; its callers refuse a
+non-integral weight first.
 
 Group structure has one integer index (`_Index`) per datum, numbering the
-whole Weyl group; the KL engine reads it too.  It, the reflection
+whole Weyl group; the KL engine reads it too, and keeps its one KL memo
+(kl's `_KLMemo`) beside it on the datum.  It, the reflection
 itemgetters and the parabolic coroots are kept on the datum by root_data's
 `_derived`, so they die with it.  `length`, `longest_element` and
 `reduced_word` query that index on the Pi_0 letters of `sub`, after
@@ -74,7 +66,7 @@ from .weights import Weight
 # parenthesised groups of signed integers, separated by spaces or commas
 _SIGNED = r"[+-]?[0-9]+"
 _CYCLES = re.compile(rf"(?:\(\s*(?:{_SIGNED}(?:(?:\s*,\s*|\s+){_SIGNED})*)?\s*\)\s*)+")
-KL_GROUP_CAP = 40320  # memory guard on |W| for a group index and its KL memos
+KL_GROUP_CAP = 40320  # memory guard on |W| for a group index and its KL memo
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ cannot label, and every point no component holds yet seeds a
 import itertools
 import math
 
-from superlink import Weight, block_label, reflect
+from root_data_reference import reflect
+from superlink import Weight, block_label
 from superlink.oracle import bfs_linkage_closure
 
 

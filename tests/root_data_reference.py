@@ -7,6 +7,11 @@ compare every field of its data against these, root order included.  A
 reference datum is a dict of RootDatum's field values in which each root is
 the triple (weight, parity, isotropic); `fields` turns a library datum into
 the same shape.
+
+`bilinear`, `pairing_coroot`, `reflect` and `is_integral` are the Fraction
+forms of the library's functions of those names, read off
+`datum.form_signature` and `Root.weight` only, so a reference built on them
+checks the library's integer frame without reading it.
 """
 from __future__ import annotations
 
@@ -24,6 +29,28 @@ def fields(datum: RootDatum) -> dict:
             return tuple((r.weight, r.parity, r.isotropic) for r in value)
         return value
     return {f.name: plain(getattr(datum, f.name)) for f in dataclass_fields(datum)}
+
+
+def bilinear(datum: RootDatum, lam, mu) -> Fraction:
+    """The invariant form sum_i s_i lam_i mu_i, s the datum's form signature."""
+    return sum((Fraction(s) * a * b for s, a, b in zip(datum.form_signature, lam, mu)),
+               Fraction(0))
+
+
+def pairing_coroot(datum: RootDatum, lam, alpha: Root) -> Fraction:
+    """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha) for a non-isotropic root."""
+    return 2 * bilinear(datum, lam, alpha.weight) / bilinear(datum, alpha.weight, alpha.weight)
+
+
+def reflect(datum: RootDatum, alpha: Root, lam: Weight) -> Weight:
+    """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
+    return lam - alpha.weight.scale(pairing_coroot(datum, lam, alpha))
+
+
+def is_integral(datum: RootDatum, lam: Weight) -> bool:
+    """<lam, alpha^vee> is an integer for every even positive root alpha."""
+    datum.check_dim(lam)
+    return all(pairing_coroot(datum, lam, a).denominator == 1 for a in datum.even_positive)
 
 
 def describe(ref: dict) -> str:

@@ -13,14 +13,13 @@ from superlink import (RootDatum, WhittakerCharacter, antidominant_rep, build_ro
                        is_antidominant, orbit_dot, verma_series_rank_small, whittaker_length)
 from superlink import kl, oracle, root_data, verma_oracle, weyl
 from superlink.errors import CapExceededError
-from superlink.kl import shared_group
 from superlink.weights import Weight
 from superlink.weyl import WeylElement, length, longest_element, reduced_word
 
 
 def test_tables_die_with_their_datum():
     """Every table a query derives sits in the datum's memo, and nothing
-    else holds the datum: once it is dropped, it and its group are freed."""
+    else holds the datum: once it is dropped, it and its KL memo are freed."""
     datum = build_root_datum("reductive", factors="A2")
     lam = Weight([-2, 0, 2])
     zeta = WhittakerCharacter.from_indices(datum, "1")
@@ -31,8 +30,8 @@ def test_tables_die_with_their_datum():
     assert len(verma_series_rank_small(datum, lam).entries) == 36
     assert {key[0] for key in datum.__dict__["_derived"]} == {
         root_data._IntegerFrame, weyl._reflection_moves, weyl._parabolic_coroots,
-        weyl.weyl_order, weyl._Index, kl.FiniteWeylGroup, verma_oracle._Frame}
-    refs = [weakref.ref(datum), weakref.ref(shared_group(datum))]
+        weyl.weyl_order, weyl._Index, kl._KLMemo, verma_oracle._Frame}
+    refs = [weakref.ref(datum), weakref.ref(datum.__dict__["_derived"][(kl._KLMemo,)])]
     del datum, zeta
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
@@ -47,7 +46,7 @@ def test_lookups_never_compare_data(monkeypatch):
         antidominant_rep(gl, lam)
         is_antidominant(gl, lam, gl.simple_even[:1])
         length(gl, WeylElement((2, 1, 3, 4)))
-        shared_group(gl)
+        kl._tables(gl)
         verma_series_rank_small(a2, Weight([-2, 0, 2]))
 
     def fresh():
@@ -91,7 +90,7 @@ def test_one_group_index_per_datum():
     assert length(datum, WeylElement((2, 1, 3, 4)), first) == 1
     assert longest_element(datum, first) == WeylElement((2, 1, 3, 4))
     assert reduced_word(datum, WeylElement((1, 2, 3, -4))) == [datum.simple_even[2]]
-    W = shared_group(datum)
+    W = kl.FiniteWeylGroup(datum)
     assert W.order == W._index.n == 16
     keys = [key for key in datum.__dict__["_derived"] if weyl._Index in key]
     assert keys == [(weyl._Index,)]
@@ -118,11 +117,11 @@ def test_group_order_computed_once_per_datum(monkeypatch):
 
 def test_group_cap_refusal_is_worded_once():
     """One weyl helper words `|W| = N exceeds the cap C`; the parabolic
-    queries, a new group and the shared group all raise through it."""
+    queries, a new group and the KL tables all raise through it."""
     package = Path(superlink.__file__).resolve().parent
     assert sum(path.read_text(encoding="utf-8").count("exceeds the cap")
                for path in package.glob("*.py")) == 1
     a3 = build_root_datum("reductive", factors="A3")
-    for refuse in (lambda: kl.FiniteWeylGroup(a3, cap=23), lambda: shared_group(a3, 23)):
+    for refuse in (lambda: kl.FiniteWeylGroup(a3, cap=23), lambda: kl._tables(a3, 23)):
         with pytest.raises(CapExceededError, match=r"^\|W\| = 24 exceeds the cap 23$"):
             refuse()

@@ -299,24 +299,77 @@ def test_table_free_refusals_keep_their_order(red_a2, gl21):
 
 
 def test_groups_are_shared_per_datum(red_a2, capsys, monkeypatch):
-    """One group per datum object, kept on it.  An equal but distinct datum
-    has its own: a lookup never compares data, so callers share a group by
-    reusing one datum, as the CLI does through `cli._root_datum`."""
+    """One KL memo per datum object, kept on it.  An equal but distinct
+    datum has its own: a lookup never compares data, so callers share a
+    memo by reusing one datum, as the CLI does through `cli._root_datum`."""
     from superlink import build_root_datum, cli, kl
-    from superlink.kl import shared_group
     again = build_root_datum("reductive", factors="A2")
     assert again == red_a2
-    assert shared_group(red_a2) is shared_group(red_a2)
-    assert shared_group(red_a2) is not shared_group(again)
-    assert shared_group(red_a2) is not shared_group(build_root_datum("reductive", factors="C2"))
+    memo = kl._tables(red_a2)[1]
+    assert kl._tables(red_a2)[1] is memo
+    assert kl._tables(again)[1] is not memo
+    assert kl._tables(build_root_datum("reductive", factors="C2"))[1] is not memo
+    tables = kl._tables
     seen = []
-    monkeypatch.setattr(kl, "shared_group",
-                        lambda datum, cap: seen.append(shared_group(datum, cap)) or seen[-1])
+    monkeypatch.setattr(kl, "_tables",
+                        lambda datum, cap: seen.append(tables(datum, cap)) or seen[-1])
     argv = ["mult", "--family", "reductive", "--factors", "A2", "--weight=-2,0,2",
             "--zeta", "all", "--length"]
     assert cli.main(argv) == cli.main(argv) == 0
     assert capsys.readouterr().out == '{"length":1}\n' * 2
-    assert len(seen) == 2 and seen[0] is seen[1]
+    assert len(seen) == 2 and seen[0][1] is seen[1][1]
+
+
+def test_groups_of_one_datum_share_one_memo():
+    """Every FiniteWeylGroup of one datum reads the memo kept on the datum."""
+    from superlink import build_root_datum, kl
+    datum = build_root_datum("reductive", factors="A2")
+    W, V = FiniteWeylGroup(datum), FiniteWeylGroup(datum)
+    assert W is not V
+    assert W._memo is V._memo is datum.__dict__["_derived"][(kl._KLMemo,)]
+    assert FiniteWeylGroup.symmetric(3)._memo is not FiniteWeylGroup.symmetric(3)._memo
+
+
+def test_multiplicities_reuse_the_groups_memo(monkeypatch):
+    """whittaker_length after kl_polynomial on the same datum builds no second
+    KL memo and no group object: it fills the group's memo."""
+    from superlink import build_root_datum, kl
+    datum = build_root_datum("reductive", factors="A2")
+    W = FiniteWeylGroup(datum)
+    s = W.reflections
+    assert kl_polynomial(W, W.identity, s[0].compose(s[1])).coeffs == (1,)
+    filled = dict(W._memo._kl)
+    assert filled
+    built = []
+    for cls in (kl._KLMemo, FiniteWeylGroup):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *args, init=init: built.append(args) or init(self, *args))
+    zeta = WhittakerCharacter.from_indices(datum, "")
+    assert whittaker_length(datum, Weight([0, 0, 0]), zeta) == 6
+    assert built == []
+    assert W._memo is datum.__dict__["_derived"][(kl._KLMemo,)]
+    assert filled.items() < W._memo._kl.items()
+
+
+def test_builtin_table_reads_the_orbit_off_the_index(red_a2, monkeypatch):
+    """builtin_verma_table runs no orbit BFS and one anti-dominant sort, of
+    its base weight; its points are those of the BFS orbit, sorted."""
+    from superlink import kl, weyl
+    lam = Weight([-2, 0, 2])
+    orbit = weyl.orbit_dot(red_a2, lam)
+    bfs, sorts = [], []
+    monkeypatch.setattr(weyl, "orbit_dot", lambda *args: bfs.append(args))
+    monkeypatch.setattr(weyl, "_orbit_shifted", lambda *args: bfs.append(args))
+    rep = kl._antidominant_rep
+    monkeypatch.setattr(kl, "_antidominant_rep",
+                        lambda *args: sorts.append(args) or rep(*args))
+    table = builtin_verma_table(red_a2, Weight([0, 0, 0]))
+    assert bfs == [] and len(sorts) == 1
+    assert {mu for mu, _ in table.entries} == orbit
+    assert list(table.entries) == [(mu, gamma) for mu in sorted(orbit) for gamma in sorted(orbit)]
+    assert table.get(dot(red_a2, w0 := longest_element(red_a2), lam), lam) == 1
+    assert table.get(lam, dot(red_a2, w0, lam)) == 0
 
 
 @pytest.mark.parametrize("make", [lambda: FiniteWeylGroup.symmetric(4),

@@ -89,6 +89,23 @@ def test_frame_kept_on_its_box(monkeypatch, osp24, p2, gl11):
     assert built == [box] * 4
 
 
+def test_label_values_built_once_per_call(monkeypatch):
+    """One label pass over a gl(2|2) cube builds each label value v / D
+    once, not once per payload entry of its 213 labels."""
+    gl22 = build_root_datum("gl", m=2, n=2)
+    box = WeightBox.cube(4, -2, 2)
+    _frame(gl22, box)  # the frame's own conversions are not the label pass's
+    calls = []
+    monkeypatch.setattr(oracle, "Fraction", lambda *args: calls.append(args) or Fraction(*args))
+    for _ in range(2):  # the values are kept by the call, not the frame
+        calls.clear()
+        _, _, labels = oracle._box_labels(gl22, box)
+        values = {c for label in labels.values() for core in label.payload[:2] for c in core}
+        built = [args for args in calls if len(args) == 2]  # Fraction(v, D)
+        assert len(labels) == 213
+        assert len(built) == len(set(built)) == len(values)
+
+
 def test_coroots_computed_once_per_datum(monkeypatch):
     """The datum's coroot vectors do not depend on the box; frames of two
     boxes share those of root_data's integer frame, built once."""
@@ -504,7 +521,8 @@ def test_inversion_is_independent_of_the_engine():
     path = [node for node in tree.body
             if getattr(node, "name", None) in ("_RPolynomials", "kl_via_inversion")]
     assert len(path) == 2
-    engine = {"bruhat_leq", "kl_polynomial", "shared_group", "_index", "_memo", "left_mult"}
+    engine = {"bruhat_leq", "kl_polynomial", "_tables", "_KLMemo", "_index", "_memo",
+              "left_mult"}
     for node in (n for root in path for n in ast.walk(root)):
         if isinstance(node, ast.Name):
             assert node.id not in engine

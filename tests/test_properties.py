@@ -10,14 +10,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from superlink import (block_label, build_root_datum, is_integral, pairing_coroot,  # noqa: E402
-                       typicality)
+from superlink import block_label, build_root_datum, is_integral, typicality  # noqa: E402
 from superlink.oracle import LinkageGenerators, WeightBox, _frame  # noqa: E402
 from superlink.root_data import _integer_frame, _scaled  # noqa: E402
 from superlink.weights import Weight, parse_weight  # noqa: E402
 from superlink.weyl import WeylElement, validate_element  # noqa: E402
 
 from blocks_reference import typicality_fractions  # noqa: E402
+from root_data_reference import pairing_coroot  # noqa: E402
 
 DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 2}), ("gl", {"m": 3, "n": 2}),
         ("osp2", {"n": 1}), ("osp2", {"n": 3}), ("p", {"n": 2}), ("p", {"n": 5}),

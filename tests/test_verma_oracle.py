@@ -18,18 +18,18 @@ def test_coroot_brackets_match_pairings():
     for factors in ("A2", "C2"):
         datum = build_root_datum("reductive", factors=factors)
         real = realize(datum)
-        for root in datum.even_positive:
-            e = real.root_matrix[root.weight]
-            f = real.root_matrix[-root.weight]
+        for k, root in enumerate(datum.even_positive):
+            e = real.root_matrix["e", k]
+            f = real.root_matrix["f", k]
             h = _bracket(e, f)
             # [e,f] acts on any weight vector by the root's coroot pairing:
             # check against two probe weights via the Cartan decomposition
             from superlink.verma_oracle import _decompose
             parts = _decompose(datum, real, h)
-            assert all(kind == "h" for kind, _, _ in parts)
+            assert all(kind == "h" for (kind, _), _ in parts)
             from superlink import pairing_coroot
             for probe in (Weight(range(1, datum.dim + 1)), Weight([2] * datum.dim)):
-                value = sum(c * probe[i] for _, i, c in parts)
+                value = sum(c * probe[i] for (_, i), c in parts)
                 assert value == pairing_coroot(datum, probe, root)
 
 
@@ -178,7 +178,7 @@ def test_oracle_is_independent_of_kl():
                     reads.setdefault(node.module, set()).update(a.name for a in node.names)
             elif isinstance(node, (ast.Name, ast.Attribute)):
                 names = (getattr(node, "id", None), getattr(node, "attr", None))
-                assert "shared_group" not in names
+                assert not {"_tables", "_KLMemo"} & set(names)
                 assert name != "verma_oracle" or "pairing_coroot" not in names
     assert "kl" not in seen
     assert seen == {"verma_oracle", "errors", "root_data", "weights", "weyl"}

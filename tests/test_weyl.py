@@ -103,7 +103,7 @@ def test_group_refusals_name_an_unprintable_order_by_its_formula():
     """Once |W| has more digits than Python prints as an int, every group
     query names it by its window formula and keeps CapExceededError: 400!
     has 869 digits, over the lowest limit Python allows (640)."""
-    from superlink.kl import FiniteWeylGroup, shared_group
+    from superlink.kl import FiniteWeylGroup, _tables
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -111,7 +111,7 @@ def test_group_refusals_name_an_unprintable_order_by_its_formula():
         e = WeylElement.identity(400)
         for query in (lambda: length(a399, e), lambda: longest_element(a399),
                       lambda: reduced_word(a399, e), lambda: FiniteWeylGroup(a399),
-                      lambda: shared_group(a399)):
+                      lambda: _tables(a399)):
             with pytest.raises(CapExceededError) as err:
                 query()
             assert str(err.value) == "|W| = 400! exceeds the cap 40320"

@@ -23,20 +23,12 @@ from superlink.verma_oracle import _PBW, _bracket, _decompose, _Frame
 def _brackets(datum, frame):
     """(x, i) -> [x, f_i] over the generators, with Fraction coefficients,
     for every generator x: root vectors and Cartan elements."""
-    real, weights = frame.real, frame.weights
-    index = {w: i for i, w in enumerate(weights)}
+    real = frame.real
     matrix = {("h", i): h for i, h in enumerate(real.cartan)}
-    matrix.update({(kind, i): real.root_matrix[w if kind == "e" else -w]
-                   for kind in "ef" for i, w in enumerate(weights)})
-
-    def generator(kind, data):
-        if kind == "h":
-            return ("h", data)
-        return ("e", index[data]) if data in index else ("f", index[-data])
-
-    return {(key, head): tuple((generator(kind, data), Fraction(c)) for kind, data, c in
+    matrix.update(real.root_matrix)
+    return {(key, head): tuple((part, Fraction(c)) for part, c in
                                _decompose(datum, real, _bracket(mat, matrix["f", head])))
-            for key, mat in matrix.items() for head in range(len(weights))}
+            for key, mat in matrix.items() for head in range(len(frame.roots))}
 
 
 class FractionVerma:

@@ -3,7 +3,9 @@
 These are the straightforward forms `superlink.weyl` replaced with integer
 shifted coordinates: the dot reflection through `reflect`, the orbit as a
 BFS closure of dot reflections, (anti-)dominance, stabilizer roots and the
-anti-dominant representative through `pairing_coroot` on lam + rho0, and the
+anti-dominant representative through `pairing_coroot` on lam + rho0 (with
+`reflect`, `pairing_coroot` and `is_integral` the Fraction forms of
+`root_data_reference`, not the library's), and the
 gamma summation set as the anti-dominant points of that orbit.  The
 parabolic positive roots come from expanding every even positive root over
 Pi_0 by Gaussian elimination, where the library reads them off the
@@ -18,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from superlink import (UnsupportedInputError, Weight, WeylElement, is_integral, pairing_coroot,
-                       reflect, upsilon_of)
+from root_data_reference import is_integral, pairing_coroot, reflect
+from superlink import UnsupportedInputError, Weight, WeylElement, upsilon_of
 from superlink.weights import _fractional
 from superlink.weyl import _closure, _resolve_sub, _runs
 
