@@ -10,25 +10,29 @@ Kazhdan-Lusztig input:
    realization is Chevalley-normalised, so they are all integers;
 2. realize Verma-module weight spaces as PBW monomials in the negative
    root vectors, found by a search on integer root-lattice coordinates
-   pruned by root_data's height functional (one table per call, shared by
-   the models of every orbit point: see _PBW), and straighten products
-   recursively;
+   pruned by root_data's height functional (one table per datum, kept on
+   its frame: see _PBW), and straighten products recursively, once per
+   datum: x f_mono v has int coefficients for x = f_k, and coefficients
+   affine in the values H_i(lam) of the Cartan elements for x = e_k, so
+   the frame stores them as int forms (see _Frame.act) that each lam
+   evaluates;
 3. the weight multiplicities of a simple module are the ranks of the
    contravariant (transpose) form's Gram matrices on the Verma weight
    spaces.  The Gram entries are integers for an integral weight: the
-   structure constants are, and so are the values of the Cartan elements
-   H_i once each type A block's coordinates are shifted by their common
-   fractional part.  That shift subtracts a multiple of the block's
-   identity matrix, which is central and never occurs in a bracket
-   [x, f_beta] (only coroots do, and a type A coroot sums to 0 over its
-   block), so no Gram entry changes; a type C coordinate of an integral
-   weight is already an integer.  A weight that stays fractional keeps
-   Fraction entries.  Each Gram entry <f_i f_rest v, f_right v> is read as
-   <f_rest v, e_i f_right v> off the Gram one root higher (see _gram_of),
-   and the rank is exact fraction-free (Bareiss) elimination over Z (see
-   _rank);
+   structure constants are, and so are the values H_i(lam) once each type
+   A block's coordinates are shifted by their common fractional part.
+   That shift subtracts a multiple of the block's identity matrix, which
+   is central and never occurs in a bracket [x, f_beta] (only coroots do,
+   and a type A coroot sums to 0 over its block), so no Gram entry
+   changes; a type C coordinate of an integral weight is already an
+   integer.  A weight that stays fractional keeps Fraction entries.  Each
+   Gram entry <f_i f_rest v, f_right v> is read as <f_rest v, e_i f_right
+   v> off the Gram one root higher (see _gram_of), and the rank is exact
+   fraction-free (Bareiss) elimination over Z (see _rank);
 4. composition multiplicities fall out of the unitriangular system
-   [dim M(mu)_gamma] = [mult] x [dim L _gamma] on the dot orbit.
+   [dim M(mu)_gamma] = [mult] x [dim L _gamma] on the dot orbit, which the
+   oracle closes, like its integrality test, through the coroots of its
+   own realization (see _dot_orbit).
 
 Character coefficients of a Verma at a point are Kostant partition counts;
 everything runs in a bounded cone (differences of orbit points), so all
@@ -37,12 +41,13 @@ objects here are finite and exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import SuperlinkError, UnsupportedInputError
-from .root_data import RootDatum, _derived, _integer_frame, _scaled, is_integral
+from .root_data import RootDatum, _derived, _integer_frame, _scaled
 from .weights import Weight
-from .weyl import orbit_dot
+from .weyl import _closure
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -166,31 +171,96 @@ class _Frame:
       mu -> sum_a <mu, a^vee>;
     * the bracket table (x, i) -> [x, f_i] expanded over those generator
       keys with integer coefficients, for every root vector x and
-      positive-root index i.
+      positive-root index i;
+    * each positive root's coroot, the ("h", i) parts (i, c) of [e_k, f_k],
+      and the indices of the simple roots, which test integrality and close
+      the dot orbit (see _dot_orbit);
+    * the PBW monomial table (see _PBW) and the action table (see act),
+      which fill with the weight spaces asked of the datum and are kept,
+      with no size bound, for its life.
     """
 
     def __init__(self, datum: RootDatum):
         self.height = _integer_frame(datum).height  # its refusal comes first
         self.real = real = realize(datum)
         self.roots = real.roots
-        # a Cartan element acts on a weight vector by its weight (see VermaModel._act)
         self.brackets: dict[tuple[Generator, int], tuple[tuple[Generator, int], ...]] = {
             (key, head): tuple(_decompose(datum, real, _bracket(x, real.root_matrix["f", head])))
             for key, x in real.root_matrix.items() for head in range(len(real.roots))}
+        self.coroots = tuple(tuple((i, c) for (kind, i), c in self.brackets[("e", k), k]
+                                   if kind == "h") for k in range(len(real.roots)))
+        self.simple = tuple(k for k, root in enumerate(datum.even_positive)
+                            if root in datum.simple_even)
+        self._one = (1,) + (0,) * len(real.cartan)  # the constant form 1
+        self.pbw = _PBW(self)
+        self._actions: dict = {}
+
+    def pairings(self, lam: Weight) -> tuple[int, ...] | None:
+        """<lam, a^vee> for every positive root a, through the realization's
+        coroots; None unless every one is an integer."""
+        values = [sum(c * lam[i] for i, c in coroot) for coroot in self.coroots]
+        if any(v.denominator != 1 for v in values):
+            return None
+        return tuple(v.numerator for v in values)
+
+    def act(self, key: Generator, mono: tuple[int, ...]) -> dict:
+        """x f_mono v for x = ("e" | "f", k) and a PBW monomial mono, as
+        {monomial: coefficient}, memoized per datum.  An f's coefficients
+        are ints; an e's are forms (c_0, c_1, ..., c_dim) standing for
+        c_0 + sum_i c_i H_i(lam)."""
+        cache_key = (key, mono)
+        result = self._actions.get(cache_key)
+        if result is None:
+            result = self._actions[cache_key] = self._straighten(key, mono)
+        return result
+
+    def _straighten(self, key: Generator, mono: tuple[int, ...]) -> dict:
+        kind, idx = key
+        if not mono:
+            return {(idx,): 1} if kind == "f" else {}
+        head, rest = mono[0], mono[1:]
+        if kind == "f" and idx <= head:
+            return {(idx,) + mono: 1}
+        # x f_head = f_head x + [x, f_head], as terms (c, m, coefficient),
+        # c an int; H_i acts on f_rest v by lam's value minus rest's roots
+        terms = [(c2, m2, c) for m, c in self.act(key, rest).items()
+                 for m2, c2 in self.act(("f", head), m).items()]
+        for part, c in self.brackets[key, head]:
+            if part[0] == "h":
+                form = [0] * len(self._one)
+                form[0], form[part[1] + 1] = -sum(self.roots[m][part[1]] for m in rest), 1
+                terms.append((c, rest, tuple(form)))
+            else:
+                terms += [(c, m, v) for m, v in self.act(part, rest).items()]
+        out: dict = {}
+        if kind == "f":
+            # [f_idx, f_head] has a nonzero weight: it holds f's only
+            for c, m, v in terms:
+                if type(v) is not int:
+                    raise SuperlinkError("a bracket of two f's left their span")
+                out[m] = out.get(m, 0) + c * v
+            return {m: v for m, v in out.items() if v}
+        # an e's forms are only ever scaled by ints: a term of e f_mono v
+        # meets at most one Cartan element, which ends it
+        zero = (0,) * len(self._one)
+        for c, m, v in terms:
+            if type(v) is int:
+                c, v = c * v, self._one
+            out[m] = tuple(a + c * b for a, b in zip(out.get(m, zero), v))
+        return {m: v for m, v in out.items() if any(v)}
 
 
-def _height_key(frame: _Frame, n: tuple[int, ...]) -> int:
-    return sum(h * c for h, c in zip(frame.height, n))
+def _height_key(height: tuple[int, ...], n: tuple[int, ...]) -> int:
+    return sum(h * c for h, c in zip(height, n))
 
 
 class _PBW:
     """The PBW monomials of each weight -beta, beta an int tuple, and the
     position of each monomial in its weight space's basis.  Neither depends
-    on lam, so the models of one verma_multiplicities call share one table;
-    it dies with the call."""
+    on lam, so the frame keeps one table for the life of its datum."""
 
     def __init__(self, frame: _Frame):
-        self.frame = frame
+        self.roots, self.height = frame.roots, frame.height
         self.top = len(frame.roots) - 1
         self._below_cache: dict = {}
         self._index_cache: dict = {}
@@ -220,9 +290,9 @@ class _PBW:
         if not any(n):
             return ((),)
         # every positive root has positive height, so the search stops
-        if _height_key(self.frame, n) < 0:
+        if _height_key(self.height, n) < 0:
             return ()
-        roots = self.frame.roots
+        roots = self.roots
         return tuple(m + (i,) for i in range(max_idx, -1, -1)
                      for m in self._below(tuple(a - b for a, b in zip(n, roots[i])), i))
 
@@ -244,19 +314,21 @@ class VermaModel:
     """Verma module over a small reductive datum, with exact PBW arithmetic.
 
     Weight-space vectors are dicts {monomial: coefficient} where a monomial
-    is a nondecreasing tuple of positive-root indices (the PBW order), and
-    applying generators straightens products via the datum's bracket table.
-    Weight spaces M(lam)_{lam - beta} are searched on the int tuple of beta
-    (a Weight beta is converted); `pbw` is a monomial table to share.
+    is a nondecreasing tuple of positive-root indices (the PBW order).  The
+    frame of the datum straightens every product once, into forms affine in
+    the Cartan values; a model evaluates them at its lam.  Weight spaces
+    M(lam)_{lam - beta} are searched on the int tuple of beta (a Weight beta
+    is converted).
     """
 
-    def __init__(self, datum: RootDatum, lam: Weight, pbw: _PBW | None = None):
+    def __init__(self, datum: RootDatum, lam: Weight):
         datum.check_dim(lam)
         self.datum = datum
         self.lam = lam
         self.frame = _derived(datum, _Frame)
-        self.pbw = _PBW(self.frame) if pbw is None else pbw
-        self.cartan = _cartan_values(datum, lam)
+        self.pbw = self.frame.pbw
+        # a form (c_0, c_1, ...) takes the value c_0 + sum_i c_i H_i(lam)
+        self._values = (1, *_cartan_values(datum, lam))
         # per-instance memos: a model and its caches die with the last reference
         self._act_cache: dict = {}
         self._gram_cache: dict = {}
@@ -267,40 +339,15 @@ class VermaModel:
         self.datum.check_dim(beta)
         return _scaled(beta, 1)
 
-    # -- generator actions ------------------------------------------------
-    def _apply_parts(self, parts, mono):
-        out: dict = {}
-        for key, coeff in parts:
-            for m, c in self._act(key, mono).items():
-                out[m] = out.get(m, 0) + coeff * c
-        return {m: c for m, c in out.items() if c != 0}
-
-    def _act(self, key: Generator, mono):
-        kind, idx = key
-        if kind == "h":
-            # f_mono v has weight lam minus the sum of mono's roots
-            value = self.cartan[idx] - sum(self.frame.roots[m][idx] for m in mono)
-            return {mono: value} if value != 0 else {}
-        cache_key = (key, mono)
+    def _act(self, i: int, mono: tuple[int, ...]) -> dict:
+        """e_i f_mono v: the frame's forms, evaluated at lam."""
+        cache_key = (i, mono)
         result = self._act_cache.get(cache_key)
-        if result is not None:
-            return result
-        if not mono:
-            result = {(idx,): 1} if kind == "f" else {}
-        else:
-            head, rest = mono[0], mono[1:]
-            if kind == "f" and idx <= head:
-                result = {(idx,) + mono: 1}
-            else:
-                # x f_head = f_head x + [x, f_head]
-                out: dict = {}
-                for m, c in self._act(key, rest).items():
-                    for m2, c2 in self._act(("f", head), m).items():
-                        out[m2] = out.get(m2, 0) + c * c2
-                for m, c in self._apply_parts(self.frame.brackets[key, head], rest).items():
-                    out[m] = out.get(m, 0) + c
-                result = {m: c for m, c in out.items() if c != 0}
-        self._act_cache[cache_key] = result
+        if result is None:
+            values = self._values
+            result = self._act_cache[cache_key] = {
+                m: sum(map(operator.mul, form, values))
+                for m, form in self.frame.act(("e", i), mono).items()}
         return result
 
     # -- weight spaces -----------------------------------------------------
@@ -335,7 +382,7 @@ class VermaModel:
                 below[i] = self._gram_of(m), self.pbw.index(m)
             sub, index = below[i]
             row = sub[index[tuple(rest)]]
-            gram.append([sum(c * row[index[m]] for m, c in self._act(("e", i), right).items())
+            gram.append([sum(c * row[index[m]] for m, c in self._act(i, right).items())
                          for right in monos])
         self._gram_cache[n] = gram
         return gram
@@ -377,6 +424,18 @@ def _rank(rows: list[list]) -> int:
     return rank
 
 
+def _dot_orbit(frame: _Frame, pairings: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The int offsets mu - lam of the points mu of lam's dot orbit, given
+    lam's coroot pairings: the closure of 0 under the simple reflections
+    n -> n - <lam + n + rho0, a^vee> a (<rho0, a^vee> = 1 for a simple a)."""
+    def moves(n):
+        for k in frame.simple:
+            p = pairings[k] + sum(c * n[i] for i, c in frame.coroots[k]) + 1
+            yield tuple(a - p * b for a, b in zip(n, frame.roots[k]))
+
+    return [n for level in _closure((0,) * len(frame.real.cartan), moves) for n in level]
+
+
 def verma_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[Weight, Weight], int]:
     """[M(mu) : L(gamma)] for all mu, gamma in the dot orbit of lam.
 
@@ -388,23 +447,24 @@ def verma_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[Weight, We
         raise UnsupportedInputError("the brute-force oracle covers reductive data only")
     if len(datum.simple_even) > 2:
         raise UnsupportedInputError("the brute-force oracle is capped at rank 2")
-    if not is_integral(datum, lam):
-        raise UnsupportedInputError("the brute-force oracle needs an integral weight")
+    datum.check_dim(lam)
     frame = _derived(datum, _Frame)
-    # orbit points differ from lam by root-lattice vectors: their int
-    # offsets from lam order the orbit by height as the points would, and
-    # give each beta = mu - gamma as an int tuple
-    points = sorted(((_scaled(mu - lam, 1), mu) for mu in orbit_dot(datum, lam)),
-                    key=lambda p: (_height_key(frame, p[0]), p[1].coords))
+    pairings = frame.pairings(lam)
+    if pairings is None:
+        raise UnsupportedInputError("the brute-force oracle needs an integral weight")
+    # the int offsets of the orbit points from lam order the orbit by height
+    # as the points would, and give each beta = mu - gamma as an int tuple
+    points = sorted(((n, Weight._of(tuple(a + b for a, b in zip(lam.coords, n))))
+                     for n in _dot_orbit(frame, pairings)),
+                    key=lambda p: (_height_key(frame.height, p[0]), p[1].coords))
     offsets, orbit = [n for n, _ in points], [mu for _, mu in points]
-    pbw = _PBW(frame)
     r = len(orbit)
     # A[i][j] = dim M(orbit[i]) at weight orbit[j]; L likewise for simples;
     # only j <= i is read (a higher gamma is no weight of M(mu))
     A = [[0] * r for _ in range(r)]
     L = [[0] * r for _ in range(r)]
     for i, (mu, n) in enumerate(zip(orbit, offsets)):
-        model = VermaModel(datum, mu, pbw)
+        model = VermaModel(datum, mu)
         for j in range(i + 1):
             beta = tuple(a - b for a, b in zip(n, offsets[j]))
             A[i][j] = model.verma_dim(beta)

@@ -1,6 +1,7 @@
 """The Shapovalov oracle's integer arithmetic against its Fraction references
 (tests/verma_reference.py): the Gram matrices entry for entry, the
-fraction-free rank, and the PBW monomial table one call shares."""
+fraction-free rank, and the PBW monomial and action tables a datum's frame
+keeps across calls."""
 from collections import Counter
 from fractions import Fraction
 
@@ -119,8 +120,8 @@ def test_rank_is_exact_on_large_entries():
 
 
 def test_one_monomial_search_per_distinct_beta(monkeypatch):
-    """The models of one verma_multiplicities call share one PBW table: each
-    requested weight space is searched once, whichever model asks first."""
+    """The models of a datum share its frame's PBW table: each requested
+    weight space is searched once, whichever model or call asks first."""
     requests, searches = [], Counter()
     monomials, expand = verma_oracle._PBW.monomials, verma_oracle._PBW._expand
 
@@ -142,3 +143,29 @@ def test_one_monomial_search_per_distinct_beta(monkeypatch):
     assert len(distinct) < len(requests)  # the six models share weight spaces
     assert max(searches.values()) == 1
     assert {n for n, max_idx in searches if max_idx == top} >= distinct
+    # a second call on the datum finds every weight space in the table
+    asked, searched = len(requests), dict(searches)
+    assert verma_oracle.verma_multiplicities(datum, Weight([-2, 0, 2])) == table
+    assert len(requests) > asked and searches == searched
+
+
+@pytest.mark.parametrize("factors", ("A2", "C2", "A1xA1"))
+def test_filled_tables_answer_as_a_fresh_datum(factors, hypothesis_home):
+    """The frame's tables, filled at one lam, give another lam the answer a
+    fresh datum gives it, and the Gram matrices of its Fraction reference."""
+    fresh = build_root_datum("reductive", factors=factors)
+    coords = st.lists(st.integers(-2, 2), min_size=fresh.dim, max_size=fresh.dim)
+
+    @settings(database=None, derandomize=True, max_examples=15, deadline=None)
+    @given(coords, coords)
+    def agrees(first, second):
+        # lam + rho0 has integer coordinates, so lam is integral
+        datum = build_root_datum("reductive", factors=factors)
+        lam1, lam2 = (Weight(c) - datum.rho0 for c in (first, second))
+        verma_oracle.verma_multiplicities(datum, lam1)
+        assert verma_oracle.verma_multiplicities(datum, lam2) == \
+            verma_oracle.verma_multiplicities(build_root_datum("reductive", factors=factors),
+                                              lam2)
+        _assert_grams_match(datum, lam2)
+
+    agrees()

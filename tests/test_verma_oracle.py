@@ -152,9 +152,11 @@ def test_realization_audited_once_per_datum(monkeypatch):
 def test_oracle_is_independent_of_kl():
     """Neither the oracle nor any package module it imports reaches the KL
     engine, so the oracle stays an independent check of it.  From the
-    engine it reads only the dot orbit, the Fraction integrality test,
-    root_data's integer frame and the per-datum memo that keeps its own
-    frame: it pairs no weight with a coroot itself."""
+    engine it reads only the generic BFS closure, root_data's integer frame
+    (for the height functional), the weight conversion to ints and the
+    per-datum memo that keeps its own frame: it tests integrality and
+    closes the dot orbit through its own realization's coroots, and calls
+    neither the engine's coroot pairing nor its integrality test."""
     import ast
     from pathlib import Path
 
@@ -179,17 +181,18 @@ def test_oracle_is_independent_of_kl():
             elif isinstance(node, (ast.Name, ast.Attribute)):
                 names = (getattr(node, "id", None), getattr(node, "attr", None))
                 assert not {"_tables", "_KLMemo"} & set(names)
-                assert name != "verma_oracle" or "pairing_coroot" not in names
+                assert name != "verma_oracle" or not {"pairing_coroot", "is_integral",
+                                                      "orbit_dot"} & set(names)
     assert "kl" not in seen
     assert seen == {"verma_oracle", "errors", "root_data", "weights", "weyl"}
-    assert reads["root_data"] == {"RootDatum", "_derived", "_integer_frame", "_scaled",
-                                  "is_integral"}
-    assert reads["weyl"] == {"orbit_dot"}
+    assert reads["root_data"] == {"RootDatum", "_derived", "_integer_frame", "_scaled"}
+    assert reads["weyl"] == {"_closure"}
 
 
 def test_models_die_with_the_call(monkeypatch):
-    """No cache outlives a VermaModel: every model built inside
-    verma_multiplicities is freed once the call returns."""
+    """No per-lam memo outlives a VermaModel: every model built inside
+    verma_multiplicities is freed once the call returns (only the frame's
+    lam-free tables stay, with the datum)."""
     import gc
     import weakref
 
@@ -208,3 +211,80 @@ def test_models_die_with_the_call(monkeypatch):
     gc.collect()
     assert len(refs) == 6
     assert all(ref() is None for ref in refs)
+
+
+def test_each_product_straightened_once_per_datum(monkeypatch):
+    """The frame straightens each x f_mono v once: a second call on the
+    datum, at another lam, reads what the first one stored."""
+    from collections import Counter
+
+    from superlink import verma_oracle
+
+    counts = Counter()
+    straighten = verma_oracle._Frame._straighten
+
+    def counted(self, key, mono):
+        counts[key, mono] += 1
+        return straighten(self, key, mono)
+
+    monkeypatch.setattr(verma_oracle._Frame, "_straighten", counted)
+    datum = build_root_datum("reductive", factors="A2")
+    verma_oracle.verma_multiplicities(datum, Weight([-2, 0, 2]))
+    first = set(counts)
+    verma_oracle.verma_multiplicities(datum, Weight([-3, 0, 3]))
+    assert first < set(counts)  # the larger orbit asks for more products
+    assert max(counts.values()) == 1
+
+
+def test_f_actions_carry_no_cartan_part():
+    """An f's coefficients are ints; an e's are forms of dim + 1 ints, some
+    of them with a Cartan part: only an e ever meets a Cartan element."""
+    from superlink.root_data import _derived
+    from superlink.verma_oracle import _Frame, verma_multiplicities
+
+    for factors in ("A1", "A2", "C2", "A1xA1", "A1,C1"):
+        datum = build_root_datum("reductive", factors=factors)
+        verma_multiplicities(datum, datum.rho0.scale(-3))
+        actions = _derived(datum, _Frame)._actions
+        kinds = {kind for (kind, _), _ in actions}
+        assert kinds == {"e", "f"}
+        for ((kind, _), _), out in actions.items():
+            if kind == "f":
+                assert all(type(c) is int for c in out.values())
+            else:
+                assert all(type(form) is tuple and len(form) == datum.dim + 1
+                           and all(type(c) is int for c in form) for form in out.values())
+        assert any(any(form[1:]) for ((kind, _), _), out in actions.items() if kind == "e"
+                   for form in out.values())
+
+
+def test_frame_and_its_tables_die_with_the_datum():
+    import gc
+    import weakref
+
+    from superlink.root_data import _derived
+    from superlink.verma_oracle import _Frame, verma_multiplicities
+
+    datum = build_root_datum("reductive", factors="A2")
+    verma_multiplicities(datum, Weight([-2, 0, 2]))
+    frame = _derived(datum, _Frame)
+    assert frame._actions and frame.pbw._below_cache
+    refs = [weakref.ref(datum), weakref.ref(frame), weakref.ref(frame.pbw)]
+    del datum, frame
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_an_f_bracket_with_a_cartan_part_is_refused():
+    """An f's coefficients stay ints only while [f_i, f_j] holds f's alone;
+    a table that breaks this is refused, never multiplied through."""
+    from superlink.errors import SuperlinkError
+    from superlink.root_data import _derived
+    from superlink.verma_oracle import _Frame
+
+    frame = _derived(build_root_datum("reductive", factors="A2"), _Frame)
+    (key, head), parts = next(((x, i), p) for (x, i), p in frame.brackets.items()
+                              if x[0] == "f" and x[1] > i)
+    frame.brackets[key, head] = parts + ((("h", 0), 1),)
+    with pytest.raises(SuperlinkError, match="a bracket of two f's left their span"):
+        frame.act(key, (head,))

@@ -17,7 +17,7 @@ them.
 from fractions import Fraction
 
 from superlink.root_data import _derived, _scaled
-from superlink.verma_oracle import _PBW, _bracket, _decompose, _Frame
+from superlink.verma_oracle import _bracket, _decompose, _Frame
 
 
 def _brackets(datum, frame):
@@ -38,7 +38,7 @@ class FractionVerma:
         self.lam = lam
         frame = _derived(datum, _Frame)
         self.brackets = _brackets(datum, frame)
-        self.pbw = _PBW(frame)
+        self.pbw = frame.pbw
         self._act_cache = {}
 
     def _apply_parts(self, parts, mono):
