@@ -404,8 +404,10 @@ def parse_mult_table(datum: RootDatum, text: str) -> MultTable:
         if len(parts) != 3:
             raise UnsupportedInputError(
                 f"line {lineno}: expected '<weight> <weight> <integer>', got {raw!r}")
-        lam = datum.parse_weight(parts[0])
-        gamma = datum.parse_weight(parts[1])
+        try:
+            lam, gamma = datum.parse_weight(parts[0]), datum.parse_weight(parts[1])
+        except ValueError as exc:
+            raise UnsupportedInputError(f"line {lineno}: {exc}")
         try:
             count = int(parts[2])
         except ValueError:

@@ -10,25 +10,26 @@ Kazhdan-Lusztig input:
    realization is Chevalley-normalised, so they are all integers;
 2. realize Verma-module weight spaces as PBW monomials in the negative
    root vectors, found by a search on integer root-lattice coordinates
-   pruned by root_data's height functional (one table per datum, kept on
-   its frame: see _PBW), and straighten products recursively, once per
+   pruned by the height functional mu -> sum_a <mu, a^vee>, summed over
+   the realization's own coroots (one table per datum, kept on its frame:
+   see _Frame.monomials), and straighten products recursively, once per
    datum: x f_mono v has int coefficients for x = f_k, and coefficients
    affine in the values H_i(lam) of the Cartan elements for x = e_k, so
    the frame stores them as int forms (see _Frame.act) that each lam
    evaluates;
 3. the weight multiplicities of a simple module are the ranks of the
    contravariant (transpose) form's Gram matrices on the Verma weight
-   spaces.  The Gram entries are integers for an integral weight: the
-   structure constants are, and so are the values H_i(lam) once each type
-   A block's coordinates are shifted by their common fractional part.
-   That shift subtracts a multiple of the block's identity matrix, which
-   is central and never occurs in a bracket [x, f_beta] (only coroots do,
-   and a type A coroot sums to 0 over its block), so no Gram entry
-   changes; a type C coordinate of an integral weight is already an
-   integer.  A weight that stays fractional keeps Fraction entries.  Each
-   Gram entry <f_i f_rest v, f_right v> is read as <f_rest v, e_i f_right
-   v> off the Gram one root higher (see _gram_of), and the rank is exact
-   fraction-free (Bareiss) elimination over Z (see _rank);
+   spaces.  The oracle takes integral weights only, and their Gram entries
+   are integers: the structure constants are, and so are the values
+   H_i(lam) once each type A block's coordinates are shifted by their
+   common fractional part (see _cartan_values).  That shift subtracts a
+   multiple of the block's identity matrix, which is central and never
+   occurs in a bracket [x, f_beta] (only coroots do, and a type A coroot
+   sums to 0 over its block), so no Gram entry changes; a type C
+   coordinate of an integral weight is already an integer.  Each Gram
+   entry <f_i f_rest v, f_right v> is read as <f_rest v, e_i f_right v>
+   off the Gram one root higher (see VermaModel._gram), and the rank is
+   exact fraction-free (Bareiss) elimination over Z (see _rank);
 4. composition multiplicities fall out of the unitriangular system
    [dim M(mu)_gamma] = [mult] x [dim L _gamma] on the dot orbit, which the
    oracle closes, like its integrality test, through the coroots of its
@@ -40,12 +41,11 @@ objects here are finite and exact.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 from .errors import SuperlinkError, UnsupportedInputError
-from .root_data import RootDatum, _derived, _integer_frame, _scaled
+from .root_data import RootDatum, _derived
 from .weights import Weight
 from .weyl import _closure
 
@@ -99,7 +99,9 @@ def realize(datum: RootDatum) -> _Realization:
     and b' the slots of -wt(a) and -wt(b), s the signs of the slot weights
     (for 2 e_i, E_{b'a'} is E_ab itself and nothing is added).  The vector
     of -alpha is the transpose, so [X, X^T] is alpha's coroot (Chevalley
-    normalisation).
+    normalisation).  A root that is no difference of two slot weights (a
+    doubled root 2 alpha, whose coroot alpha^vee / 2 is not an integer
+    vector) is refused.
     """
     if datum.family != "reductive":
         raise UnsupportedInputError("matrix realizations exist for reductive data only")
@@ -113,8 +115,11 @@ def realize(datum: RootDatum) -> _Realization:
                   for root in datum.even_positive)
     root_matrix: dict[Generator, Matrix] = {}
     for k, alpha in enumerate(roots):
-        a, b = next((a, b) for a, (p, u) in enumerate(slots) for b, (q, v) in enumerate(slots)
-                    if p == q and tuple(x - y for x, y in zip(u, v)) == alpha)
+        pair = next(((a, b) for a, (p, u) in enumerate(slots) for b, (q, v) in enumerate(slots)
+                     if p == q and tuple(x - y for x, y in zip(u, v)) == alpha), None)
+        if pair is None:
+            raise UnsupportedInputError(f"{datum.describe()} needs integer roots and coroots")
+        a, b = pair
         entries = {(a, b): 1}
         if datum.blocks[slots[a][0]][0] == "C":
             minus = [(p, tuple(-x for x in u)) for p, u in slots]
@@ -167,21 +172,20 @@ class _Frame:
     * the audited matrix realization, its root vectors keyed ("e", k) and
       ("f", k) by the index k of the positive root in `datum.even_positive`
       (the PBW index order), its Cartan elements ("h", i) by coordinate;
-    * the even positive roots, dense, and root_data's height functional
-      mu -> sum_a <mu, a^vee>;
+    * the even positive roots, dense;
     * the bracket table (x, i) -> [x, f_i] expanded over those generator
       keys with integer coefficients, for every root vector x and
       positive-root index i;
     * each positive root's coroot, the ("h", i) parts (i, c) of [e_k, f_k],
       and the indices of the simple roots, which test integrality and close
-      the dot orbit (see _dot_orbit);
-    * the PBW monomial table (see _PBW) and the action table (see act),
-      which fill with the weight spaces asked of the datum and are kept,
-      with no size bound, for its life.
+      the dot orbit (see _dot_orbit), and the height functional mu -> sum_a
+      <mu, a^vee>, the sum of those coroots;
+    * the PBW monomial tables (see monomials and index) and the action
+      table (see act), which fill with the weight spaces asked of the datum
+      and are kept, with no size bound, for its life.
     """
 
     def __init__(self, datum: RootDatum):
-        self.height = _integer_frame(datum).height  # its refusal comes first
         self.real = real = realize(datum)
         self.roots = real.roots
         self.brackets: dict[tuple[Generator, int], tuple[tuple[Generator, int], ...]] = {
@@ -189,11 +193,14 @@ class _Frame:
             for key, x in real.root_matrix.items() for head in range(len(real.roots))}
         self.coroots = tuple(tuple((i, c) for (kind, i), c in self.brackets[("e", k), k]
                                    if kind == "h") for k in range(len(real.roots)))
+        self.height = tuple(sum(dict(coroot).get(i, 0) for coroot in self.coroots)
+                            for i in range(len(real.cartan)))
         self.simple = tuple(k for k, root in enumerate(datum.even_positive)
                             if root in datum.simple_even)
         self._one = (1,) + (0,) * len(real.cartan)  # the constant form 1
-        self.pbw = _PBW(self)
         self._actions: dict = {}
+        self._below_cache: dict = {}
+        self._index_cache: dict = {}
 
     def pairings(self, lam: Weight) -> tuple[int, ...] | None:
         """<lam, a^vee> for every positive root a, through the realization's
@@ -249,26 +256,11 @@ class _Frame:
             out[m] = tuple(a + c * b for a, b in zip(out.get(m, zero), v))
         return {m: v for m, v in out.items() if any(v)}
 
-
-def _height_key(height: tuple[int, ...], n: tuple[int, ...]) -> int:
-    return sum(h * c for h, c in zip(height, n))
-
-
-class _PBW:
-    """The PBW monomials of each weight -beta, beta an int tuple, and the
-    position of each monomial in its weight space's basis.  Neither depends
-    on lam, so the frame keeps one table for the life of its datum."""
-
-    def __init__(self, frame: _Frame):
-        self.roots, self.height = frame.roots, frame.height
-        self.top = len(frame.roots) - 1
-        self._below_cache: dict = {}
-        self._index_cache: dict = {}
-
-    def monomials(self, n: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
-        """All PBW monomials of weight -n (none unless n is a nonnegative
-        root sum; None stands for a beta off the integer lattice)."""
-        return () if n is None else self._below(n, self.top)
+    # -- PBW monomials: neither table depends on lam -------------------------
+    def monomials(self, n: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """All PBW monomials of weight -n, n an int tuple (none unless n is
+        a nonnegative root sum)."""
+        return self._below(n, len(self.roots) - 1)
 
     def index(self, n: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Each monomial of weight -n -> its position in monomials(n)."""
@@ -297,47 +289,46 @@ class _PBW:
                      for m in self._below(tuple(a - b for a, b in zip(n, roots[i])), i))
 
 
-def _cartan_values(datum: RootDatum, lam: Weight) -> tuple:
-    """The values of H_0, ..., H_{dim-1} on the highest weight vector: lam
-    with each type A block shifted by the fractional part of its first
-    coordinate (see step 3 of the module docstring), as ints where they are
-    integers and Fractions elsewhere."""
+def _height_key(height: tuple[int, ...], n: tuple[int, ...]) -> int:
+    return sum(h * c for h, c in zip(height, n))
+
+
+def _cartan_values(datum: RootDatum, lam: Weight) -> tuple[int, ...]:
+    """The values of H_0, ..., H_{dim-1} on the highest weight vector, as
+    ints: lam with each type A block shifted by the fractional part of its
+    first coordinate (see step 3 of the module docstring).  They are all
+    integers exactly when lam is integral (a type A coroot is some e_i -
+    e_j, and a type C coordinate pairs with the coroot e_i of 2 e_i); any
+    other lam is refused."""
     coords = list(lam.coords)
     for kind, start, size in datum.blocks:
         if kind == "A" and coords[start].denominator != 1:
             shift = coords[start] % 1
             coords[start:start + size] = [c - shift for c in coords[start:start + size]]
-    return tuple(c.numerator if c.denominator == 1 else c for c in coords)
+    if any(c.denominator != 1 for c in coords):
+        raise UnsupportedInputError("the brute-force oracle needs an integral weight")
+    return tuple(c.numerator for c in coords)
 
 
 class VermaModel:
-    """Verma module over a small reductive datum, with exact PBW arithmetic.
+    """Verma module over a small reductive datum at an integral weight,
+    with exact PBW arithmetic on ints.
 
     Weight-space vectors are dicts {monomial: coefficient} where a monomial
     is a nondecreasing tuple of positive-root indices (the PBW order).  The
     frame of the datum straightens every product once, into forms affine in
-    the Cartan values; a model evaluates them at its lam.  Weight spaces
-    M(lam)_{lam - beta} are searched on the int tuple of beta (a Weight beta
-    is converted).
+    the Cartan values; a model evaluates them at its lam.  A weight space
+    M(lam)_{lam - beta} is named by the int tuple n of beta's coordinates.
     """
 
     def __init__(self, datum: RootDatum, lam: Weight):
         datum.check_dim(lam)
-        self.datum = datum
-        self.lam = lam
         self.frame = _derived(datum, _Frame)
-        self.pbw = self.frame.pbw
         # a form (c_0, c_1, ...) takes the value c_0 + sum_i c_i H_i(lam)
         self._values = (1, *_cartan_values(datum, lam))
         # per-instance memos: a model and its caches die with the last reference
         self._act_cache: dict = {}
         self._gram_cache: dict = {}
-
-    def _lattice(self, beta: Weight | tuple[int, ...]) -> tuple[int, ...] | None:
-        if not isinstance(beta, Weight):
-            return beta
-        self.datum.check_dim(beta)
-        return _scaled(beta, 1)
 
     def _act(self, i: int, mono: tuple[int, ...]) -> dict:
         """e_i f_mono v: the frame's forms, evaluated at lam."""
@@ -351,20 +342,12 @@ class VermaModel:
         return result
 
     # -- weight spaces -----------------------------------------------------
-    def _monomials(self, beta: Weight | tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """All PBW monomials of weight -beta (none unless beta is a
-        nonnegative root sum)."""
-        return self.pbw.monomials(self._lattice(beta))
+    def verma_dim(self, n: tuple[int, ...]) -> int:
+        return len(self.frame.monomials(n))
 
-    def verma_dim(self, beta: Weight | tuple[int, ...]) -> int:
-        return len(self._monomials(beta))
-
-    def _gram(self, beta: Weight | tuple[int, ...]) -> list[list]:
-        """The contravariant form on M(lam)_{lam - beta} in the PBW basis."""
-        n = self._lattice(beta)
-        return self._gram_of(n) if self.pbw.monomials(n) else []
-
-    def _gram_of(self, n: tuple[int, ...]) -> list[list]:
+    def _gram(self, n: tuple[int, ...]) -> list[list[int]]:
+        """The contravariant form on M(lam)_{lam - beta} in the PBW basis, n
+        the int tuple of beta."""
         # <f_i f_rest v, f_right v> = <f_rest v, e_i f_right v> (e_i is f_i's
         # transpose): each entry is a short sum over the Gram of the weight
         # space one root higher, memoized per weight
@@ -374,12 +357,12 @@ class VermaModel:
         if not any(n):
             gram = self._gram_cache[n] = [[1]]
             return gram
-        monos, roots, below = self.pbw.monomials(n), self.frame.roots, {}
-        gram = []
+        frame, below, gram = self.frame, {}, []
+        monos = frame.monomials(n)
         for i, *rest in monos:
             if i not in below:
-                m = tuple(a - b for a, b in zip(n, roots[i]))
-                below[i] = self._gram_of(m), self.pbw.index(m)
+                m = tuple(a - b for a, b in zip(n, frame.roots[i]))
+                below[i] = self._gram(m), frame.index(m)
             sub, index = below[i]
             row = sub[index[tuple(rest)]]
             gram.append([sum(c * row[index[m]] for m, c in self._act(i, right).items())
@@ -387,23 +370,17 @@ class VermaModel:
         self._gram_cache[n] = gram
         return gram
 
-    def simple_dim(self, beta: Weight | tuple[int, ...]) -> int:
+    def simple_dim(self, n: tuple[int, ...]) -> int:
         """dim L(lam) at weight lam - beta: the rank of the contravariant Gram."""
-        gram = self._gram(beta)
+        gram = self._gram(n)
         return _rank(gram) if gram else 0
 
 
-def _integral(row: list) -> list[int]:
-    """The row times the lcm of its denominators (an int row is unchanged)."""
-    m = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (m // v.denominator) for v in row]
-
-
-def _rank(rows: list[list]) -> int:
-    """The rank of a nonempty matrix of ints and Fractions, by fraction-free
-    Gaussian elimination (Bareiss, Math. Comp. 22, 1968): each row is first
-    scaled to ints, and every division below is exact on ints."""
-    rows = [_integral(row) for row in rows]
+def _rank(rows: list[list[int]]) -> int:
+    """The rank of a nonempty int matrix, by fraction-free Gaussian
+    elimination (Bareiss, Math. Comp. 22, 1968): every division below is
+    exact on ints.  The caller's rows are not touched."""
+    rows = [list(r) for r in rows]
     n_rows, n_cols = len(rows), len(rows[0])
     rank, previous = 0, 1
     for col in range(n_cols):

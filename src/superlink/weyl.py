@@ -250,8 +250,7 @@ def _resolve_sub(datum: RootDatum, sub) -> tuple[Root, ...]:
 def _shifted(datum: RootDatum, lam: Weight) -> tuple[int, tuple[int, ...]]:
     """(D, N): the integer shifted coordinates N = D (lam + rho0) over a
     common denominator D of lam and root_data's frame."""
-    if len(lam) != datum.dim:
-        raise ValueError("weight dimensions differ")
+    datum.check_dim(lam)
     frame = _integer_frame(datum)
     return frame.shifted(lam, frame.rho0)
 
@@ -533,8 +532,6 @@ def _orbit_shifted(datum: RootDatum, lam: Weight, sub: tuple[Root, ...]) -> tupl
 def orbit_dot(datum: RootDatum, lam: Weight, sub=None) -> frozenset[Weight]:
     """The dot orbit of lam under the parabolic subgroup (BFS closure)."""
     sub = _resolve_sub(datum, sub)
-    if not sub:  # the trivial group
-        return frozenset({lam})
     D, points = _orbit_shifted(datum, lam, sub)
     return frozenset(_unshifted(datum, D, points))
 

@@ -191,6 +191,14 @@ def test_user_table_parsing_and_missing(red_a1):
         parse_mult_table(red_a1, "0,0 0,0")
     with pytest.raises(UnsupportedInputError):
         parse_mult_table(red_a1, "0,0 0,0 2")  # diagonal must be 1
+    # a malformed weight literal names its line, as every other bad line does
+    for text, message in (
+            ("0,0 0,0 1\n0,0,0 -1,1 1",
+             "line 2: weight literal '0,0,0' has 3 coordinates, expected 2"),
+            ("0,0 0,x 1", "line 1: Invalid literal for Fraction: 'x'")):
+        with pytest.raises(UnsupportedInputError) as err:
+            parse_mult_table(red_a1, text)
+        assert str(err.value) == message
 
 
 def test_length_regressions_rank2(red_a2, red_c2):

@@ -598,3 +598,67 @@ def test_verma_oracle_rank_cap():
     with pytest.raises(UnsupportedInputError):
         verma_series_rank_small(build_root_datum("reductive", factors="A3"),
                                 Weight([-3, -1, 1, 3]))
+
+
+# Each package name that oracle.py imports, pinned as one of three things:
+# "checked", the engine code under check (labels, KL polynomials); "plain",
+# a type, a constant or a helper that holds no engine table; or the id of
+# the reference test that checks the table the name shares with the engine
+# without going through the engine.  verma_multiplicities is the Shapovalov
+# oracle itself, pinned to its own ledger.
+ORACLE_READS = {
+    ("blocks", "BlockLabel"): "plain",
+    ("blocks", "_LATTICE_FAMILIES"): "plain",
+    ("blocks", "_label"): "checked",
+    ("blocks", "_label_shift"): "checked",
+    ("blocks", "_payload"): "checked",
+    ("blocks", "block_label"): "checked",
+    ("errors", "CapExceededError"): "plain",
+    ("errors", "SuperlinkError"): "plain",
+    ("errors", "UnsupportedInputError"): "plain",
+    # the R-polynomial oracle's generators, FiniteWeylGroup.reflections,
+    # are weyl.reflection_element on the integer frame
+    ("kl", "FiniteWeylGroup"):
+        "tests/test_weyl.py::test_reflection_element_matches_fraction_reflection",
+    ("kl", "KLPolynomial"): "plain",
+    ("kl", "MultTable"): "plain",
+    ("kl", "kl_polynomial"): "checked",
+    ("root_data", "RootDatum"): "plain",
+    # the box oracle's moves and integrality test
+    ("root_data", "_integer_frame"):
+        "tests/test_properties.py::test_integer_frame_matches_fractions",
+    ("root_data", "_scaled"): "plain",
+    ("verma_oracle", "verma_multiplicities"):
+        "tests/test_verma_oracle.py::test_oracle_is_independent_of_kl",
+    ("weights", "Weight"): "plain",
+    ("weights", "format_rational"): "plain",
+    ("weyl", "WeylElement"): "plain",
+    ("weyl", "_closure"): "plain",
+}
+
+
+def test_oracle_engine_reads_are_ledgered():
+    """The box and R-polynomial oracles read from the engine exactly the
+    names of ORACLE_READS, and every reference test named there exists: a
+    new engine import must be ledgered before it is used."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("superlink") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                reads |= {(node.module, a.name) for a in node.names}
+            else:
+                assert not node.module.startswith("superlink")
+    assert reads == set(ORACLE_READS)
+    for pin in ORACLE_READS.values():
+        if pin in ("checked", "plain"):
+            continue
+        path, name = pin.split("::")
+        tests = ast.parse((root / path).read_text(encoding="utf-8"))
+        assert name in {f.name for f in tests.body if isinstance(f, ast.FunctionDef)}, pin

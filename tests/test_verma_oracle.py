@@ -4,8 +4,15 @@ from fractions import Fraction
 import pytest
 
 from superlink import build_root_datum
+from superlink.errors import UnsupportedInputError
 from superlink.verma_oracle import VermaModel, _bracket, realize
 from superlink.weights import Weight
+
+
+def _ints(beta):
+    """The int tuple of an integral Weight, as the models take a beta."""
+    assert all(c.denominator == 1 for c in beta)
+    return tuple(c.numerator for c in beta)
 
 
 def test_realization_eigenvalues_and_cartan():
@@ -54,12 +61,10 @@ def test_models_check_the_weight_dimension():
     from superlink.errors import DimensionMismatchError
 
     datum = build_root_datum("reductive", factors="A2")
-    alpha = datum.simple_even[0].weight
+    alpha = _ints(datum.simple_even[0].weight)
     for coords in ([1, 2], [1, 2, 3, 4]):
         with pytest.raises(DimensionMismatchError, match="expects 3 coordinates"):
             VermaModel(datum, Weight(coords)).simple_dim(alpha)
-        with pytest.raises(DimensionMismatchError, match="expects 3 coordinates"):
-            VermaModel(datum, Weight([0, 0, 0])).simple_dim(Weight(coords))
 
 
 def test_sl2_verma_weight_dims():
@@ -67,10 +72,10 @@ def test_sl2_verma_weight_dims():
     model = VermaModel(datum, Weight([3, 0]))  # pairing <lam, a^vee> = 3
     alpha = datum.even_positive[0].weight
     for k in range(6):
-        beta = alpha.scale(k)
+        beta = _ints(alpha.scale(k))
         assert model.verma_dim(beta) == 1
     # L(lam) for pairing 3 is 4-dimensional: weights lam - k alpha, k <= 3
-    dims = [model.simple_dim(alpha.scale(k)) for k in range(6)]
+    dims = [model.simple_dim(_ints(alpha.scale(k))) for k in range(6)]
     assert dims == [1, 1, 1, 1, 0, 0]
 
 
@@ -79,7 +84,7 @@ def test_sl2_antidominant_simple():
     model = VermaModel(datum, Weight([-2, 1]))  # pairing -3: M simple
     alpha = datum.even_positive[0].weight
     for k in range(8):
-        assert model.simple_dim(alpha.scale(k)) == 1
+        assert model.simple_dim(_ints(alpha.scale(k))) == 1
 
 
 def test_a2_verma_dims_are_kostant_counts():
@@ -88,45 +93,45 @@ def test_a2_verma_dims_are_kostant_counts():
     a1 = datum.simple_even[0].weight
     a2 = datum.simple_even[1].weight
     # partition counts over {a1, a2, a1+a2}
-    assert model.verma_dim(a1) == 1
-    assert model.verma_dim(a1 + a2) == 2
-    assert model.verma_dim(a1 + a1 + a2) == 2
-    assert model.verma_dim((a1 + a2).scale(2)) == 3
+    assert model.verma_dim(_ints(a1)) == 1
+    assert model.verma_dim(_ints(a1 + a2)) == 2
+    assert model.verma_dim(_ints(a1 + a1 + a2)) == 2
+    assert model.verma_dim(_ints((a1 + a2).scale(2))) == 3
 
 
 def test_c2_gram_symmetry_spotcheck():
     datum = build_root_datum("reductive", factors="C2")
     model = VermaModel(datum, Weight([-2, -1]))
-    beta = datum.simple_even[0].weight + datum.simple_even[1].weight
-    monos = model._monomials(beta)
+    beta = _ints(datum.simple_even[0].weight + datum.simple_even[1].weight)
+    monos = model.frame.monomials(beta)
     assert len(monos) == model.verma_dim(beta)
     assert 0 <= model.simple_dim(beta) <= model.verma_dim(beta)
     # the contravariant form is symmetric on every weight space; check all
-    # of height <= 3 for an integral and a generic rational lam
-    for factors, lams in (("C2", ([-2, -1], [Fraction(1, 2), Fraction(-2, 3)])),
-                          ("A2", ([-2, 0, 2], [Fraction(1, 2), Fraction(-1, 3), 0]))):
+    # of height <= 3 for an integral lam, and refuse a generic rational one
+    for factors, lam, rational in (("C2", [-2, -1], [Fraction(1, 2), Fraction(-2, 3)]),
+                                   ("A2", [-2, 0, 2], [Fraction(1, 2), Fraction(-1, 3), 0])):
         datum = build_root_datum("reductive", factors=factors)
+        with pytest.raises(UnsupportedInputError, match="needs an integral weight"):
+            VermaModel(datum, Weight(rational))
         a1, a2 = (r.weight for r in datum.simple_even)
-        for lam in lams:
-            model = VermaModel(datum, Weight(lam))
-            for k in range(4):
-                for j in range(k + 1):
-                    beta = a1.scale(j) + a2.scale(k - j)
-                    gram = model._gram(beta)
-                    assert len(gram) == model.verma_dim(beta)
-                    assert all(row[c] == gram[c][r] for r, row in enumerate(gram)
-                               for c in range(len(row)))
-                    assert model.simple_dim(beta) <= len(gram)
+        model = VermaModel(datum, Weight(lam))
+        for k in range(4):
+            for j in range(k + 1):
+                beta = _ints(a1.scale(j) + a2.scale(k - j))
+                gram = model._gram(beta)
+                assert len(gram) == model.verma_dim(beta)
+                assert all(row[c] == gram[c][r] for r, row in enumerate(gram)
+                           for c in range(len(row)))
+                assert model.simple_dim(beta) <= len(gram)
 
 
 def test_off_lattice_weight_spaces_are_empty():
-    """A beta off the root lattice, or outside the positive root cone, has
-    no PBW monomials: it must never be rounded onto the lattice."""
-    for factors, lam, beta in (("A1", [3, 0], [Fraction(1, 2), Fraction(-1, 2)]),
-                               ("C2", [-2, -1], [Fraction(1, 2), Fraction(1, 2)])):
+    """A beta outside the positive root cone has no PBW monomials."""
+    for factors, lam in (("A1", [3, 0]), ("C2", [-2, -1])):
         datum = build_root_datum("reductive", factors=factors)
         model = VermaModel(datum, Weight(lam))
-        for b in (Weight(beta), -datum.simple_even[0].weight, -datum.even_positive[-1].weight):
+        for b in (-datum.simple_even[0].weight, -datum.even_positive[-1].weight):
+            b = _ints(b)
             assert model.verma_dim(b) == 0
             assert model.simple_dim(b) == 0
 
@@ -152,11 +157,10 @@ def test_realization_audited_once_per_datum(monkeypatch):
 def test_oracle_is_independent_of_kl():
     """Neither the oracle nor any package module it imports reaches the KL
     engine, so the oracle stays an independent check of it.  From the
-    engine it reads only the generic BFS closure, root_data's integer frame
-    (for the height functional), the weight conversion to ints and the
-    per-datum memo that keeps its own frame: it tests integrality and
-    closes the dot orbit through its own realization's coroots, and calls
-    neither the engine's coroot pairing nor its integrality test."""
+    engine it reads only the generic BFS closure and the per-datum memo
+    that keeps its own frame: it tests integrality, closes the dot orbit
+    and sums its height functional over its own realization's coroots, and
+    calls neither the engine's coroot pairing nor its integrality test."""
     import ast
     from pathlib import Path
 
@@ -185,7 +189,7 @@ def test_oracle_is_independent_of_kl():
                                                       "orbit_dot"} & set(names)
     assert "kl" not in seen
     assert seen == {"verma_oracle", "errors", "root_data", "weights", "weyl"}
-    assert reads["root_data"] == {"RootDatum", "_derived", "_integer_frame", "_scaled"}
+    assert reads["root_data"] == {"RootDatum", "_derived"}
     assert reads["weyl"] == {"_closure"}
 
 
@@ -268,11 +272,11 @@ def test_frame_and_its_tables_die_with_the_datum():
     datum = build_root_datum("reductive", factors="A2")
     verma_multiplicities(datum, Weight([-2, 0, 2]))
     frame = _derived(datum, _Frame)
-    assert frame._actions and frame.pbw._below_cache
-    refs = [weakref.ref(datum), weakref.ref(frame), weakref.ref(frame.pbw)]
+    assert frame._actions and frame._below_cache and frame._index_cache
+    refs = [weakref.ref(datum), weakref.ref(frame)]
     del datum, frame
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_an_f_bracket_with_a_cartan_part_is_refused():

@@ -154,6 +154,24 @@ def test_orbit_examples(p2, p3):
     assert len(orbit_dot(p3, Weight([7, 3, 0]))) == 6
 
 
+def test_wrong_length_weights_raise_dimension_mismatch(gl11, red_a2):
+    """Every shifted-coordinate query refuses a weight of the wrong length
+    with the datum's own DimensionMismatchError; the trivial group's orbit
+    checks it too, and is the weight itself."""
+    from superlink import DimensionMismatchError, WhittakerCharacter, gamma_summation_set
+
+    assert orbit_dot(red_a2, Weight([1, 2, 3]), sub=()) == frozenset({Weight([1, 2, 3])})
+    for datum, lam, sub in ((gl11, Weight([1, 2, 3]), None), (red_a2, Weight([1, 2]), ()),
+                            (red_a2, Weight([1, 2]), None)):
+        zeta = WhittakerCharacter.from_indices(datum, "none")
+        for query in (lambda: orbit_dot(datum, lam, sub=sub),
+                      lambda: is_antidominant(datum, lam, sub=sub),
+                      lambda: is_dominant(datum, lam),
+                      lambda: gamma_summation_set(datum, lam, zeta)):
+            with pytest.raises(DimensionMismatchError, match=f"expects {datum.dim} coordinates"):
+                query()
+
+
 def test_cycles_round_trip():
     for images in [(1, 2, 3), (2, 1, 3), (-1, 2, 3), (2, 3, 1), (-2, -1, 3), (3, -1, -2)]:
         w = WeylElement(images)

@@ -10,13 +10,14 @@ monomials by applying the transposed left monomial's e's one by one to the
 right one (the library reads each entry off the Gram of the weight space
 one root higher), and the rank by Gauss-Jordan elimination over Q (the
 library runs fraction-free Bareiss elimination over Z).  The matrix
-realization and the PBW monomials are the library's own, so a Gram matrix
-here is indexed as the library's is.  Tests compare the library against
-them.
+realization and the PBW monomials (read off the library's frame) are the
+library's own, so a Gram matrix here is indexed as the library's is, and a
+weight space is named as the library names it, by the int tuple n of its
+beta.  Tests compare the library against them.
 """
 from fractions import Fraction
 
-from superlink.root_data import _derived, _scaled
+from superlink.root_data import _derived
 from superlink.verma_oracle import _bracket, _decompose, _Frame
 
 
@@ -38,7 +39,7 @@ class FractionVerma:
         self.lam = lam
         frame = _derived(datum, _Frame)
         self.brackets = _brackets(datum, frame)
-        self.pbw = frame.pbw
+        self.frame = frame
         self._act_cache = {}
 
     def _apply_parts(self, parts, mono):
@@ -78,9 +79,9 @@ class FractionVerma:
         self._act_cache[cache_key] = result
         return result
 
-    def gram(self, beta):
+    def gram(self, n):
         """The contravariant form on M(lam)_{lam - beta} in the PBW basis."""
-        monos = self.pbw.monomials(_scaled(beta, 1))
+        monos = self.frame.monomials(n)
         gram = []
         for left in monos:
             row = []
