@@ -290,8 +290,8 @@ def cmd_validate(args) -> int:
     box = _parse_box(datum, args.box, args.anchor)
     if box.count() > cfg["box_cap"]:
         raise SuperlinkError(f"box exceeds configured cap {cfg['box_cap']}")
-    report = oracle_mod.partition_box(datum, box, oracle_mod.LinkageGenerators(),
-                                      enlarge=not args.no_enlarge, cap=cfg["box_cap"])
+    report = oracle_mod.partition_box(datum, box, enlarge=not args.no_enlarge,
+                                      cap=cfg["box_cap"])
     payload = report.to_json(datum)
     payload["schema"] = SCHEMA_VERSION
     text = (f"{len(report.components)} components over "

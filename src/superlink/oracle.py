@@ -1,13 +1,13 @@
 """Brute-force verifiers: BFS linkage closures on weight boxes and an
 R-polynomial cross-check of the KL engine.
 
-The box oracle enumerates a bounded integer lattice of weights, closes each
-seed under the family's linkage generators, and compares the resulting
-components against closed-form block labels.  A component carrying two
-distinct labels is a soundness failure of the labels; a label split across
-components is only a box artifact, and an automatic enlargement pass checks
-whether a bigger box merges the pieces.  The oracle can prove that two
-weights are linked; it can never prove they are not.
+The box oracle enumerates a box, the lattice anchor + Z^dim clipped to
+[lo, hi], closes each seed under the family's linkage generators, and
+compares the resulting components against closed-form block labels.  A
+component carrying two distinct labels is a soundness failure of the labels;
+a label split across components is only a box artifact, and an automatic
+enlargement pass checks whether a bigger box merges the pieces.  The oracle
+can prove that two weights are linked; it can never prove they are not.
 
 Generator moves, per family:
 
@@ -15,12 +15,16 @@ Generator moves, per family:
   for osp(3|2), whose rho1 is not W-invariant);
 * gl / osp(2|2n) / osp(3|2): lam -> lam - c a for isotropic roots a with
   <lam + rho, a> = 0 and every integer c keeping the image inside the box
-  (single steps c = +-1 plus transitivity would silently depend on
+  (single moves c = +-1 plus transitivity would silently depend on
   intermediate points staying inside the box);
 * p(n): lam -> lam +- 2 e_k.
 
-Both the moves and the integrality test run on integer coordinates
-N = D lam over one common denominator D per (datum, box) (see _Frame).
+The even coroots are integer vectors, so a box's points are integral
+exactly when its anchor is; a box of a non-integral anchor is refused, as
+simple reflections do not link non-integral weights.  Each move shifts an
+integral weight by an integer vector, so only an image's bounds are tested.
+The moves run on integer coordinates N = D lam over one common denominator
+D per (datum, box) (see _Frame).
 
 The KL cross-check recomputes every polynomial through the R-polynomial
 inversion identity q^l P(1/q) - P(q) = sum_z R_{x,z} P_{z,w} and diffs the
@@ -37,11 +41,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, _payload, block_label
-from .errors import CapExceededError, SuperlinkError, UnsupportedInputError
+from .errors import CapExceededError, DimensionMismatchError, SuperlinkError, UnsupportedInputError
 from .kl import FiniteWeylGroup, KLPolynomial, MultTable, kl_polynomial
 from .root_data import RootDatum, _integer_frame, _scaled
 from .verma_oracle import verma_multiplicities
-from .weights import Weight, format_rational
+from .weights import Weight
 from .weyl import WeylElement, _closure
 
 BOX_CAP = 10 ** 6
@@ -49,23 +53,20 @@ BOX_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class WeightBox:
-    """An axis-aligned lattice box: anchor + step Z^dim, clipped to [lo, hi]."""
+    """An axis-aligned lattice box: anchor + Z^dim, clipped to [lo, hi]."""
 
     lo: tuple[Fraction, ...]
     hi: tuple[Fraction, ...]
-    step: Fraction = Fraction(1)
     anchor: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise UnsupportedInputError(
-                f"box step must be positive, got {format_rational(self.step)}")
+        if not len(self.lo) == len(self.hi) == len(self._anchor()):
+            raise DimensionMismatchError("box lo, hi and anchor differ in length")
 
     @staticmethod
-    def cube(dim: int, lo, hi, step=1) -> "WeightBox":
+    def cube(dim: int, lo, hi) -> "WeightBox":
         return WeightBox(tuple(Fraction(lo) for _ in range(dim)),
-                         tuple(Fraction(hi) for _ in range(dim)),
-                         Fraction(step))
+                         tuple(Fraction(hi) for _ in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -77,12 +78,8 @@ class WeightBox:
 
     def count(self) -> int:
         total = 1
-        anchor = self._anchor()
-        for a, lo, hi in zip(anchor, self.lo, self.hi):
-            first = a + self.step * math.ceil((lo - a) / self.step)
-            if first > hi:
-                return 0
-            total *= int((hi - first) // self.step) + 1
+        for a, lo, hi in zip(self._anchor(), self.lo, self.hi):
+            total *= max(0, math.floor(hi - a) - math.ceil(lo - a) + 1)
         return total
 
     def _check_cap(self, cap: int = BOX_CAP, name: str = "box") -> None:
@@ -91,52 +88,50 @@ class WeightBox:
         if count > cap:
             raise CapExceededError(f"{name} holds {count} points, cap is {cap}")
 
-    def enlarged(self, pad: Fraction | int | None = None) -> "WeightBox":
-        if pad is None:
-            width = max(h - l for l, h in zip(self.lo, self.hi))
-            pad = max(Fraction(2), width / 2)
-        pad = Fraction(pad)
-        return WeightBox(tuple(l - pad for l in self.lo),
-                         tuple(h + pad for h in self.hi), self.step, self.anchor)
+    def enlarged(self) -> "WeightBox":
+        """The box padded on every side by half its widest side, at least 2."""
+        width = max(h - l for l, h in zip(self.lo, self.hi))
+        margin = max(Fraction(2), width / 2)
+        return WeightBox(tuple(l - margin for l in self.lo),
+                         tuple(h + margin for h in self.hi), self.anchor)
 
 
 class _Frame:
     """A box's lattice in integer coordinates N = D lam, for the datum it
     holds.
 
-    D is the least common denominator of the box's bounds, step and anchor
-    and of root_data's integer frame, whose ints (rho0, rho, the roots and
+    D is the least common denominator of the box's bounds and anchor and
+    of root_data's integer frame, whose ints (rho0, rho, the roots and
     coroots) this frame scales, so box points and rho-shifts are integer
-    vectors.  Each linkage move is integer arithmetic on N, and lam is
-    integral exactly when D divides sum_i c_i N_i for every even positive
-    coroot c; all_integral proves it for every point of the box at once
-    where the anchor and step allow.  Ordering N orders lam, since D > 0.
-    Block labels of the super families are read off N + D shift as well
-    (see blocks._label).
+    vectors and the lattice anchor + Z^dim is anchor + D Z^dim in N.  Each
+    linkage move is integer arithmetic on N.  lam is integral exactly when
+    D divides sum_i c_i N_i for every even positive coroot c, an integer
+    vector, so all_integral, the anchor's test, holds for every point of
+    the box or for none.  Ordering N orders lam, since D > 0.  Block labels
+    of the super families are read off N + D shift as well (see
+    blocks._label).
     """
 
     def __init__(self, datum: RootDatum, box: WeightBox):
+        datum.check_dim(box.lo)  # the box's lo, hi and anchor share a length
         anchor = box._anchor()
         ints = _integer_frame(datum)
-        D = math.lcm(ints.D, *(c.denominator for c in (*box.lo, *box.hi, box.step, *anchor)))
+        D = math.lcm(ints.D, *(c.denominator for c in (*box.lo, *box.hi, *anchor)))
         self.datum, self.D, self.dim = datum, D, datum.dim
         self.lo = tuple(int(c * D) for c in box.lo)
         self.hi = tuple(int(c * D) for c in box.hi)
         self.anchor = tuple(int(c * D) for c in anchor)
-        self.step = step = int(box.step * D)
-        # each axis starts at a + step * ceil((lo - a) / step)
-        self.axes = [range(a - step * ((a - lo) // step), hi + 1, step)
+        # each axis starts at a + D * ceil((lo - a) / D)
+        self.axes = [range(a - D * ((a - lo) // D), hi + 1, D)
                      for a, lo, hi in zip(self.anchor, self.lo, self.hi)]
         # v -> v / D for every axis value
         self.values = {v: Fraction(v, D) for axis in self.axes for v in axis}
         k = D // ints.D  # scales the integer frame's ints to this one
         self.label_shift = tuple(k * v for v in _label_shift(datum))
         self.coroots = ints.coroots
-        # every point anchor + k step is integral when each even coroot c has
-        # sum_i c_i anchor_i = 0 and c_i step = 0 for every i (mod D)
-        self.all_integral = all(
-            sum(c * self.anchor[i] for i, c in coroot) % D == 0
-            and all(c * step % D == 0 for _, c in coroot) for coroot in self.coroots)
+        # the coroots are integer vectors: every point is integral iff the anchor is
+        self.all_integral = all(sum(c * self.anchor[i] for i, c in coroot) % D == 0
+                                for coroot in self.coroots)
         # lam -> s(lam + shift) - shift is N -> N - p a, p = k + sum_i c_i N_i
         shift = ints.rho if datum.family == "osp32" else ints.rho0
         self.reflections = [(ints.roots[j], ints.coroots[j], k * sum(
@@ -153,15 +148,11 @@ class _Frame:
         return list(itertools.product(*self.axes))
 
     def contains(self, n: tuple[int, ...]) -> bool:
-        step = self.step
+        D = self.D
         for lo, hi, a, v in zip(self.lo, self.hi, self.anchor, n):
-            if not lo <= v <= hi or (v - a) % step:
+            if not lo <= v <= hi or (v - a) % D:
                 return False
         return True
-
-    def integral(self, n: tuple[int, ...]) -> bool:
-        D = self.D
-        return all(sum(c * n[i] for i, c in coroot) % D == 0 for coroot in self.coroots)
 
     def lattice(self, w: Weight) -> tuple[int, ...] | None:
         """D w, or None when w has the wrong length or D w is not integral."""
@@ -187,20 +178,21 @@ class LinkageGenerators:
     """The move set closing the family's linkage relation inside a box."""
 
     def neighbors(self, datum: RootDatum, n: tuple[int, ...], frame: _Frame):
-        """The images inside the frame's box of the box point N = n.
+        """The images inside the frame's box of the integral box point N = n.
 
         Only the coordinates a move changes are tested against the box, so
-        n itself must lie in the box.  A coordinate value v fits the box when
-        lo <= v <= hi and v lies on the anchor's lattice.
+        n itself must lie in the box.  Each move shifts an integral weight
+        by an integer vector, so its images stay on the anchor's lattice and
+        only the bounds lo <= v <= hi are tested.
         """
-        lo, hi, anchor, step = frame.lo, frame.hi, frame.anchor, frame.step
+        lo, hi = frame.lo, frame.hi
         for root, coroot, p in frame.reflections:
             for i, c in coroot:
                 p += c * n[i]
             img = list(n)
             for i, a in root:
                 v = n[i] - p * a
-                if not lo[i] <= v <= hi[i] or (v - anchor[i]) % step:
+                if not lo[i] <= v <= hi[i]:
                     break
                 img[i] = v
             else:
@@ -216,7 +208,7 @@ class LinkageGenerators:
                 while True:  # until the first image leaving the box
                     for i, a in root:
                         v = img[i] - d * a
-                        if not lo[i] <= v <= hi[i] or (v - anchor[i]) % step:
+                        if not lo[i] <= v <= hi[i]:
                             break
                         img[i] = v
                     else:
@@ -227,8 +219,11 @@ class LinkageGenerators:
             d = 2 * D
             for k, x in enumerate(n):
                 for v in (x + d, x - d):
-                    if lo[k] <= v <= hi[k] and not (v - anchor[k]) % step:
+                    if lo[k] <= v <= hi[k]:
                         yield n[:k] + (v,) + n[k + 1:]
+
+
+_GENERATORS = LinkageGenerators()
 
 
 class _Component(list):
@@ -238,14 +233,16 @@ class _Component(list):
     lattice: list[tuple[int, ...]]
 
 
-def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox,
-                        gens: LinkageGenerators) -> list[Weight]:
-    """The connected component of seed under gens, restricted to the box."""
+def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox) -> list[Weight]:
+    """The connected component of seed under the linkage generators,
+    restricted to the box.  Refuses a box whose weights are not integral."""
     frame = _frame(datum, box)
     n = frame.lattice(seed)
     if n is None or not frame.contains(n):
         raise UnsupportedInputError("seed lies outside the box")
-    levels = _closure(n, lambda x: gens.neighbors(datum, x, frame))
+    if not frame.all_integral:
+        raise UnsupportedInputError("linkage closures are computed for integral weights")
+    levels = _closure(n, lambda x: _GENERATORS.neighbors(datum, x, frame))
     lattice = sorted(itertools.chain.from_iterable(levels))
     comp = _Component(map(frame.weight, lattice))
     comp.lattice = lattice
@@ -284,12 +281,12 @@ class PartitionReport:
 def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
     """The box's frame, the label key of each box point N (in points order)
     and the BlockLabel of each key, built once per distinct label.  Refuses
-    boxes above cap, and the first point block_label refuses, as it does."""
+    boxes above cap, and the first point block_label refuses, as it does:
+    in a box of a non-integral anchor that is the first point."""
     box._check_cap(cap)
     frame = _frame(datum, box)
     D, shift = frame.D, frame.label_shift
-    on_lattice = datum.family in _LATTICE_FAMILIES
-    proven = on_lattice and frame.all_integral
+    on_lattice = datum.family in _LATTICE_FAMILIES and frame.all_integral
     keys = {}  # N -> its label's key
     labels = {}  # key -> BlockLabel, built once per distinct label
     values = {}  # v -> v / D, built once per distinct label value
@@ -301,9 +298,7 @@ def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
         return q
 
     for n in frame.points():
-        # block_label's own integrality check, and its refusals, only where
-        # the frame cannot prove the point integral
-        if proven or on_lattice and frame.integral(n):
+        if on_lattice:
             mu = [a + b for a, b in zip(n, shift)]
             key = _label(datum, D, mu)
             if key not in labels:
@@ -323,8 +318,8 @@ def block_members(datum: RootDatum, box: WeightBox, target: BlockLabel,
     return [frame.weight(n) for n in sorted(n for n, key in keys.items() if key in hits)]
 
 
-def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
-                  enlarge: bool = True, cap: int = BOX_CAP) -> PartitionReport:
+def partition_box(datum: RootDatum, box: WeightBox, enlarge: bool = True,
+                  cap: int = BOX_CAP) -> PartitionReport:
     """Partition the box into linkage components and audit the labels.
 
     Reports (a) components carrying more than one closed-form label (a
@@ -340,7 +335,7 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
     for n in keys:
         if n not in unvisited:
             continue
-        comp = bfs_linkage_closure(datum, frame.weight(n), box, gens)
+        comp = bfs_linkage_closure(datum, frame.weight(n), box)
         unvisited.difference_update(comp.lattice)
         seen = {keys[m] for m in comp.lattice}
         if len(seen) > 1:
@@ -365,7 +360,7 @@ def partition_box(datum: RootDatum, box: WeightBox, gens: LinkageGenerators,
                  "merged_after_enlargement": None}
         if enlarge:
             reps = [components[i][0] for i in comps]
-            reached = set(bfs_linkage_closure(datum, reps[0], big, gens))
+            reached = set(bfs_linkage_closure(datum, reps[0], big))
             entry["merged_after_enlargement"] = all(r in reached for r in reps[1:])
         splits.append(entry)
     return PartitionReport(box, components, [labels[k] for k in comp_keys], failures, splits)
@@ -394,14 +389,14 @@ class _RPolynomials:
     """
 
     def __init__(self, W: FiniteWeylGroup):
-        gens = W.reflections
+        simple = W.reflections
         levels = [sorted(level, key=lambda w: w.images)
-                  for level in _closure(W.identity, lambda x: [g.compose(x) for g in gens])]
+                  for level in _closure(W.identity, lambda x: [g.compose(x) for g in simple])]
         self.elements = [w for level in levels for w in level]
         self.length = L = [k for k, level in enumerate(levels) for _ in level]
         self.b = b = (len(L) * 3 ** L[-1] * _KL_LIMIT).bit_length() + 1
         ids = {w: i for i, w in enumerate(self.elements)}
-        lmul = [[ids[g.compose(w)] for w in self.elements] for g in gens]
+        lmul = [[ids[g.compose(w)] for w in self.elements] for g in simple]
         self.rows: list[dict[int, int]] = [{0: 1}]
         for w in range(1, len(L)):
             s = next(row for row in lmul if L[row[w]] < L[w])

@@ -233,6 +233,8 @@ def reflection_element(datum: RootDatum, alpha: Root) -> WeylElement:
 def dot(datum: RootDatum, w: WeylElement, lam: Weight) -> Weight:
     """The rho0-shifted action w . lam = w(lam + rho0) - rho0."""
     datum.check_dim(lam)
+    if w.dim != datum.dim:
+        raise UnsupportedInputError("element dimension does not match the datum")
     return w.apply(lam + datum.rho0) - datum.rho0
 
 

@@ -13,8 +13,7 @@ from superlink import (WhittakerCharacter, bilinear, block_label, build_root_dat
                        is_antidominant, is_dominant, orbit_dot, stabilizer_roots,
                        verma_mult, weyl_order, whittaker_length, whittaker_mult)
 from superlink.kl import FiniteWeylGroup, kl_polynomial
-from superlink.oracle import (LinkageGenerators, WeightBox, kl_cross_check,
-                              kl_via_inversion, partition_box)
+from superlink.oracle import WeightBox, kl_cross_check, kl_via_inversion, partition_box
 from superlink.weights import Weight
 from superlink.weyl import (WeylElement, antidominant_rep, length, longest_element,
                             reflection_element)
@@ -62,7 +61,7 @@ def test_criterion_1_p_block_counts(capsys):
 
         # library-level cross-check of the same partitions
         p2 = build_root_datum("p", n=2)
-        report = partition_box(p2, WeightBox.cube(2, -6, 6), LinkageGenerators())
+        report = partition_box(p2, WeightBox.cube(2, -6, 6))
         assert report.sound and len(report.components) == 3
 
 
@@ -75,7 +74,7 @@ def test_criterion_2_gl_osp_label_soundness():
             (build_root_datum("osp2", n=1), WeightBox.cube(2, -5, 5)),
         ]
         for datum, box in cases:
-            report = partition_box(datum, box, LinkageGenerators(), enlarge=True)
+            report = partition_box(datum, box, enlarge=True)
             assert report.sound, report.soundness_failures
             for split in report.label_splits:
                 assert split["merged_after_enlargement"], split

@@ -8,7 +8,7 @@ import pytest
 from superlink import (LinkStatus, SuperlinkError, Typicality, UnsupportedInputError,
                        block_label, build_root_datum, dot, same_block, typicality)
 from superlink.blocks import BlockLabel
-from superlink.oracle import LinkageGenerators, WeightBox, partition_box
+from superlink.oracle import WeightBox, partition_box
 from superlink.root_data import bilinear, is_integral
 from superlink.weights import Weight
 from oracle_reference import box_points, linkage_reflection, p_shift
@@ -167,13 +167,12 @@ def test_osp32_label_matches_generated_relation(osp32):
     rho-shifted W moves and integer isotropic shifts, inside a box."""
     from superlink.oracle import WeightBox, bfs_linkage_closure
     box = WeightBox((Fraction(-4), Fraction(-4)), (Fraction(4), Fraction(4)),
-                    Fraction(1), (Fraction(0), Fraction(-1, 2)))
-    gens = LinkageGenerators()
+                    (Fraction(0), Fraction(-1, 2)))
     points = box_points(box)
     comp = {}
     for seed in points:
         if seed not in comp:
-            for w in bfs_linkage_closure(osp32, seed, box, gens):
+            for w in bfs_linkage_closure(osp32, seed, box):
                 comp[w] = seed
     for lam in points:
         for mu in points:
@@ -392,23 +391,22 @@ def test_label_refusals_match_fraction_reference(family, params, cosets):
 def test_partition_labels_match_fraction_reference(family, params, cosets):
     datum = build_root_datum(family, **params)
     rng = random.Random(f"partition:{family}:{sorted(params.items())}")
-    gens = LinkageGenerators()
     boxes = []
     for coset in cosets:
         anchor = _integral_weight(rng, datum, coset).coords  # an integral lattice
         cube = WeightBox.cube(datum.dim, -2, 1 if datum.dim > 4 else 2)
-        boxes.append(WeightBox(cube.lo, cube.hi, Fraction(1), anchor))
+        boxes.append(WeightBox(cube.lo, cube.hi, anchor))
     for box in boxes:
-        report = partition_box(datum, box, gens, enlarge=False)
+        report = partition_box(datum, box, enlarge=False)
         assert report.sound
         for comp, label in zip(report.components, report.component_labels):
             assert {_reference_label(datum, w) for w in comp} == {label}
     if not datum.even_positive:  # gl(1|1): every weight is integral
         return
     # refusals: a lattice off the integral weights
-    off = WeightBox(box.lo, box.hi, Fraction(1), box.anchor[:-1] + (Fraction(1, 5),))
+    off = WeightBox(box.lo, box.hi, box.anchor[:-1] + (Fraction(1, 5),))
     with pytest.raises(SuperlinkError) as expected:
         _reference_label(datum, box_points(off)[0])
     with pytest.raises(SuperlinkError) as got:
-        partition_box(datum, off, gens)
+        partition_box(datum, off)
     assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))

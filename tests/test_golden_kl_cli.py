@@ -27,7 +27,7 @@ import pytest
 from superlink import (WhittakerCharacter, antidominant_rep, build_root_datum,
                        dominant_partner, is_integral, orbit_dot, upsilon_of)
 from superlink.cli import main
-from superlink.oracle import LinkageGenerators, WeightBox, bfs_linkage_closure
+from superlink.oracle import WeightBox, bfs_linkage_closure
 from superlink.weights import Weight, format_weight, rational
 from superlink.weyl import WeylElement
 
@@ -400,10 +400,10 @@ def _linked_pair(rng, datum, draw, anchor=None):
     """A random lam = draw() and another weight the box oracle links to it;
     lam itself when 30 draws found only one-point components."""
     box = WeightBox.cube(datum.dim, -4, 4)
-    box = WeightBox(box.lo, box.hi, box.step, anchor)
+    box = WeightBox(box.lo, box.hi, anchor)
     for _ in range(30):
         lam = draw()
-        others = [w for w in bfs_linkage_closure(datum, lam, box, LinkageGenerators())
+        others = [w for w in bfs_linkage_closure(datum, lam, box)
                   if w != lam]
         if others:
             return lam, rng.choice(others)

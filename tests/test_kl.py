@@ -162,6 +162,19 @@ def test_whittaker_length_rank1_zero_zeta(red_a1):
     assert whittaker_length(red_a1, dom, z0) == 2
 
 
+def test_whittaker_length_refuses_a_foreign_character(red_a1, red_c2):
+    """A character supported off the datum's Pi_0 is refused as
+    whittaker_mult refuses it, where whittaker_length without a table once
+    raised tuple.index's ValueError."""
+    zeta = WhittakerCharacter.from_indices(red_c2, "all")
+    lam = Weight([0, 0])
+    for call in (lambda: whittaker_length(red_a1, lam, zeta),
+                 lambda: whittaker_mult(red_a1, lam, lam, zeta)):
+        with pytest.raises(UnsupportedInputError) as got:
+            call()
+        assert str(got.value) == "parabolic subgroups are generated by subsets of Pi_0"
+
+
 def test_nonsingular_mult_matches_antidominant_entry(red_a2):
     lam0 = _antidominant_regular(red_a2)
     zall = WhittakerCharacter.from_indices(red_a2, "all")

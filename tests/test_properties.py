@@ -1,7 +1,8 @@
 """Property tests: root_data's integer frame against Fractions, the weight
 and signed-cycle literal round trips, block-label invariance under every
-move of the box oracle's linkage generators, and typicality against its
-Fraction reference."""
+move of the box oracle's linkage generators, the box oracle on boxes of
+integral anchors against its Fraction reference, and typicality against
+its Fraction reference."""
 import math
 from fractions import Fraction
 
@@ -11,12 +12,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from superlink import block_label, build_root_datum, is_integral, typicality  # noqa: E402
-from superlink.oracle import LinkageGenerators, WeightBox, _frame  # noqa: E402
+from superlink.oracle import LinkageGenerators, WeightBox, _frame, partition_box  # noqa: E402
 from superlink.root_data import _integer_frame, _scaled  # noqa: E402
 from superlink.weights import Weight, parse_weight  # noqa: E402
 from superlink.weyl import WeylElement, validate_element  # noqa: E402
 
 from blocks_reference import typicality_fractions  # noqa: E402
+from oracle_reference import box_contains, partition_json  # noqa: E402
 from root_data_reference import pairing_coroot  # noqa: E402
 
 DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 2}), ("gl", {"m": 3, "n": 2}),
@@ -24,6 +26,9 @@ DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 2}), ("gl", {"m": 3, "n":
         ("osp32", {}), ("reductive", {"factors": "A2xC2"}), ("reductive", {"factors": "C3"})]
 LABEL_DATA = [("gl", {"m": 2, "n": 1}), ("gl", {"m": 2, "n": 2}), ("osp2", {"n": 2}),
               ("p", {"n": 3}), ("osp32", {})]
+BOX_DATA = [("gl", {"m": 1, "n": 1}), ("gl", {"m": 2, "n": 1}), ("osp2", {"n": 1}),
+            ("osp2", {"n": 2}), ("p", {"n": 2}), ("p", {"n": 3}), ("osp32", {}),
+            ("reductive", {"factors": "A2"}), ("reductive", {"factors": "C2"})]
 TYPICALITY_DATA = [*(("gl", {"m": m, "n": n}) for m in (1, 2, 3) for n in (1, 2, 3)),
                    *(("osp2", {"n": n}) for n in (1, 2, 3)), ("osp32", {})]
 COSETS = (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4))
@@ -135,13 +140,52 @@ def test_label_invariant_under_linkage_moves(family, params, hypothesis_home):
     @_check
     @given(integral_weights(datum))
     def invariant(lam):
-        box = WeightBox(tuple(c - 4 for c in lam), tuple(c + 4 for c in lam), Fraction(1),
-                        lam.coords)
+        box = WeightBox(tuple(c - 4 for c in lam), tuple(c + 4 for c in lam), lam.coords)
         frame = _frame(datum, box)
         label = block_label(datum, lam)
         for image in gens.neighbors(datum, frame.lattice(lam), frame):
             assert block_label(datum, frame.weight(image)) == label
             moved.append(image)
+
+    invariant()
+    assert moved
+
+
+@st.composite
+def integral_boxes(draw, datum):
+    """A box of 1 to 125 points through a random integral anchor, each
+    bound on or off the lattice anchor + Z^dim."""
+    anchor = draw(integral_weights(datum)).coords
+    offsets = st.fractions(min_value=-3, max_value=1, max_denominator=3)
+    lo = tuple(a + draw(offsets) for a in anchor)
+    hi = tuple(l + draw(st.integers(0, 4)) - draw(st.sampled_from((0, Fraction(1, 2))))
+               for l in lo)
+    box = WeightBox(lo, hi, anchor)
+    assume(box.count())
+    return box
+
+
+@pytest.mark.parametrize("family, params", BOX_DATA, ids=_ids(BOX_DATA))
+def test_box_moves_stay_on_the_lattice(family, params, hypothesis_home):
+    """In a box through an integral anchor, every image neighbors yields
+    lies in the box and on anchor + Z^dim, which it does not test; and
+    partition_box equals the Fraction reference, whose moves keep an image
+    only where the lattice test passes."""
+    datum = build_root_datum(family, **params)
+    gens = LinkageGenerators()
+    moved = []
+
+    @_check
+    @given(integral_boxes(datum), st.booleans())
+    def invariant(box, enlarge):
+        frame = _frame(datum, box)
+        assert frame.all_integral
+        for n in frame.points():
+            for image in gens.neighbors(datum, n, frame):
+                assert box_contains(box, frame.weight(image))
+                moved.append(image)
+        assert partition_box(datum, box, enlarge).to_json(datum) \
+            == partition_json(datum, box, enlarge)
 
     invariant()
     assert moved

@@ -45,6 +45,18 @@ def test_dot_examples(p2):
     assert dot(p2, w0, -p2.rho0) == -p2.rho0
 
 
+def test_dot_refuses_an_element_of_another_dimension(p2):
+    """A longer element once raised IndexError and a shorter one
+    ValueError; dot refuses both as validate_element does."""
+    for w in (WeylElement.identity(3), WeylElement.identity(1)):
+        with pytest.raises(UnsupportedInputError) as expected:
+            validate_element(p2, w)
+        with pytest.raises(UnsupportedInputError) as got:
+            dot(p2, w, Weight([0, 0]))
+        assert str(got.value) == str(expected.value) \
+            == "element dimension does not match the datum"
+
+
 def test_dominance_examples(p2, gl21):
     assert is_dominant(p2, -p2.rho0) and is_antidominant(p2, -p2.rho0)
     assert is_dominant(p2, Weight([0, 0]))
