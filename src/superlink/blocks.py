@@ -32,6 +32,10 @@ D (lam + rho) over a common denominator D as integer keys (see _label),
 which the box oracle also uses to label a whole box on its integer
 lattice, building each distinct label's payload once (see _payload), and
 from which typicality reads the atypicality degree.
+
+block_label refuses a weight of the wrong length or a non-integral one,
+then runs the unchecked body _block_label.  same_block checks each of its
+weights once and compares two _block_labels: two integrality tests a query.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ from fractions import Fraction
 from .errors import UnsupportedInputError
 from .root_data import RootDatum, _integer_frame, is_integral
 from .weights import Weight, format_rational
-from .weyl import antidominant_rep
+from .weyl import _antidominant_rep
 
 
 # the families whose labels _label computes on integer coordinates
@@ -151,12 +155,23 @@ def _label_shift(datum: RootDatum) -> tuple[int, ...]:
 def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
     """The family's canonical linkage invariant of an integral weight."""
     datum.check_dim(lam)
+    if datum.family == "reductive":  # with antidominant_rep's refusal text
+        if not is_integral(datum, lam):
+            raise UnsupportedInputError("anti-dominant representatives need an integral weight")
+    elif datum.family in _LATTICE_FAMILIES:
+        _require_integral(datum, lam)
+    return _block_label(datum, lam)
+
+
+def _block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
+    """`block_label` for a weight its caller has already refused unless
+    integral and of the datum's dimension; refuses only a family without
+    labels."""
     if datum.family == "reductive":
-        rep, _ = antidominant_rep(datum, lam)
+        rep, _ = _antidominant_rep(datum, lam)
         return BlockLabel("reductive", rep.coords)
     if datum.family not in _LATTICE_FAMILIES:
         raise UnsupportedInputError(f"block labels are not defined for {datum.family!r}")
-    _require_integral(datum, lam)
     D, mu = _integer_frame(datum).shifted(lam, _label_shift(datum))
     key = _label(datum, D, mu)
     return BlockLabel(datum.family, _payload(datum.family, key, lambda v: Fraction(v, D)))
@@ -230,7 +245,7 @@ def same_block(datum: RootDatum, lam: Weight, mu: Weight) -> LinkStatus:
         if not (in_X(datum, nu, lam) and in_X(datum, nu, mu)):
             raise UnsupportedInputError(
                 "osp(3|2) block membership is decided only inside the X(nu) grid")
-    equal = block_label(datum, lam) == block_label(datum, mu)
+    equal = _block_label(datum, lam) == _block_label(datum, mu)
     if datum.family == "p":
         return LinkStatus.LINKED_SUFFICIENT_ONLY if equal else LinkStatus.NO_LINK_KNOWN
     return LinkStatus.LINKED if equal else LinkStatus.NOT_LINKED

@@ -35,6 +35,7 @@ Coxeter Groups, Ch. 5).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -244,7 +245,8 @@ def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox) -> list[
         raise UnsupportedInputError("linkage closures are computed for integral weights")
     levels = _closure(n, lambda x: _GENERATORS.neighbors(datum, x, frame))
     lattice = sorted(itertools.chain.from_iterable(levels))
-    comp = _Component(map(frame.weight, lattice))
+    # a seed no move leaves is its own component: keep the caller's object
+    comp = _Component(map(frame.weight, lattice) if len(lattice) > 1 else [seed])
     comp.lattice = lattice
     return comp
 
@@ -279,43 +281,49 @@ class PartitionReport:
 
 
 def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
-    """The box's frame, the label key of each box point N (in points order)
-    and the BlockLabel of each key, built once per distinct label.  Refuses
-    boxes above cap, and the first point block_label refuses, as it does:
-    in a box of a non-integral anchor that is the first point."""
+    """The box's frame, a dict from each box point N (in points order) to
+    its label id, and the box's distinct BlockLabels, indexed by id and
+    each built once: points share an id exactly when their labels agree.
+    The super families' labels are keyed by blocks._label on N + D shift.
+    Refuses boxes above cap, and the first point block_label refuses, as it
+    does: in a box of a non-integral anchor that is the first point."""
     box._check_cap(cap)
     frame = _frame(datum, box)
-    D, shift = frame.D, frame.label_shift
-    on_lattice = datum.family in _LATTICE_FAMILIES and frame.all_integral
-    keys = {}  # N -> its label's key
-    labels = {}  # key -> BlockLabel, built once per distinct label
-    values = {}  # v -> v / D, built once per distinct label value
+    D, family = frame.D, datum.family
+    if family in _LATTICE_FAMILIES and frame.all_integral:
+        values = {}  # v -> v / D, built once per distinct label value
 
-    def value(v: int) -> Fraction:
-        q = values.get(v)
-        if q is None:
-            q = values[v] = Fraction(v, D)
-        return q
+        def value(v: int) -> Fraction:
+            q = values.get(v)
+            if q is None:
+                q = values[v] = Fraction(v, D)
+            return q
 
-    for n in frame.points():
-        if on_lattice:
-            mu = [a + b for a, b in zip(n, shift)]
-            key = _label(datum, D, mu)
-            if key not in labels:
-                labels[key] = BlockLabel(datum.family, _payload(datum.family, key, value))
-        else:
-            key = block_label(datum, frame.weight(n))  # the label is its own key
-            labels.setdefault(key, key)
-        keys[n] = key
-    return frame, keys, labels
+        shifted = [range(axis.start + s, axis.stop + s, D)
+                   for axis, s in zip(frame.axes, frame.label_shift)]
+        keyed = zip(itertools.product(*frame.axes),
+                    map(functools.partial(_label, datum, D), itertools.product(*shifted)))
+        make = lambda key: BlockLabel(family, _payload(family, key, value))
+    else:  # the label is its own key
+        keyed = ((n, block_label(datum, frame.weight(n))) for n in frame.points())
+        make = lambda label: label
+    ids, index, labels = {}, {}, []  # N -> id, label key -> id, id -> BlockLabel
+    for n, key in keyed:
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(labels)
+            labels.append(make(key))
+        ids[n] = i
+    return frame, ids, labels
 
 
 def block_members(datum: RootDatum, box: WeightBox, target: BlockLabel,
                   cap: int = BOX_CAP) -> list[Weight]:
-    """The box's weights whose block label is target, sorted."""
-    frame, keys, labels = _box_labels(datum, box, cap)
-    hits = {key for key, label in labels.items() if label == target}
-    return [frame.weight(n) for n in sorted(n for n, key in keys.items() if key in hits)]
+    """The box's weights whose block label is target, sorted: the points
+    carrying target's label id, if the box holds target at all."""
+    frame, ids, labels = _box_labels(datum, box, cap)
+    hit = next((i for i, label in enumerate(labels) if label == target), None)
+    return [frame.weight(n) for n in sorted(n for n, i in ids.items() if i == hit)]
 
 
 def partition_box(datum: RootDatum, box: WeightBox, enlarge: bool = True,
@@ -327,29 +335,29 @@ def partition_box(datum: RootDatum, box: WeightBox, enlarge: bool = True,
     annotated with whether one enlargement pass merges them.  Refuses boxes
     above cap points, and an enlargement pass whose box holds more.
     """
-    frame, keys, labels = _box_labels(datum, box, cap)
-    unvisited = set(keys)
+    frame, ids, labels = _box_labels(datum, box, cap)
+    unvisited = set(ids)
     components: list[list[Weight]] = []
-    comp_keys = []
+    comp_ids = []
     failures: list[dict] = []
-    for n in keys:
+    for n in ids:
         if n not in unvisited:
             continue
         comp = bfs_linkage_closure(datum, frame.weight(n), box)
         unvisited.difference_update(comp.lattice)
-        seen = {keys[m] for m in comp.lattice}
+        seen = {ids[m] for m in comp.lattice}
         if len(seen) > 1:
             failures.append({
                 "representative": datum.format_weight(comp[0]),
-                "labels": sorted(labels[k].json_str() for k in seen),
+                "labels": sorted(labels[i].json_str() for i in seen),
             })
         components.append(comp)
-        comp_keys.append(keys[comp.lattice[0]])
+        comp_ids.append(ids[comp.lattice[0]])
     by_label: dict = {}
-    for i, key in enumerate(comp_keys):
-        by_label.setdefault(key, []).append(i)
-    split_labels = sorted((labels[key].json_str(), comps)
-                          for key, comps in by_label.items() if len(comps) > 1)
+    for c, i in enumerate(comp_ids):
+        by_label.setdefault(i, []).append(c)
+    split_labels = sorted((labels[i].json_str(), comps)
+                          for i, comps in by_label.items() if len(comps) > 1)
     if enlarge and split_labels:
         big = box.enlarged()
         big._check_cap(cap, "enlarged box")
@@ -359,11 +367,11 @@ def partition_box(datum: RootDatum, box: WeightBox, enlarge: bool = True,
                  "component_count": len(comps),
                  "merged_after_enlargement": None}
         if enlarge:
-            reps = [components[i][0] for i in comps]
+            reps = [components[c][0] for c in comps]
             reached = set(bfs_linkage_closure(datum, reps[0], big))
             entry["merged_after_enlargement"] = all(r in reached for r in reps[1:])
         splits.append(entry)
-    return PartitionReport(box, components, [labels[k] for k in comp_keys], failures, splits)
+    return PartitionReport(box, components, [labels[i] for i in comp_ids], failures, splits)
 
 
 # -- KL cross-check ---------------------------------------------------------

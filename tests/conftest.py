@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from superlink import build_root_datum
+import superlink
+from superlink import build_root_datum, root_data
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +70,18 @@ def hypothesis_home(tmp_path):
     set_hypothesis_home_dir(tmp_path)
     yield
     set_hypothesis_home_dir(None)
+
+
+@pytest.fixture
+def integrality_calls(monkeypatch):
+    """The argument tuples of every is_integral call a superlink module
+    makes, counted by rebinding root_data's function in each module that
+    imports it."""
+    checked = root_data.is_integral
+    calls = []
+    counted = lambda *args: calls.append(args) or checked(*args)
+    for info in pkgutil.iter_modules(superlink.__path__):
+        module = importlib.import_module(f"superlink.{info.name}")
+        if getattr(module, "is_integral", None) is checked:
+            monkeypatch.setattr(module, "is_integral", counted)
+    return calls

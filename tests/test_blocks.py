@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from superlink import (LinkStatus, SuperlinkError, Typicality, UnsupportedInputError,
-                       block_label, build_root_datum, dot, same_block, typicality)
+from superlink import (DimensionMismatchError, LinkStatus, SuperlinkError, Typicality,
+                       UnsupportedInputError, WhittakerCharacter, antidominant_rep,
+                       block_label, build_root_datum, classify_simple, dominant_partner, dot,
+                       in_X0, same_block, stabilizer_roots, typicality, upsilon_of)
 from superlink.blocks import BlockLabel
 from superlink.oracle import WeightBox, partition_box
 from superlink.root_data import bilinear, is_integral
@@ -257,6 +259,90 @@ def test_same_block_osp32_in_grid(osp32):
     assert same_block(osp32, lam, mu) == LinkStatus.LINKED
     other = Weight([-half, -3 * half]) - osp32.rho
     assert same_block(osp32, lam, other) == LinkStatus.NOT_LINKED
+
+
+def _query_weights(rng, datum):
+    """Two integral weights that same_block decides: for osp(3|2), two of
+    the X(nu) grid, lam + rho = (a, b) with a, b in -1/2 - N."""
+    if datum.family == "osp32":
+        half = Fraction(1, 2)
+        return [Weight([-half - rng.randrange(4), -half - rng.randrange(4)]) - datum.rho
+                for _ in range(2)]
+    return [Weight([rng.randrange(-3, 4) for _ in range(datum.dim)]) for _ in range(2)]
+
+
+def test_same_block_proves_integrality_once(integrality_calls, gl22, osp24, p3, osp32):
+    """same_block proves each weight integral once and compares the labels'
+    unchecked bodies: 2 is_integral calls per query with lam != mu, where
+    block_label and antidominant_rep each proved it again (4).  Its
+    refusals keep their type and text."""
+    rng = random.Random(25)
+    red = build_root_datum("reductive", factors="A2,C1")
+    for datum in (gl22, osp24, p3, osp32, red):
+        queries = 0
+        for _ in range(12):
+            lam, mu = _query_weights(rng, datum)
+            if lam == mu:
+                continue
+            integrality_calls.clear()
+            same_block(datum, lam, mu)
+            assert len(integrality_calls) == 2
+            queries += 1
+        assert queries
+    half = Fraction(1, 2)
+    zero = Weight([0, 0, 0, 0])
+    non_integral = (UnsupportedInputError, "block labels are defined for integral weights")
+    for lam, mu, expected in (
+            (Weight([half, 0, 0, 0]), zero, non_integral),
+            (zero, Weight([0, half, 0, 0]), non_integral),
+            (zero, Weight([0, 0, 0]), (DimensionMismatchError, "gl(2|2) expects 4 coordinates, got 3"))):
+        with pytest.raises(SuperlinkError) as got:
+            same_block(gl22, lam, mu)
+        assert (type(got.value), str(got.value)) == expected
+    with pytest.raises(SuperlinkError) as got:
+        same_block(osp32, Weight([2, half]), Weight([3, half]))
+    assert (type(got.value), str(got.value)) == (
+        UnsupportedInputError, "osp(3|2) block membership is decided only inside the X(nu) grid")
+
+
+def _upsilon_query(datum, lam, zeta):
+    nu = dominant_partner(datum, zeta)
+    return upsilon_of(datum, nu), in_X0(datum, nu, lam)
+
+
+# is_integral calls per query of each sweep kind (bench/ops.py).  ups needs
+# 4, each a public entry's own validation: dominant_partner's self-check
+# through upsilon_of, upsilon_of itself, and in_X0's upsilon_of and its
+# test of lam - nu.
+SWEEP_BUDGETS = {
+    "classify": (1, lambda d, lam, mu, zeta: classify_simple(d, lam, zeta)),
+    "block_label": (1, lambda d, lam, mu, zeta: block_label(d, lam)),
+    "same_block": (2, lambda d, lam, mu, zeta: same_block(d, lam, mu)),
+    "antidom": (1, lambda d, lam, mu, zeta: antidominant_rep(d, lam, zeta.support)),
+    "stab": (1, lambda d, lam, mu, zeta: stabilizer_roots(d, lam)),
+    "typicality": (0, lambda d, lam, mu, zeta: typicality(d, lam)),
+    "ups": (4, lambda d, lam, mu, zeta: _upsilon_query(d, lam, zeta)),
+}
+SWEEP_DATA = [("gl", {"m": 2, "n": 2}), ("gl", {"m": 3, "n": 2}), ("gl", {"m": 4, "n": 4}),
+              ("osp2", {"n": 3}), ("p", {"n": 4}), ("osp32", {}),
+              ("reductive", {"factors": "A3,C2"})]
+
+
+@pytest.mark.parametrize("family,params", SWEEP_DATA, ids=lambda v: str(v))
+def test_sweep_queries_keep_their_integrality_budget(integrality_calls, family, params):
+    """Each sweep query kind makes exactly its budget of is_integral calls on
+    integral weights, so a re-proof creeping back into a query fails here."""
+    datum = build_root_datum(family, **params)
+    rng = random.Random(f"budget:{family}:{sorted(params.items())}")
+    zeta = WhittakerCharacter.from_indices(datum, "1")
+    for _ in range(3):
+        lam, mu = _query_weights(rng, datum)
+        spent = {}
+        for kind, (_, query) in SWEEP_BUDGETS.items():
+            integrality_calls.clear()
+            query(datum, lam, mu, zeta)
+            spent[kind] = len(integrality_calls)
+        assert spent == {kind: budget for kind, (budget, _) in SWEEP_BUDGETS.items()}
 
 
 def test_label_json_is_canonical(p2, gl21):

@@ -457,23 +457,14 @@ def test_bruhat_order_matches_rank_matrices(make, n, signed):
     assert len(elements) < comparable < len(elements) ** 2
 
 
-def test_integrality_is_checked_once_on_the_antidominant_path(monkeypatch):
+def test_integrality_is_checked_once_on_the_antidominant_path(integrality_calls):
     """Each public call refuses a non-integral weight once; the KL positions,
     the orbit table and classify_simple read weyl's unchecked body.  Counted
     on reductive A2xC2 (|W| = 48): builtin_verma_table made 51 calls when
     every orbit point was checked again."""
-    import importlib
-    import pkgutil
-    import superlink
-    from superlink import antidominant_rep, build_root_datum, classify_simple, root_data
+    from superlink import antidominant_rep, build_root_datum, classify_simple
     from superlink.weyl import WeylElement
-    checked = root_data.is_integral
-    calls = []
-    counted = lambda *args: calls.append(args) or checked(*args)
-    for info in pkgutil.iter_modules(superlink.__path__):
-        module = importlib.import_module(f"superlink.{info.name}")
-        if getattr(module, "is_integral", None) is checked:
-            monkeypatch.setattr(module, "is_integral", counted)
+    calls = integrality_calls
     datum = build_root_datum("reductive", factors="A2xC2")
     lam = datum.parse_weight("-3,0,4|-5,-2")
     zeta = WhittakerCharacter.from_indices(datum, "1,3")

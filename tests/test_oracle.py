@@ -120,7 +120,7 @@ def test_label_values_built_once_per_call(monkeypatch):
     for _ in range(2):  # the values are kept by the call, not the frame
         calls.clear()
         _, _, labels = oracle._box_labels(gl22, box)
-        values = {c for label in labels.values() for core in label.payload[:2] for c in core}
+        values = {c for label in labels for core in label.payload[:2] for c in core}
         built = [args for args in calls if len(args) == 2]  # Fraction(v, D)
         assert len(labels) == 213
         assert len(built) == len(set(built)) == len(values)
@@ -171,6 +171,26 @@ def test_bfs_monotone_under_enlargement(gl21):
         comp_small = set(bfs_linkage_closure(gl21, seed, small))
         comp_big = set(bfs_linkage_closure(gl21, seed, big))
         assert comp_small <= comp_big
+
+
+def test_singleton_component_is_the_callers_seed(gl22, red_a1):
+    """A closure no move leaves holds the caller's own seed object, beside
+    its lattice point; a larger closure still equals the reference one."""
+    seed = Weight([1, -2, 3, 0])
+    box = WeightBox(seed.coords, seed.coords)  # one point
+    comp = bfs_linkage_closure(gl22, seed, box)
+    assert comp == [seed] and comp[0] is seed
+    assert comp.lattice == [_frame(gl22, box).lattice(seed)]
+    # -rho0 is the A1 dot action's fixed point, alone in its component
+    fixed = -red_a1.rho0
+    cube = WeightBox.cube(2, -3, 3)
+    box = WeightBox(cube.lo, cube.hi, fixed.coords)
+    comp = bfs_linkage_closure(red_a1, fixed, box)
+    assert comp[0] is fixed and comp.lattice == [_frame(red_a1, box).lattice(fixed)]
+    seed = fixed + Weight([1, 0])
+    comp = bfs_linkage_closure(red_a1, seed, box)
+    assert len(comp) > 1 and comp == linkage_closure(red_a1, seed, box)
+    assert comp.lattice == [_frame(red_a1, box).lattice(w) for w in comp]
 
 
 def test_bfs_seed_outside_box(p2):
