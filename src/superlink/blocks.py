@@ -19,23 +19,24 @@ relation on integral weights:
 * osp(3|2): the central-character label on lam + rho = (a, b): the ordered
   pair (|a|, |b|) when typical, the line residue |a| mod 1 when b = +-a.
   The two coordinates are never swapped: the Weyl group only flips signs.
-* reductive: the anti-dominant dot-orbit representative; labels agree
-  exactly when the weights share a dot orbit.
+* reductive: the anti-dominant dot-orbit representative (weyl's window
+  sort); labels agree exactly when the weights share a dot orbit.
 
 For osp(3|2) the W-moves that preserve the label are the rho-shifted
 reflections lam -> s(lam + rho) - rho, not the rho0-dot action: rho1 is not
 W-invariant there, and the dot action genuinely changes the central
 character.  For every other supported family the two actions coincide.
 
-The labels of the four super families are computed on the integer vector
-D (lam + rho) over a common denominator D as integer keys (see _label),
-which the box oracle also uses to label a whole box on its integer
-lattice, building each distinct label's payload once (see _payload), and
-from which typicality reads the atypicality degree.
+All five families' labels are computed on the integer vector D (lam +
+rho) over a common denominator D as integer keys (see _label), which the
+box oracle also uses to label a whole box on its integer lattice, building
+each distinct label's payload once (see _payload), and from which
+typicality reads the atypicality degree.
 
 block_label refuses a weight of the wrong length or a non-integral one,
-then runs the unchecked body _block_label.  same_block checks each of its
-weights once and compares two _block_labels: two integrality tests a query.
+then runs _block_label, one unchecked body for every family.  same_block
+checks each weight once and compares two _block_labels: two integrality
+tests a query.
 """
 from __future__ import annotations
 
@@ -47,11 +48,7 @@ from fractions import Fraction
 from .errors import UnsupportedInputError
 from .root_data import RootDatum, _integer_frame, is_integral
 from .weights import Weight, format_rational
-from .weyl import _antidominant_rep
-
-
-# the families whose labels _label computes on integer coordinates
-_LATTICE_FAMILIES = ("gl", "osp2", "p", "osp32")
+from .weyl import _sort_windows
 
 
 class LinkStatus(Enum):
@@ -123,7 +120,7 @@ def typicality(datum: RootDatum, lam: Weight) -> Typicality:
     if datum.family == "p":
         return Typicality("not-applicable")
     degree = 0
-    if datum.family in _LATTICE_FAMILIES:  # the label key's atypicality entry
+    if datum.family != "reductive":  # the label key's atypicality entry
         key = _label(datum, *_integer_frame(datum).shifted(lam, _label_shift(datum)))
         degree = key[0] if datum.family == "osp32" else key[2]
     return Typicality("atypical", degree) if degree else Typicality("typical")
@@ -155,41 +152,35 @@ def _label_shift(datum: RootDatum) -> tuple[int, ...]:
 def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
     """The family's canonical linkage invariant of an integral weight."""
     datum.check_dim(lam)
-    if datum.family == "reductive":  # with antidominant_rep's refusal text
-        if not is_integral(datum, lam):
-            raise UnsupportedInputError("anti-dominant representatives need an integral weight")
-    elif datum.family in _LATTICE_FAMILIES:
+    if datum.family != "reductive":
         _require_integral(datum, lam)
+    elif not is_integral(datum, lam):  # with antidominant_rep's refusal text
+        raise UnsupportedInputError("anti-dominant representatives need an integral weight")
     return _block_label(datum, lam)
 
 
 def _block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
     """`block_label` for a weight its caller has already refused unless
-    integral and of the datum's dimension; refuses only a family without
-    labels."""
-    if datum.family == "reductive":
-        rep, _ = _antidominant_rep(datum, lam)
-        return BlockLabel("reductive", rep.coords)
-    if datum.family not in _LATTICE_FAMILIES:
-        raise UnsupportedInputError(f"block labels are not defined for {datum.family!r}")
+    integral and of the datum's dimension: the payload of its _label key,
+    one body for every family; it checks nothing."""
     D, mu = _integer_frame(datum).shifted(lam, _label_shift(datum))
     key = _label(datum, D, mu)
     return BlockLabel(datum.family, _payload(datum.family, key, lambda v: Fraction(v, D)))
 
 
 def _label(datum: RootDatum, D: int, mu: list[int]) -> tuple:
-    """The integer label key of an integral weight lam of gl, osp(2|2n),
-    p(n) or osp(3|2), from mu = D (lam + shift), shift being rho or, for
-    p(n), rho0 (see _label_shift), and D a positive integer.  Each rational
-    entry r of the label is held as the int D r, so two weights with the
-    same D have equal keys exactly when their labels are equal; _payload
-    turns a key into the label's payload.
+    """The integer label key of an integral weight lam of any family, from
+    mu = D (lam + shift), shift being rho or, for p(n), rho0 (see
+    _label_shift), and D a positive integer.  Each rational entry r of the
+    label is held as the int D r, so two weights with the same D have equal
+    keys exactly when their labels are equal; _payload turns a key into the
+    label's payload.
 
-    Only the p(n) key needs lam integral: an integral weight lies in one
-    coset c + Z, as the even coroots e_i - e_j require (block_label refuses
-    other weights, and oracle._box_labels passes only points its frame
-    proves integral).  The other keys hold for any rational weight, and
-    typicality passes any."""
+    Only the p(n) and reductive keys need lam integral: for p(n) to lie in
+    one coset c + Z, for the window sort to be anti-dominant (block_label
+    refuses other weights, and oracle._box_labels passes only points its
+    frame proves integral).  The other keys hold for any rational weight,
+    and typicality passes any."""
     family = datum.family
     if family == "gl":
         m = datum.params[0]
@@ -205,13 +196,17 @@ def _label(datum: RootDatum, D: int, mu: list[int]) -> tuple:
         # c = s / D
         s = mu[0] % D
         return (sum((c - s) // D % 2 for c in mu), s)
+    if family == "reductive":  # rho = rho0: the window sort of mu, less D rho0, is D rep
+        frame = _integer_frame(datum)
+        rep, _ = _sort_windows(datum, datum.simple_even, mu)
+        return tuple(v - D // frame.D * s for v, s in zip(rep, frame.rho0))
     a, b = abs(mu[0]), abs(mu[1])  # osp(3|2)
     return (1, a % D) if a == b else (0, (a, b))
 
 
 def _payload(family: str, key: tuple, q) -> tuple:
-    """The BlockLabel payload of a _label key: q(v) is the rational v / D
-    of each int entry v."""
+    """The BlockLabel payload of a _label key of any family: q(v) is the
+    rational v / D of each int entry v."""
     if family == "gl":
         a, b, k = key
         return (tuple(map(q, a)), tuple(map(q, b)), k)
@@ -221,6 +216,8 @@ def _payload(family: str, key: tuple, q) -> tuple:
     if family == "p":
         j, s = key
         return (j, q(s))
+    if family == "reductive":
+        return tuple(map(q, key))
     atyp, data = key  # osp(3|2)
     return (1, q(data)) if atyp else (0, tuple(map(q, data)))
 

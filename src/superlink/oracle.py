@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blocks import BlockLabel, _LATTICE_FAMILIES, _label, _label_shift, _payload, block_label
+from .blocks import BlockLabel, _label, _label_shift, _payload, block_label
 from .errors import CapExceededError, DimensionMismatchError, SuperlinkError, UnsupportedInputError
 from .kl import FiniteWeylGroup, KLPolynomial, MultTable, kl_polynomial
 from .root_data import RootDatum, _integer_frame, _scaled
@@ -109,8 +109,7 @@ class _Frame:
     D divides sum_i c_i N_i for every even positive coroot c, an integer
     vector, so all_integral, the anchor's test, holds for every point of
     the box or for none.  Ordering N orders lam, since D > 0.  Block labels
-    of the super families are read off N + D shift as well (see
-    blocks._label).
+    of every family are read off N + D shift as well (see blocks._label).
     """
 
     def __init__(self, datum: RootDatum, box: WeightBox):
@@ -284,35 +283,32 @@ def _box_labels(datum: RootDatum, box: WeightBox, cap: int = BOX_CAP):
     """The box's frame, a dict from each box point N (in points order) to
     its label id, and the box's distinct BlockLabels, indexed by id and
     each built once: points share an id exactly when their labels agree.
-    The super families' labels are keyed by blocks._label on N + D shift.
-    Refuses boxes above cap, and the first point block_label refuses, as it
-    does: in a box of a non-integral anchor that is the first point."""
+    Every family's labels are keyed by blocks._label on N + D shift.
+    Refuses boxes above cap, and a box of a non-integral anchor once, as
+    block_label refuses its first point (an empty box refuses nothing)."""
     box._check_cap(cap)
     frame = _frame(datum, box)
     D, family = frame.D, datum.family
-    if family in _LATTICE_FAMILIES and frame.all_integral:
-        values = {}  # v -> v / D, built once per distinct label value
+    points = frame.points()
+    if points and not frame.all_integral:
+        block_label(datum, frame.weight(points[0]))  # refuses: no point is integral
+    values = {}  # v -> v / D, built once per distinct label value
 
-        def value(v: int) -> Fraction:
-            q = values.get(v)
-            if q is None:
-                q = values[v] = Fraction(v, D)
-            return q
+    def value(v: int) -> Fraction:
+        q = values.get(v)
+        if q is None:
+            q = values[v] = Fraction(v, D)
+        return q
 
-        shifted = [range(axis.start + s, axis.stop + s, D)
-                   for axis, s in zip(frame.axes, frame.label_shift)]
-        keyed = zip(itertools.product(*frame.axes),
-                    map(functools.partial(_label, datum, D), itertools.product(*shifted)))
-        make = lambda key: BlockLabel(family, _payload(family, key, value))
-    else:  # the label is its own key
-        keyed = ((n, block_label(datum, frame.weight(n))) for n in frame.points())
-        make = lambda label: label
+    shifted = [range(axis.start + s, axis.stop + s, D)
+               for axis, s in zip(frame.axes, frame.label_shift)]
+    keyed = zip(points, map(functools.partial(_label, datum, D), itertools.product(*shifted)))
     ids, index, labels = {}, {}, []  # N -> id, label key -> id, id -> BlockLabel
     for n, key in keyed:
         i = index.get(key)
         if i is None:
             i = index[key] = len(labels)
-            labels.append(make(key))
+            labels.append(BlockLabel(family, _payload(family, key, value)))
         ids[n] = i
     return frame, ids, labels
 

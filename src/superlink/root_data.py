@@ -141,8 +141,7 @@ class _IntegerFrame:
     hold, per even positive root in even_positive order, its root vector and
     its coroot as sparse int pairs (i, c_i), c_i != 0, where <lam, alpha^vee>
     = sum_i c_i lam_i, i.e. c = 2 s alpha / <alpha, alpha> for the form
-    signature s; `height`, their sum, is the dense functional mu -> sum_a
-    <mu, a^vee>; `position` maps each even positive root to its index, and
+    signature s; `position` maps each even positive root to its index, and
     `simple` holds the positions of Pi_0.  A datum whose coroots are not
     integral is refused; every supported family has integral ones.  A weight
     lam and an integer shift (such as `rho0`) convert to (E, N): E the lcm
@@ -153,16 +152,14 @@ class _IntegerFrame:
     def __init__(self, datum: RootDatum):
         self.D = D = math.lcm(*(c.denominator for c in (*datum.rho0, *datum.rho)))
         self.rho0, self.rho = _scaled(datum.rho0, D), _scaled(datum.rho, D)
-        sig, coroots, height = list(map(int, datum.form_signature)), [], [0] * datum.dim
+        sig, coroots = list(map(int, datum.form_signature)), []
         for root in datum.even_positive:
             norm = sum(sig[i] * a * a for i, a in root.vector)
             if any(2 * sig[i] * a % norm for i, a in root.vector):
                 raise UnsupportedInputError(f"{datum.describe()} needs integer roots and coroots")
             coroots.append(tuple((i, 2 * sig[i] * a // norm) for i, a in root.vector))
-            for i, c in coroots[-1]:
-                height[i] += c
         self.roots = tuple(r.vector for r in datum.even_positive)
-        self.coroots, self.height = tuple(coroots), tuple(height)
+        self.coroots = tuple(coroots)
         self.position = {r: k for k, r in enumerate(datum.even_positive)}
         self.simple = tuple(map(self.position.__getitem__, datum.simple_even))
 

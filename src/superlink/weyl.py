@@ -33,7 +33,8 @@ signed permutation to Fraction coordinates.  `antidominant_rep` and
 `stabilizer_roots` call `is_integral` first, so their refusals keep their
 types and messages.  The integer body of `antidominant_rep` is
 `_antidominant_rep`, which checks nothing; its callers refuse a
-non-integral weight first.
+non-integral weight first.  Its window sort, `_sort_windows`, also keys
+the reductive block labels in blocks, so boxes of them are labelled on ints.
 
 Group structure has one integer index (`_Index`) per datum, numbering the
 whole Weyl group; the KL engine reads it too, and keeps its one KL memo
@@ -339,9 +340,17 @@ def antidominant_rep(datum: RootDatum, lam: Weight, sub=None) -> tuple[Weight, W
 def _antidominant_rep(datum: RootDatum, lam: Weight, sub=None) -> tuple[Weight, WeylElement]:
     """`antidominant_rep` for a weight its caller has already refused unless
     integral (and so of the datum's dimension); the body sorts N = D (lam +
-    rho0) window by window and checks nothing."""
+    rho0) window by window (see _sort_windows) and checks nothing."""
     sub = _resolve_sub(datum, sub)
     D, n = _shifted(datum, lam)
+    rep, images = _sort_windows(datum, sub, n)
+    return _unshifted(datum, D, [rep])[0], WeylElement(images)
+
+
+def _sort_windows(datum: RootDatum, sub: tuple[Root, ...], n) -> tuple[list[int], tuple[int, ...]]:
+    """(rep, images): shifted coordinates n sorted by the resolved sub's
+    windows, as the module docstring says, and the images of the signed
+    permutation taking n to rep."""
     images = list(range(1, datum.dim + 1))
     rep = list(n)
     for kind, coords in _runs(datum, sub):
@@ -356,7 +365,7 @@ def _antidominant_rep(datum: RootDatum, lam: Weight, sub=None) -> tuple[Weight, 
                 sign = -1 if n[src] > 0 else 1
                 images[src] = sign * (slot + 1)
                 rep[slot] = sign * n[src]
-    return _unshifted(datum, D, [rep])[0], WeylElement(tuple(images))
+    return rep, tuple(images)
 
 
 def stabilizer_roots(datum: RootDatum, lam: Weight) -> tuple[Root, ...]:

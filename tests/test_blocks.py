@@ -14,6 +14,7 @@ from superlink.oracle import WeightBox, partition_box
 from superlink.root_data import bilinear, is_integral
 from superlink.weights import Weight
 from oracle_reference import box_points, linkage_reflection, p_shift
+import weyl_reference
 from weyl_reference import dot_reflection
 
 
@@ -370,9 +371,12 @@ def _fractional(x):
 
 def _reference_label(datum, lam):
     """block_label in Fraction arithmetic, as computed before the label body
-    moved to integer coordinates."""
+    moved to integer coordinates; for reductive data, the Fraction
+    anti-dominant representative of weyl_reference."""
     datum.check_dim(lam)
-    if datum.family in ("gl", "osp2", "p", "osp32") and not is_integral(datum, lam):
+    if datum.family == "reductive":
+        return BlockLabel("reductive", weyl_reference.antidominant_rep(datum, lam)[0].coords)
+    if not is_integral(datum, lam):
         raise UnsupportedInputError("block labels are defined for integral weights")
     if datum.family == "gl":
         m = datum.params[0]
@@ -408,6 +412,8 @@ REFERENCE_DATA = [
     ("p", {"n": 2}, [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]),
     ("p", {"n": 3}, [Fraction(1, 3), Fraction(2, 3)]), ("p", {"n": 4}, [Fraction(1, 2)]),
     ("osp32", {}, [0]),
+    ("reductive", {"factors": "A2"}, [0, Fraction(1, 2), Fraction(1, 3)]),
+    ("reductive", {"factors": "C2"}, [0]), ("reductive", {"factors": "A1,C1"}, [0]),
 ]
 
 
@@ -449,7 +455,7 @@ def test_label_matches_fraction_reference(family, params, cosets):
         assert label == _reference_label(datum, lam)
         assert label.json_str() == _reference_label(datum, lam).json_str()
         atypical += typicality(datum, lam).kind == "atypical"
-    assert atypical > 20 or family == "p"
+    assert atypical > 20 or family in ("p", "reductive")
 
 
 def _non_integral_weights(rng, datum):

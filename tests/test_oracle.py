@@ -109,6 +109,28 @@ def test_frame_kept_on_its_box(monkeypatch, osp24, p2, gl11):
     assert built == [box] * 4
 
 
+def test_box_label_pass_proves_integrality_once(integrality_calls, gl21):
+    """The box frame proves every point integral from the anchor, so the
+    label pass and the partition make no is_integral call, for reductive
+    data as for the super families; a box of a non-integral anchor is
+    refused with block_label's text after one call, on its first point."""
+    cube = WeightBox.cube(3, -2, 2)
+    reductive = [build_root_datum("reductive", factors=f) for f in ("A2", "A1,C1")]
+    for datum in (*reductive, gl21):
+        box = WeightBox(cube.lo, cube.hi)  # a fresh box: no frame kept from before
+        integrality_calls.clear()
+        _, ids, _ = oracle._box_labels(datum, box)
+        report = partition_box(datum, box)
+        assert len(ids) == 125 and report.sound
+        assert integrality_calls == []
+    off = WeightBox(cube.lo, cube.hi, (Fraction(1, 2), Fraction(0), Fraction(0)))
+    integrality_calls.clear()
+    with pytest.raises(UnsupportedInputError,
+                       match="^anti-dominant representatives need an integral weight$"):
+        partition_box(reductive[0], off)
+    assert len(integrality_calls) == 1
+
+
 def test_label_values_built_once_per_call(monkeypatch):
     """One label pass over a gl(2|2) cube builds each label value v / D
     once, not once per payload entry of its 213 labels."""
@@ -621,7 +643,6 @@ def test_verma_oracle_rank_cap():
 # oracle itself, pinned to its own ledger.
 ORACLE_READS = {
     ("blocks", "BlockLabel"): "plain",
-    ("blocks", "_LATTICE_FAMILIES"): "plain",
     ("blocks", "_label"): "checked",
     ("blocks", "_label_shift"): "checked",
     ("blocks", "_payload"): "checked",

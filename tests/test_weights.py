@@ -1,7 +1,9 @@
+import doctest
 from fractions import Fraction
 
 import pytest
 
+from superlink import weights
 from superlink.weights import Weight, format_rational, format_weight, parse_weight, rational
 
 
@@ -92,3 +94,9 @@ def test_exponent_literals_are_bounded():
     assert rational(f"1e{limit}") == 10 ** limit
     assert rational(f" 3e-{limit} ") == Fraction(3, 10 ** limit)
     assert rational("1e1") == 10
+
+
+def test_docstring_examples_hold():
+    """The five `>>>` examples in the weights docstrings run and hold."""
+    results = doctest.testmod(weights)
+    assert (results.attempted, results.failed) == (5, 0)
