@@ -48,7 +48,7 @@ from fractions import Fraction
 from .errors import UnsupportedInputError
 from .root_data import RootDatum, _integer_frame, is_integral
 from .weights import Weight, format_rational
-from .weyl import _sort_windows
+from .weyl import _parabolic, _sort_windows
 
 
 class LinkStatus(Enum):
@@ -198,7 +198,7 @@ def _label(datum: RootDatum, D: int, mu: list[int]) -> tuple:
         return (sum((c - s) // D % 2 for c in mu), s)
     if family == "reductive":  # rho = rho0: the window sort of mu, less D rho0, is D rep
         frame = _integer_frame(datum)
-        rep, _ = _sort_windows(datum, datum.simple_even, mu)
+        rep, _ = _sort_windows(_parabolic(datum).windows, mu)
         return tuple(v - D // frame.D * s for v, s in zip(rep, frame.rho0))
     a, b = abs(mu[0]), abs(mu[1])  # osp(3|2)
     return (1, a % D) if a == b else (0, (a, b))

@@ -61,7 +61,7 @@ from .errors import MissingTableEntryError, SuperlinkError, UnsupportedInputErro
 from .root_data import RootDatum, _derived, build_reductive, is_integral
 from .weights import Weight
 from .weyl import (KL_GROUP_CAP, WeylElement, _antidominant_points, _antidominant_rep,
-                   _Index, _refuse_group, _resolve_sub, dot, is_antidominant,
+                   _Index, _parabolic, _refuse_group, dot, is_antidominant,
                    reflection_element, stabilizer_roots)
 
 
@@ -384,7 +384,7 @@ def whittaker_length(datum: RootDatum, lam: Weight, zeta,
         _require_regular(datum, lam)
         ix, memo = _tables(datum, cap)
         k = _position(datum, ix, lam)[1]
-        J = sum(1 << datum.simple_even.index(r) for r in _resolve_sub(datum, zeta.support))
+        J = sum(1 << i for i in _parabolic(datum, zeta.support).letters)
         return sum(memo.value(k, ix.w0x[y]) for y in range(ix.n) if not ix.desc[y] & J)
     total = 0
     for gamma in table.gammas_for(lam):

@@ -18,35 +18,35 @@ the (x + rho0)-coordinates ascending inside each type A window and maps
 type C window coordinates to minus their absolute value before sorting;
 ties break by original position, which fixes a deterministic witness.
 
-The single-weight queries `orbit_dot`, `is_antidominant`, `is_dominant`,
-`stabilizer_roots` and `antidominant_rep` run on the integer shifted
-coordinates N = D (x + rho0), each weight converted once per call by
-root_data's integer frame (D a common denominator of x and the frame).  A
-simple reflection permutes N with signs, so the orbit BFS applies it to the
-doubled point (N, -N) as one itemgetter and does no arithmetic;
-(anti-)dominance and stabilizers pair N with the frame's integer coroots,
-and the anti-dominant representative sorts N window by window.  Points
-convert back to weights once, at the end.  A reflection element is read
-off the frame's integer root and coroot.  `reflect` and root_data's
-`is_integral` still pair through the Fraction `bilinear`; `dot` applies the
-signed permutation to Fraction coordinates.  `antidominant_rep` and
-`stabilizer_roots` call `is_integral` first, so their refusals keep their
-types and messages.  The integer body of `antidominant_rep` is
-`_antidominant_rep`, which checks nothing; its callers refuse a
-non-integral weight first.  Its window sort, `_sort_windows`, also keys
-the reductive block labels in blocks, so boxes of them are labelled on ints.
+The single-weight queries `dot`, `orbit_dot`, `is_antidominant`,
+`is_dominant`, `stabilizer_roots` and `antidominant_rep` run on the integer
+shifted coordinates N = D (x + rho0), each weight converted once per call
+by root_data's integer frame (D a common denominator of x and the frame).
+An element permutes N with signs, so the orbit BFS applies a simple
+reflection to the doubled point (N, -N) as one itemgetter and does no
+arithmetic; (anti-)dominance and stabilizers pair N with the frame's
+integer coroots, and the anti-dominant representative sorts N window by
+window.  Points convert back to weights once, at the end.  A reflection
+element is read off the frame's integer root and coroot.  `reflect` and
+root_data's `is_integral` still pair through the Fraction `bilinear`.
+`antidominant_rep` and `stabilizer_roots` call `is_integral` first, so
+their refusals keep their types and messages.  The integer body of
+`antidominant_rep` is `_antidominant_rep`, which checks nothing; its
+callers refuse a non-integral weight first.  Its window sort,
+`_sort_windows`, also keys the reductive block labels in blocks.
 
 Group structure has one integer index (`_Index`) per datum, numbering the
 whole Weyl group; the KL engine reads it too, and keeps its one KL memo
-(kl's `_KLMemo`) beside it on the datum.  It, the reflection
-itemgetters and the parabolic coroots are kept on the datum by root_data's
+(kl's `_KLMemo`) beside it on the datum.  Each parabolic subgroup W_J, J a
+subset of Pi_0, has one table (`_Parabolic`: J's letters, windows, order,
+reflection itemgetters and positive coroots), reached through
+`_parabolic(datum, sub)`.  Both are kept on the datum by root_data's
 `_derived`, so they die with it.  `length`, `longest_element` and
-`reduced_word` query that index on the Pi_0 letters of `sub`, after
-refusing a group above KL_GROUP_CAP from its closed-form order, also kept
-on the datum.  `_refuse_above` is the one place that words the cap
-refusal: it prints the order, or names one with more digits than Python
-prints as an int by its window formula (`400!`, `2^k k!` and their
-products).
+`reduced_word` query the index on J's letters, after refusing a group
+above KL_GROUP_CAP from the whole group's order.  `_refuse_above` is the
+one place that words the cap refusal: it prints the order, or names one
+with more digits than Python prints as an int by its window formula
+(`400!`, `2^k k!` and their products).
 """
 from __future__ import annotations
 
@@ -54,6 +54,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
@@ -232,22 +233,14 @@ def reflection_element(datum: RootDatum, alpha: Root) -> WeylElement:
 
 
 def dot(datum: RootDatum, w: WeylElement, lam: Weight) -> Weight:
-    """The rho0-shifted action w . lam = w(lam + rho0) - rho0."""
-    datum.check_dim(lam)
+    """The rho0-shifted action w . lam = w(lam + rho0) - rho0, permuting N."""
+    D, n = _shifted(datum, lam)
     if w.dim != datum.dim:
         raise UnsupportedInputError("element dimension does not match the datum")
-    return w.apply(lam + datum.rho0) - datum.rho0
-
-
-def _resolve_sub(datum: RootDatum, sub) -> tuple[Root, ...]:
-    if sub is None:
-        return datum.simple_even
-    sub = tuple(sub)
-    simple = datum.simple_even  # a tuple: membership tries identity first
-    for r in sub:
-        if r not in simple:
-            raise UnsupportedInputError("parabolic subgroups are generated by subsets of Pi_0")
-    return sub
+    image = [0] * datum.dim
+    for i, v in enumerate(w.images):
+        image[abs(v) - 1] = n[i] if v > 0 else -n[i]
+    return _unshifted(datum, D, [image])[0]
 
 
 def _shifted(datum: RootDatum, lam: Weight) -> tuple[int, tuple[int, ...]]:
@@ -265,23 +258,6 @@ def _unshifted(datum: RootDatum, D: int, points) -> list[Weight]:
     return frame.unshifted(D, points, frame.rho0)
 
 
-def _parabolic_coroots(datum: RootDatum, chosen: tuple[int, ...]) -> tuple:
-    """root_data's integer coroots of the parabolic positive roots of the
-    simple even roots with these indices.
-
-    These are the even positive roots in the span of the chosen simple
-    roots (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.10):
-    in these families, the roots supported inside one `_runs` window, where
-    a type A window takes only the e_i - e_j.
-    """
-    windows = _runs(datum, [datum.simple_even[j] for j in chosen])
-    frame = _integer_frame(datum)
-    return tuple(coroot for root, coroot in zip(frame.roots, frame.coroots)
-                 if any(all(i in coords for i, _ in root)
-                        and (kind == "C" or not sum(a for _, a in root))
-                        for kind, coords in windows))
-
-
 def _antidominant_at(coroots, D: int, n) -> bool:
     """True iff no pairing <N / D, a^vee> over these coroots is a positive
     integer, for shifted coordinates N = n[:dim]."""
@@ -296,8 +272,7 @@ def _antidominant_at(coroots, D: int, n) -> bool:
 
 def is_antidominant(datum: RootDatum, lam: Weight, sub=None) -> bool:
     D, n = _shifted(datum, lam)
-    chosen = tuple(map(datum.simple_even.index, _resolve_sub(datum, sub)))
-    return _antidominant_at(_derived(datum, _parabolic_coroots, chosen), D, n)
+    return _antidominant_at(_parabolic(datum, sub).coroots, D, n)
 
 
 def is_dominant(datum: RootDatum, lam: Weight) -> bool:
@@ -341,19 +316,18 @@ def _antidominant_rep(datum: RootDatum, lam: Weight, sub=None) -> tuple[Weight, 
     """`antidominant_rep` for a weight its caller has already refused unless
     integral (and so of the datum's dimension); the body sorts N = D (lam +
     rho0) window by window (see _sort_windows) and checks nothing."""
-    sub = _resolve_sub(datum, sub)
+    windows = _parabolic(datum, sub).windows
     D, n = _shifted(datum, lam)
-    rep, images = _sort_windows(datum, sub, n)
+    rep, images = _sort_windows(windows, n)
     return _unshifted(datum, D, [rep])[0], WeylElement(images)
 
 
-def _sort_windows(datum: RootDatum, sub: tuple[Root, ...], n) -> tuple[list[int], tuple[int, ...]]:
-    """(rep, images): shifted coordinates n sorted by the resolved sub's
-    windows, as the module docstring says, and the images of the signed
-    permutation taking n to rep."""
-    images = list(range(1, datum.dim + 1))
+def _sort_windows(windows, n) -> tuple[list[int], tuple[int, ...]]:
+    """(rep, images): n sorted by a table's (kind, coordinates) windows as the
+    module docstring says, and the signed permutation taking n to rep."""
+    images = list(range(1, len(n) + 1))
     rep = list(n)
-    for kind, coords in _runs(datum, sub):
+    for kind, coords in windows:
         if kind == "A":
             ranked = sorted(coords, key=lambda i: (n[i], i))
             for slot, src in zip(coords, ranked):
@@ -400,21 +374,19 @@ def _refuse_above(windows, cap, configured=False) -> None:
 
 
 def _refuse_group(datum: RootDatum, cap) -> int:
-    """The order of the datum's Weyl group, kept on the datum, refused above
-    the cap."""
-    order = _derived(datum, weyl_order)
-    if order > cap:  # only a refusal reads the windows
-        _refuse_above([(kind, len(coords)) for kind, coords in _runs(datum, datum.simple_even)],
-                      cap)
-    return order
+    """The order of the datum's Weyl group, refused above the cap."""
+    table = _parabolic(datum)
+    if table.order > cap:
+        _refuse_above([(kind, len(coords)) for kind, coords in table.windows], cap)
+    return table.order
 
 
-def _sub_index(datum: RootDatum, sub) -> tuple["_Index", list[int]]:
+def _sub_index(datum: RootDatum, sub) -> tuple["_Index", tuple[int, ...]]:
     """The datum's group index, refused above the cap before anything is
-    built, and sub as Pi_0 indices in its order."""
-    sub = _resolve_sub(datum, sub)
+    built, and sub's Pi_0 letters in its order."""
+    letters = _parabolic(datum, sub).letters
     _refuse_group(datum, KL_GROUP_CAP)
-    return _derived(datum, _Index), [datum.simple_even.index(r) for r in sub]
+    return _derived(datum, _Index), letters
 
 
 def _strip(ix: "_Index", x: int, letters: Sequence[int]) -> tuple[list[int], int]:
@@ -515,43 +487,26 @@ class _Index:
             raise UnsupportedInputError(f"{w!r} is not an element of the group") from None
 
 
-def _reflection_moves(datum: RootDatum) -> tuple[itemgetter, ...]:
-    """Per simple even root, its reflection on doubled points (N, -N): an
-    itemgetter taking the doubled point of N to that of s_alpha(N)."""
-    dim = datum.dim
-    moves = []
-    for alpha in datum.simple_even:
-        # s_alpha(N)_j = +-N_i for images[i] = +-(j+1); -N_i sits at i + dim
-        src = [0] * dim
-        for i, v in enumerate(reflection_element(datum, alpha).images):
-            src[abs(v) - 1] = i if v > 0 else i + dim
-        moves.append(itemgetter(*src, *((k + dim) % (2 * dim) for k in src)))
-    return tuple(moves)
-
-
-def _orbit_shifted(datum: RootDatum, lam: Weight, sub: tuple[Root, ...]) -> tuple[int, Iterable]:
-    """(D, points): the sub dot orbit of lam as doubled shifted points
-    (N, -N), N = D (lam + rho0), for a resolved sub; the BFS moves integer
-    entries and does no arithmetic."""
+def _orbit_shifted(datum: RootDatum, lam: Weight, table: "_Parabolic") -> tuple[int, Iterable]:
+    """(D, points): lam's dot orbit under the table's group as doubled shifted
+    points (N, -N), N = D (lam + rho0); the BFS moves ints by itemgetters."""
     D, n = _shifted(datum, lam)
-    moves = _derived(datum, _reflection_moves)
-    gens = [moves[datum.simple_even.index(alpha)] for alpha in sub]
+    gens = table.moves
     levels = _closure(n + tuple(-v for v in n), lambda x: [g(x) for g in gens])
     return D, chain.from_iterable(levels)
 
 
 def orbit_dot(datum: RootDatum, lam: Weight, sub=None) -> frozenset[Weight]:
     """The dot orbit of lam under the parabolic subgroup (BFS closure)."""
-    sub = _resolve_sub(datum, sub)
-    D, points = _orbit_shifted(datum, lam, sub)
+    D, points = _orbit_shifted(datum, lam, _parabolic(datum, sub))
     return frozenset(_unshifted(datum, D, points))
 
 
 def _antidominant_points(datum: RootDatum, lam: Weight, sub) -> list[Weight]:
     """The sub-anti-dominant weights of lam's sub dot orbit, sorted."""
-    sub = _resolve_sub(datum, sub)
-    D, points = _orbit_shifted(datum, lam, sub)
-    coroots = _derived(datum, _parabolic_coroots, tuple(map(datum.simple_even.index, sub)))
+    table = _parabolic(datum, sub)
+    D, points = _orbit_shifted(datum, lam, table)
+    coroots = table.coroots
     return sorted(_unshifted(datum, D, (x for x in points if _antidominant_at(coroots, D, x))))
 
 
@@ -563,5 +518,51 @@ def _window_order(kind: str, size: int) -> int:
 
 def weyl_order(datum: RootDatum, sub=None) -> int:
     """|W_J| in closed form from the run decomposition."""
-    sub = _resolve_sub(datum, sub)
-    return math.prod(_window_order(kind, len(coords)) for kind, coords in _runs(datum, sub))
+    return _parabolic(datum, sub).order
+
+
+def _parabolic(datum: RootDatum, sub=None) -> "_Parabolic":
+    """The table of the subgroup generated by sub (Pi_0 for None), kept on
+    the datum under sub's Pi_0 letters in its order."""
+    simple = datum.simple_even  # a tuple: index matches by identity, then equality
+    try:
+        letters = tuple(range(len(simple)) if sub is None else map(simple.index, sub))
+    except ValueError:
+        raise UnsupportedInputError(
+            "parabolic subgroups are generated by subsets of Pi_0") from None
+    return _derived(datum, _Parabolic, letters)
+
+
+class _Parabolic:
+    """The parabolic subgroup W_J of the Pi_0 letters J.  Its `_runs` windows
+    and order, all a cap refusal reads, are built at once; on first use,
+    `moves` (per letter, its reflection on doubled points) and `coroots`
+    (of the even positive roots in J's span, Humphreys, Reflection Groups
+    and Coxeter Groups, 1990, 1.10: those inside one window, only the
+    e_i - e_j in a type A one)."""
+
+    def __init__(self, datum: RootDatum, letters: tuple[int, ...]):
+        self.datum = datum
+        self.letters = letters
+        self.windows = _runs(datum, [datum.simple_even[i] for i in letters])
+        self.order = math.prod(_window_order(kind, len(coords)) for kind, coords in self.windows)
+
+    @cached_property
+    def moves(self) -> tuple[itemgetter, ...]:
+        dim, moves = self.datum.dim, []
+        for letter in self.letters:
+            # s_alpha(N)_j = +-N_i for images[i] = +-(j+1); -N_i sits at i + dim
+            src = [0] * dim
+            for i, v in enumerate(reflection_element(
+                    self.datum, self.datum.simple_even[letter]).images):
+                src[abs(v) - 1] = i if v > 0 else i + dim
+            moves.append(itemgetter(*src, *((k + dim) % (2 * dim) for k in src)))
+        return tuple(moves)
+
+    @cached_property
+    def coroots(self) -> tuple:
+        frame = _integer_frame(self.datum)
+        return tuple(coroot for root, coroot in zip(frame.roots, frame.coroots)
+                     if any(all(i in coords for i, _ in root)
+                            and (kind == "C" or not sum(a for _, a in root))
+                            for kind, coords in self.windows))

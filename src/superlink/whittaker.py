@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import UnsupportedInputError
+from .errors import SuperlinkError, UnsupportedInputError
 from .root_data import Root, RootDatum, _integer_frame, is_integral
 from .weights import Weight, _fractional
-from .weyl import (WeylElement, _antidominant_rep, _runs, _shifted, is_antidominant,
+from .weyl import (WeylElement, _antidominant_rep, _parabolic, _shifted, is_antidominant,
                    is_dominant)
 
 
@@ -104,7 +104,7 @@ def dominant_partner(datum: RootDatum, zeta: WhittakerCharacter) -> Weight:
     chosen with minimal magnitude (anchor 0, or -1/2 for half-integer type
     A classes).
     """
-    windows = _runs(datum, zeta.support)
+    windows = _parabolic(datum, zeta.support).windows
     target = list(datum.rho0.coords)  # overwritten block by block
     for kind, start, size in datum.blocks:
         block = range(start, start + size)
@@ -124,7 +124,8 @@ def dominant_partner(datum: RootDatum, zeta: WhittakerCharacter) -> Weight:
             for i in group:
                 target[i] = base + (len(groups) - 1 - g)
     nu = Weight(target) - datum.rho0
-    assert upsilon_of(datum, nu) == zeta.support, "dominant partner construction failed"
+    if upsilon_of(datum, nu) != zeta.support:
+        raise SuperlinkError("dominant partner construction failed")
     return nu
 
 

@@ -29,8 +29,7 @@ def test_tables_die_with_their_datum():
     assert length(datum, WeylElement((2, 1, 3))) == 1
     assert len(verma_series_rank_small(datum, lam).entries) == 36
     assert {key[0] for key in datum.__dict__["_derived"]} == {
-        root_data._IntegerFrame, weyl._reflection_moves, weyl._parabolic_coroots,
-        weyl.weyl_order, weyl._Index, kl._KLMemo, verma_oracle._Frame}
+        root_data._IntegerFrame, weyl._Parabolic, weyl._Index, kl._KLMemo, verma_oracle._Frame}
     refs = [weakref.ref(datum), weakref.ref(datum.__dict__["_derived"][(kl._KLMemo,)])]
     del datum, zeta
     gc.collect()
@@ -113,6 +112,29 @@ def test_group_order_computed_once_per_datum(monkeypatch):
     assert len(reduced_word(datum, w0)) == 6
     assert kl.FiniteWeylGroup(datum).order == 36
     assert len(calls) == 1
+
+
+def test_parabolic_windows_computed_once_per_subset(monkeypatch):
+    """Every query on a parabolic subgroup W_J reads J's windows off one
+    table on the datum: ten queries with and without zeta's support, run
+    three times, compute the `_runs` windows once per distinct J."""
+    calls = []
+    runs = weyl._runs
+    monkeypatch.setattr(weyl, "_runs", lambda *args: calls.append(args) or runs(*args))
+    datum = build_root_datum("reductive", factors="A1,C2")
+    zeta = WhittakerCharacter.from_indices(datum, "1,3")
+    lam, sub, rep = Weight([2, 0, -1, 3]), zeta.support, Weight([-1, 3, -1, -5])
+    for _ in range(3):
+        assert antidominant_rep(datum, lam, sub)[0] == rep
+        assert superlink.classify_simple(datum, lam, zeta).rep == rep
+        assert not is_antidominant(datum, lam, sub)
+        assert len(orbit_dot(datum, lam, sub)) == 4
+        assert (superlink.weyl_order(datum), superlink.weyl_order(datum, sub)) == (16, 4)
+        assert superlink.dominant_partner(datum, zeta) == Weight([-1, 0, -1, -1])
+        assert superlink.gamma_summation_set(datum, lam, zeta) == [rep]
+        assert superlink.block_label(datum, lam).payload == (-1, 3, -6, -2)
+        assert whittaker_length(datum, lam, zeta) == 3
+    assert len(calls) == 2
 
 
 def test_group_cap_refusal_is_worded_once():

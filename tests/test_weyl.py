@@ -13,7 +13,7 @@ from superlink import (CapExceededError, SuperlinkError, UnsupportedInputError, 
 from superlink.weights import Weight
 from superlink.root_data import _integer_frame
 from superlink import weyl
-from superlink.weyl import WeylElement, _parabolic_coroots, length, validate_element
+from superlink.weyl import WeylElement, _Parabolic, length, validate_element
 import weyl_reference
 from weyl_reference import dot_reflection, enumerate_subgroup, parabolic_positive_roots
 
@@ -325,21 +325,35 @@ def test_dot_reflection_matches_element(p3, osp24, osp32):
             assert dot(datum, s, lam) == dot_reflection(datum, alpha, lam)
 
 
+def test_dot_matches_the_fraction_formula(gl21, osp24, p3, osp32):
+    """The integer dot is w(lam + rho0) - rho0 on Fractions for every
+    element of the group, on integral, coset and non-integral weights."""
+    from superlink.kl import FiniteWeylGroup
+    for datum in (gl21, osp24, p3, osp32, build_root_datum("reductive", factors="A1xC2")):
+        dim = datum.dim
+        weights = [Weight([3 - 2 * i for i in range(dim)]),
+                   Weight([Fraction(3 * i + 1, 3) for i in range(dim)]),
+                   Weight([Fraction(1, i + 2) - i for i in range(dim)])]
+        for w in FiniteWeylGroup(datum).elements():
+            for lam in weights:
+                assert dot(datum, w, lam) == w.apply(lam + datum.rho0) - datum.rho0, (w, lam)
+
+
 def test_parabolic_subsets_are_resolved_by_equality(red_a2, osp24):
     """A sub is matched against Pi_0 by equality: a root equal to a simple
     root but built apart is accepted, any other root is refused."""
     from superlink.root_data import Root
-    from superlink.weyl import _resolve_sub
+    from superlink.weyl import _parabolic
     for datum in (red_a2, osp24):
         for r in datum.simple_even:
             twin = Root(tuple((i, c) for i, c in r.vector), r.dim, r.parity, r.isotropic)
             assert twin == r and twin is not r
-            assert _resolve_sub(datum, [twin]) == (twin,)
+            assert _parabolic(datum, [twin]) is _parabolic(datum, [r])
             assert parabolic_positive_roots(datum, [twin]) == parabolic_positive_roots(datum, [r])
         outside = [a for a in datum.even_positive if a not in datum.simple_even]
         for bad in [*outside, *datum.isotropic_roots[:1]]:
             with pytest.raises(UnsupportedInputError) as got:
-                _resolve_sub(datum, [*datum.simple_even[:1], bad])
+                _parabolic(datum, [*datum.simple_even[:1], bad])
             assert str(got.value) == "parabolic subgroups are generated by subsets of Pi_0"
         assert outside  # both data have a non-simple even positive root
 
@@ -365,7 +379,7 @@ def test_parabolic_coroots_match_elimination(family, params):
     for k in range(len(simple) + 1):
         for chosen in combinations(range(len(simple)), k):
             roots = parabolic_positive_roots(datum, [simple[j] for j in chosen])
-            assert _parabolic_coroots(datum, chosen) \
+            assert _Parabolic(datum, chosen).coroots \
                 == tuple(table[datum.even_positive.index(a)] for a in roots), chosen
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superlink import (UnsupportedInputError, WhittakerCharacter, classify_simple,
+from superlink import (SuperlinkError, UnsupportedInputError, WhittakerCharacter, classify_simple,
                        dominant_partner, dot, in_X, in_X0, orbit_dot, upsilon_of)
 from superlink.weights import Weight
 import weyl_reference as ref
@@ -149,6 +149,16 @@ PARTNER_DATA = ([("gl", {"m": m, "n": n}) for m in range(1, 5) for n in range(1,
                 + [("p", {"n": n}) for n in range(2, 7)] + [("osp32", {})]
                 + [("reductive", {"factors": f}) for f in
                    ("A1", "A3", "C1", "C3", "A1xC1", "A1xC2", "A2xC2", "C2xA2", "A3xC2")])
+
+
+def test_dominant_partner_refuses_a_failed_construction(monkeypatch, gl22):
+    """A partner whose singular roots miss the support raises the library's
+    own error, also under python -O, not an AssertionError."""
+    from superlink import whittaker
+    monkeypatch.setattr(whittaker, "upsilon_of", lambda datum, nu: (gl22.simple_even[0],))
+    with pytest.raises(SuperlinkError) as got:
+        dominant_partner(gl22, zeta(gl22, "none"))
+    assert str(got.value) == "dominant partner construction failed"
 
 
 @pytest.mark.parametrize("family, params", PARTNER_DATA,

@@ -23,7 +23,7 @@ from itertools import chain
 from root_data_reference import is_integral, pairing_coroot, reflect
 from superlink import UnsupportedInputError, Weight, WeylElement, upsilon_of
 from superlink.weights import _fractional
-from superlink.weyl import _closure, _resolve_sub, _runs
+from superlink.weyl import _closure, _parabolic, _runs
 
 
 @lru_cache(maxsize=None)
@@ -59,10 +59,14 @@ def simple_expansions(datum):
     return out
 
 
+def _resolve(datum, sub):
+    """sub as simple even roots, refused through the library's resolver."""
+    return [datum.simple_even[i] for i in _parabolic(datum, sub).letters]
+
+
 def parabolic_positive_roots(datum, sub=None):
     """Even positive roots lying in the span of the given simple subset."""
-    sub = _resolve_sub(datum, sub)
-    chosen = {datum.simple_even.index(r) for r in sub}
+    chosen = set(_parabolic(datum, sub).letters)
     expansions = simple_expansions(datum)
     return tuple(root for root in datum.even_positive
                  if all(c == 0 or j in chosen for j, c in enumerate(expansions[root.weight])))
@@ -96,7 +100,7 @@ def dot_reflection(datum, alpha, lam):
 
 def orbit_dot(datum, lam, sub=None):
     """The sub dot orbit of lam, by BFS over dot reflections."""
-    sub = _resolve_sub(datum, sub)
+    sub = _resolve(datum, sub)
     levels = _closure(lam, lambda mu: (dot_reflection(datum, alpha, mu) for alpha in sub))
     return frozenset(mu for level in levels for mu in level)
 
@@ -142,7 +146,7 @@ def antidominant_rep(datum, lam, sub=None):
     datum.check_dim(lam)
     if not is_integral(datum, lam):
         raise UnsupportedInputError("anti-dominant representatives need an integral weight")
-    sub = _resolve_sub(datum, sub)
+    sub = _resolve(datum, sub)
     mu = lam + datum.rho0
     images = list(range(1, datum.dim + 1))
     for kind, coords in _runs(datum, sub):
