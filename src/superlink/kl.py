@@ -314,6 +314,7 @@ def _position(datum: RootDatum, ix: _Index, mu: Weight) -> tuple[Weight, int]:
 
 def verma_mult(datum: RootDatum, lam: Weight, w: WeylElement, x: WeylElement) -> int:
     """[M(w . lam) : L(x . lam)] for anti-dominant regular integral lam."""
+    _require_reductive(datum)
     _require_regular_antidominant(datum, lam)
     ix, memo = _tables(datum)
     return memo.value(ix.w0x[ix.of(w)], ix.w0x[ix.of(x)])

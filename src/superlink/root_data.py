@@ -15,6 +15,10 @@ Families and their coordinate conventions on h*:
   d+-e isotropic.
 * ``reductive``:  products of type A and type C factors, e.g. A2 x C1.
 
+Every datum's `blocks` are the type A and type C windows of its even part,
+and its even roots and Pi_0 are read off them (`_even_roots`); osp(3|2),
+whose e is the short B1 root rather than 2e, is the one explicit list.
+
 The Weyl vector rho0 is half the sum of the even positive roots except for
 p(n), which uses the normalized rho0 = (n-1, n-2, ..., 1, 0): the dot action
 only sees rho0 up to a W-fixed vector, and every downstream p(n) statement
@@ -222,13 +226,36 @@ def _half_sum(dim: int, vectors: list[Vector]) -> Weight:
     return Weight._of(tuple(Fraction(t, 2) for t in total))
 
 
-def _finish(family, params, dim, signature, simple, even_pos, odd_pos, odd_neg,
-            blocks, seps, rho0=None) -> RootDatum:
+def _even_roots(blocks) -> tuple[list[Vector], list[Vector]]:
+    """Phi_0^+ and Pi_0 of the (kind, start, size) windows: e_i - e_j (i < j)
+    in each window, and in a type C window also e_i + e_j, then 2e_i; Pi_0
+    is e_i - e_{i+1} per window, plus 2e_last for a type C window."""
+    even_pos, simple = [], []
+    for kind, start, size in blocks:
+        end = start + size
+        for i in range(start, end):
+            for j in range(i + 1, end):
+                even_pos.append(_vector((i, 1), (j, -1)))
+                if kind == "C":
+                    even_pos.append(_vector((i, 1), (j, 1)))
+            if kind == "C":
+                even_pos.append(_vector((i, 2)))
+        simple += [_vector((i, 1), (i + 1, -1)) for i in range(start, end - 1)]
+        if kind == "C":
+            simple.append(_vector((end - 1, 2)))
+    return even_pos, simple
+
+
+def _finish(family, params, dim, signature, blocks, seps, odd_pos=(), odd_neg=None,
+            rho0=None, even=None) -> RootDatum:
+    """The datum; `even` lists Phi_0^+ = Pi_0 for osp(3|2), odd_neg is -odd_pos unless given."""
     def mk(v: Vector, parity: str) -> Root:
         return Root(v, dim, parity, not sum(signature[i] * c * c for i, c in v))
 
+    even_pos, simple = (even, even) if even else _even_roots(blocks)
+    if odd_neg is None:
+        odd_neg = [tuple((i, -c) for i, c in v) for v in odd_pos]
     even_roots = tuple(mk(v, EVEN) for v in even_pos)
-    # keep Pi_0 in the order the family lists it
     by_vector = {r.vector: r for r in even_roots}
     simple_roots = tuple(by_vector[v] for v in simple)
     odd_roots = tuple(mk(v, ODD) for v in (*odd_pos, *odd_neg))
@@ -251,63 +278,37 @@ def _finish(family, params, dim, signature, simple, even_pos, odd_pos, odd_neg,
 def build_gl(m: int, n: int) -> RootDatum:
     if m < 1 or n < 1:
         raise ConstructionError(f"gl(m|n) needs positive m, n; got ({m}|{n})")
-    dim = m + n
-    diff = lambda i, j: _vector((i, 1), (j, -1))
-    even_pos = [diff(i, j) for i in range(m) for j in range(i + 1, m)]
-    even_pos += [diff(i, j) for i in range(m, dim) for j in range(i + 1, dim)]
-    simple = [diff(i, i + 1) for i in range(m - 1)]
-    simple += [diff(i, i + 1) for i in range(m, dim - 1)]
-    odd_pos = [diff(i, j) for i in range(m) for j in range(m, dim)]
-    odd_neg = [tuple((i, -c) for i, c in v) for v in odd_pos]
-    signature = [1] * m + [-1] * n
-    blocks = [("A", 0, m), ("A", m, n)]
-    return _finish("gl", (m, n), dim, signature, simple, even_pos, odd_pos,
-                   odd_neg, blocks, [(m, "|")])
+    odd_pos = [_vector((i, 1), (j, -1)) for i in range(m) for j in range(m, m + n)]
+    return _finish("gl", (m, n), m + n, [1] * m + [-1] * n, [("A", 0, m), ("A", m, n)],
+                   [(m, "|")], odd_pos)
 
 
 def build_osp2(n: int) -> RootDatum:
     if n < 1:
         raise ConstructionError(f"osp(2|2n) needs positive n; got n={n}")
-    dim = n + 1
-    d = lambda i, c=1: (i + 1, c)  # c delta_i at coordinate i+1
-    even_pos = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            even_pos += [_vector(d(i), d(j, -1)), _vector(d(i), d(j))]
-        even_pos.append(_vector(d(i, 2)))
-    simple = [_vector(d(i), d(i + 1, -1)) for i in range(n - 1)] + [_vector(d(n - 1, 2))]
-    odd_pos = [_vector((0, 1), d(i, -1)) for i in range(n)]
-    odd_pos += [_vector((0, 1), d(i)) for i in range(n)]
-    odd_neg = [tuple((i, -c) for i, c in v) for v in odd_pos]
-    signature = [1] + [-1] * n
-    blocks = [("A", 0, 1), ("C", 1, n)]
-    return _finish("osp2", (n,), dim, signature, simple, even_pos, odd_pos,
-                   odd_neg, blocks, [(1, ";")])
+    # basis (e; d_1..d_n), d_i at coordinate i+1
+    odd_pos = [_vector((0, 1), (i, c)) for c in (-1, 1) for i in range(1, n + 1)]
+    return _finish("osp2", (n,), n + 1, [1] + [-1] * n, [("A", 0, 1), ("C", 1, n)],
+                   [(1, ";")], odd_pos)
 
 
 def build_p(n: int) -> RootDatum:
     if n < 2:
         raise ConstructionError(f"p(n) needs n >= 2; got n={n}")
-    dim = n
-    even_pos = [_vector((i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
-    simple = [_vector((i, 1), (i + 1, -1)) for i in range(n - 1)]
     # odd part of n^+ is symmetric matrices (weights e_i + e_j, i <= j);
     # the opposite side is antisymmetric, so -2e_i is not a root
     odd_pos = [_vector((i, 1), (j, 1)) for i in range(n) for j in range(i, n)]
     odd_neg = [_vector((i, -1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
     rho0 = Weight([n - 1 - i for i in range(n)])
-    return _finish("p", (n,), dim, [1] * n, simple, even_pos, odd_pos, odd_neg,
-                   [("A", 0, n)], [], rho0=rho0)
+    return _finish("p", (n,), n, [1] * n, [("A", 0, n)], [], odd_pos, odd_neg, rho0)
 
 
 def build_osp32() -> RootDatum:
-    # basis (d, e) with <d,d> = -1, <e,e> = 1; Pi_0 = {2d, e}
-    even_pos = [_vector((0, 2)), _vector((1, 1))]
+    # basis (d, e) with <d,d> = -1, <e,e> = 1; Phi_0^+ = Pi_0 = {2d, e}, e
+    # the short B1 root, so the even roots are listed, not read off the windows
     odd_pos = [_vector((0, 1), (1, 1)), _vector((0, 1), (1, -1)), _vector((0, 1))]
-    odd_neg = [tuple((i, -c) for i, c in v) for v in odd_pos]
-    blocks = [("C", 0, 1), ("C", 1, 1)]
-    return _finish("osp32", (), 2, [-1, 1], even_pos, even_pos, odd_pos,
-                   odd_neg, blocks, [])
+    return _finish("osp32", (), 2, [-1, 1], [("C", 0, 1), ("C", 1, 1)], [], odd_pos,
+                   even=[_vector((0, 2)), _vector((1, 1))])
 
 
 def _parse_factor(token) -> tuple[str, int]:
@@ -333,30 +334,13 @@ def build_reductive(factors) -> RootDatum:
     parsed = [_parse_factor(f) for f in factors]
     if not parsed:
         raise ConstructionError("reductive datum needs at least one factor")
-    even_pos, simple, blocks, seps, signature = [], [], [], [], []
-    dim = sum(rank + 1 if kind == "A" else rank for kind, rank in parsed)
-    start = 0
+    blocks, start = [], 0
     for kind, rank in parsed:
         size = rank + 1 if kind == "A" else rank
-        idx = range(start, start + size)
-        if kind == "A":
-            even_pos += [_vector((i, 1), (j, -1)) for i in idx for j in idx if i < j]
-        else:
-            for i in idx:
-                for j in idx:
-                    if i < j:
-                        even_pos += [_vector((i, 1), (j, -1)), _vector((i, 1), (j, 1))]
-                even_pos.append(_vector((i, 2)))
-        simple += [_vector((i, 1), (i + 1, -1)) for i in idx if i + 1 in idx]
-        if kind == "C":
-            simple.append(_vector((start + size - 1, 2)))
         blocks.append((kind, start, size))
-        if start:
-            seps.append((start, "|"))
-        signature += [1] * size
         start += size
-    return _finish("reductive", tuple(r for _, r in parsed), dim, signature,
-                   simple, even_pos, [], [], blocks, seps)
+    return _finish("reductive", tuple(r for _, r in parsed), start, [1] * start, blocks,
+                   [(b, "|") for _, b, _ in blocks[1:]])
 
 
 def build_root_datum(family: str, *, m: int | None = None, n: int | None = None,

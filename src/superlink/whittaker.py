@@ -36,12 +36,10 @@ class WhittakerCharacter:
 
     @staticmethod
     def make(datum: RootDatum, support: Sequence[Root]) -> "WhittakerCharacter":
-        allowed = list(datum.simple_even)
-        support = tuple(sorted(set(support), key=allowed.index))
-        for r in support:
-            if r not in allowed:
-                raise UnsupportedInputError("zeta support must lie inside Pi_0")
-        return WhittakerCharacter(support)
+        support = set(support)
+        if not support <= set(datum.simple_even):
+            raise UnsupportedInputError("zeta support must lie inside Pi_0")
+        return WhittakerCharacter(tuple(r for r in datum.simple_even if r in support))
 
     @staticmethod
     def from_indices(datum: RootDatum, spec) -> "WhittakerCharacter":

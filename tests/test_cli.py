@@ -244,12 +244,15 @@ def test_validate_exits_zero_and_reports(capsys):
 
 def test_unsupported_exits_3(capsys):
     # a zero denominator in a weight or a box literal is malformed input too
-    for argv in (["block-label", "--family", "p", "--n", "2", "--weight", "0,1/2"],
-                 ["block-label", "--family", "p", "--n", "2", "--weight", "1/0,0"],
-                 ["validate", "--family", "p", "--n", "2", "--box= 0..1/0"]):
+    for argv, message in (
+            (["block-label", "--family", "p", "--n", "2", "--weight", "0,1/2"], ""),
+            (["block-label", "--family", "p", "--n", "2", "--weight", "1/0,0"], ""),
+            (["validate", "--family", "p", "--n", "2", "--box= 0..1/0"], ""),
+            (["mult", "--family", "reductive", "--factors", "A1", "--weight=-1,1",
+              "--zeta", "none"], "mult needs --mu or --length\n")):
         code, out, err = run(capsys, argv)
         assert (code, out) == (3, "")
-        assert err.startswith("error:")
+        assert err.startswith("error: " + message)
 
 
 def test_usage_exits_2(capsys):
@@ -283,7 +286,7 @@ def test_klpoly_letter_out_of_range(capsys):
 def test_config_overrides(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
     # box_cap is enforced; subgroup_cap is no longer a config key
-    for text in ("box_cap=10\n", "subgroup_cap=10\n"):
+    for text in ("box_cap=10\n", "subgroup_cap=10\n", "# caps\n\n  box_cap = 10  # tight\n"):
         cfg.write_text(text)
         code, _, err = run(capsys, ["validate", "--family", "p", "--n", "2",
                                     "--box", " -6..6", "--config", str(cfg)])

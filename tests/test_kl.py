@@ -103,9 +103,16 @@ def test_verma_mult_rank1(red_a1):
     assert verma_mult(red_a1, lam, s, s) == 1
 
 
-def test_verma_mult_validations(red_a1):
+def test_verma_mult_validations(red_a1, gl21):
     W = FiniteWeylGroup(red_a1)
     e = W.identity
+    e_gl = FiniteWeylGroup(gl21).identity
+    with pytest.raises(UnsupportedInputError) as err:  # -2,0|0: atypical, regular, anti-dominant
+        verma_mult(gl21, Weight([-2, 0, 0]), e_gl, e_gl)
+    assert str(err.value).startswith("built-in multiplicity tables exist only for reductive data")
+    with pytest.raises(UnsupportedInputError) as err:
+        W.from_word([5])
+    assert str(err.value) == "word letter 5 out of range 0..0"
     with pytest.raises(UnsupportedInputError):
         verma_mult(red_a1, Weight([0, 1]), e, e)  # singular
     with pytest.raises(UnsupportedInputError):
@@ -208,7 +215,8 @@ def test_user_table_parsing_and_missing(red_a1):
     for text, message in (
             ("0,0 0,0 1\n0,0,0 -1,1 1",
              "line 2: weight literal '0,0,0' has 3 coordinates, expected 2"),
-            ("0,0 0,x 1", "line 1: Invalid literal for Fraction: 'x'")):
+            ("0,0 0,x 1", "line 1: Invalid literal for Fraction: 'x'"),
+            ("0,0 0,0 x", "line 1: bad multiplicity 'x'")):
         with pytest.raises(UnsupportedInputError) as err:
             parse_mult_table(red_a1, text)
         assert str(err.value) == message

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import random
 from fractions import Fraction
 
@@ -479,6 +480,31 @@ def test_partition_gl11(gl11):
     assert sizes[-1] == 11
     assert sizes[:-1] == [1] * 110
     assert not report.label_splits
+
+
+def test_a_component_with_two_labels_is_a_soundness_failure(gl11, monkeypatch, capsys):
+    """A label that changes inside a linkage component is reported, by
+    partition_box as by the point-by-point reference, and validate exits 1
+    on it: here the gl key's count gains 10 where floor(mu_0 / D) is even."""
+    from superlink import blocks, cli
+    label = blocks._label
+
+    def corrupted(datum, D, mu):
+        a, b, count = label(datum, D, mu)
+        return a, b, count + 10 * (mu[0] // D % 2 == 0)
+
+    monkeypatch.setattr(blocks, "_label", corrupted)
+    monkeypatch.setattr(oracle, "_label", corrupted)
+    box = WeightBox.cube(2, -2, 2)
+    report = partition_box(gl11, box)
+    assert not report.sound
+    assert [f["representative"] for f in report.soundness_failures] == ["-2|2"]
+    (labels,) = [f["labels"] for f in report.soundness_failures]
+    assert sorted(json.loads(text)["atyp"] for text in labels) == [1, 11]
+    assert report.to_json(gl11) == partition_json(gl11, box)
+    code = cli.main(["validate", "--family", "gl", "--m", "1", "--n", "1", "--box=-2..2"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["sound"] is False
 
 
 def test_partition_reductive_a2_components_are_orbits(red_a2):

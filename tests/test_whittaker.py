@@ -13,9 +13,16 @@ def zeta(datum, spec):
     return WhittakerCharacter.from_indices(datum, spec)
 
 
-def test_support_validation(p2):
+def test_support_validation(p2, red_a2):
     with pytest.raises(UnsupportedInputError):
         WhittakerCharacter.from_indices(p2, "2")  # p(2) has one simple root
+    (outside,) = [r for r in red_a2.even_positive if r not in red_a2.simple_even]  # 1,0,-1
+    with pytest.raises(UnsupportedInputError) as err:
+        WhittakerCharacter.make(red_a2, [red_a2.simple_even[1], outside])
+    assert str(err.value) == "zeta support must lie inside Pi_0"
+    # the support is kept in Pi_0 order, once per root
+    simple = red_a2.simple_even
+    assert WhittakerCharacter.make(red_a2, simple[::-1] * 2).support == simple
 
 
 def test_support_from_indices(p2, gl22):
