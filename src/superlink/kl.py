@@ -281,11 +281,13 @@ class MultTable:
         return sorted(g for (l, g) in self.entries if l == lam)
 
 
-def _require_reductive(datum: RootDatum) -> None:
+def _require_reductive(datum: RootDatum, takes_table: bool = False) -> None:
+    """Refuse a super datum; the refusal advises a table only to a caller
+    that takes one."""
     if datum.family != "reductive":
         raise UnsupportedInputError(
-            "built-in multiplicity tables exist only for reductive data; "
-            "supply a table for super families")
+            "built-in multiplicity tables exist only for reductive data"
+            + ("; supply a table for super families" if takes_table else ""))
 
 
 def _require_regular(datum: RootDatum, lam: Weight) -> None:
@@ -358,7 +360,7 @@ def whittaker_mult(datum: RootDatum, lam: Weight, mu: Weight, zeta,
         raise SuperlinkError(
             f"gamma summation set is not a singleton for integral input: {gammas}")
     if table is None:
-        _require_reductive(datum)
+        _require_reductive(datum, takes_table=True)
         _require_regular(datum, lam)
         ix, memo = _tables(datum, cap)
         base, k = _position(datum, ix, lam)
@@ -381,7 +383,7 @@ def whittaker_length(datum: RootDatum, lam: Weight, zeta,
     if not is_integral(datum, lam):
         raise UnsupportedInputError("Whittaker multiplicities need integral weights")
     if table is None:
-        _require_reductive(datum)
+        _require_reductive(datum, takes_table=True)
         _require_regular(datum, lam)
         ix, memo = _tables(datum, cap)
         k = _position(datum, ix, lam)[1]

@@ -24,7 +24,10 @@ exactly when its anchor is; a box of a non-integral anchor is refused, as
 simple reflections do not link non-integral weights.  Each move shifts an
 integral weight by an integer vector, so only an image's bounds are tested.
 The moves run on integer coordinates N = D lam over one common denominator
-D per (datum, box) (see _Frame).
+D per (datum, box) (see _Frame).  partition_box probes each unvisited seed
+once: a seed whose every image is itself (it lies on a reflection's wall)
+or that has none is its own one-point component, and only a seed that moves
+is closed, through bfs_linkage_closure.
 
 The KL cross-check recomputes every polynomial through the R-polynomial
 inversion identity q^l P(1/q) - P(q) = sum_z R_{x,z} P_{z,w} and diffs the
@@ -118,9 +121,9 @@ class _Frame:
         ints = _integer_frame(datum)
         D = math.lcm(ints.D, *(c.denominator for c in (*box.lo, *box.hi, *anchor)))
         self.datum, self.D, self.dim = datum, D, datum.dim
-        self.lo = tuple(int(c * D) for c in box.lo)
-        self.hi = tuple(int(c * D) for c in box.hi)
-        self.anchor = tuple(int(c * D) for c in anchor)
+        self.lo = tuple(c.numerator * (D // c.denominator) for c in box.lo)
+        self.hi = tuple(c.numerator * (D // c.denominator) for c in box.hi)
+        self.anchor = tuple(c.numerator * (D // c.denominator) for c in anchor)
         # each axis starts at a + D * ceil((lo - a) / D)
         self.axes = [range(a - D * ((a - lo) // D), hi + 1, D)
                      for a, lo, hi in zip(self.anchor, self.lo, self.hi)]
@@ -230,7 +233,9 @@ class _Component(list):
     """A linkage component: its weights, sorted, with the same points as
     integer vectors N = D lam in `lattice`."""
 
-    lattice: list[tuple[int, ...]]
+    def __init__(self, weights, lattice: list[tuple[int, ...]]):
+        super().__init__(weights)
+        self.lattice = lattice
 
 
 def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox) -> list[Weight]:
@@ -245,9 +250,7 @@ def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox) -> list[
     levels = _closure(n, lambda x: _GENERATORS.neighbors(datum, x, frame))
     lattice = sorted(itertools.chain.from_iterable(levels))
     # a seed no move leaves is its own component: keep the caller's object
-    comp = _Component(map(frame.weight, lattice) if len(lattice) > 1 else [seed])
-    comp.lattice = lattice
-    return comp
+    return _Component(map(frame.weight, lattice) if len(lattice) > 1 else [seed], lattice)
 
 
 @dataclass
@@ -332,21 +335,25 @@ def partition_box(datum: RootDatum, box: WeightBox, enlarge: bool = True,
     above cap points, and an enlargement pass whose box holds more.
     """
     frame, ids, labels = _box_labels(datum, box, cap)
-    unvisited = set(ids)
+    closed = set()  # the points of the components of more than one point
     components: list[list[Weight]] = []
     comp_ids = []
     failures: list[dict] = []
     for n in ids:
-        if n not in unvisited:
+        if n in closed:
             continue
-        comp = bfs_linkage_closure(datum, frame.weight(n), box)
-        unvisited.difference_update(comp.lattice)
-        seen = {ids[m] for m in comp.lattice}
-        if len(seen) > 1:
-            failures.append({
-                "representative": datum.format_weight(comp[0]),
-                "labels": sorted(labels[i].json_str() for i in seen),
-            })
+        if all(m == n for m in _GENERATORS.neighbors(datum, n, frame)):
+            # a seed no move leaves is its own component
+            comp = _Component([frame.weight(n)], [n])
+        else:
+            comp = bfs_linkage_closure(datum, frame.weight(n), box)
+            closed.update(comp.lattice)
+            seen = {ids[m] for m in comp.lattice}
+            if len(seen) > 1:
+                failures.append({
+                    "representative": datum.format_weight(comp[0]),
+                    "labels": sorted(labels[i].json_str() for i in seen),
+                })
         components.append(comp)
         comp_ids.append(ids[comp.lattice[0]])
     by_label: dict = {}

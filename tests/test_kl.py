@@ -121,6 +121,25 @@ def test_verma_mult_validations(red_a1, gl21):
         verma_mult(red_a1, Weight([Fraction(1, 3), 0]), e, e)
 
 
+def test_super_refusal_asks_for_a_table_only_where_one_is_taken(gl21):
+    """verma_mult and builtin_verma_table take no table, so their refusal
+    on a super datum offers none; whittaker_mult and whittaker_length take
+    one, and their refusal says so."""
+    lam = Weight([-2, 0, 0])  # atypical, regular, anti-dominant
+    e = FiniteWeylGroup(gl21).identity
+    zeta = WhittakerCharacter.from_indices(gl21, "none")
+    refusal = "built-in multiplicity tables exist only for reductive data"
+    for call, text in [(lambda: verma_mult(gl21, lam, e, e), refusal),
+                       (lambda: builtin_verma_table(gl21, lam), refusal),
+                       (lambda: whittaker_mult(gl21, lam, lam, zeta),
+                        refusal + "; supply a table for super families"),
+                       (lambda: whittaker_length(gl21, lam, zeta),
+                        refusal + "; supply a table for super families")]:
+        with pytest.raises(UnsupportedInputError) as err:
+            call()
+        assert str(err.value) == text
+
+
 def test_builtin_table_reductive_only(p2, red_a2):
     with pytest.raises(UnsupportedInputError):
         builtin_verma_table(p2, Weight([0, 0]))

@@ -11,7 +11,7 @@ from superlink import (CapExceededError, DimensionMismatchError, SuperlinkError,
                        verma_series_rank_small)
 from superlink import oracle
 from superlink.kl import FiniteWeylGroup, kl_polynomial
-from superlink.oracle import (BOX_CAP, LinkageGenerators, WeightBox, _frame,
+from superlink.oracle import (BOX_CAP, LinkageGenerators, PartitionReport, WeightBox, _frame,
                               bfs_linkage_closure, block_members, kl_cross_check,
                               kl_via_inversion, partition_box)
 from superlink.root_data import is_integral
@@ -373,23 +373,56 @@ def test_enlargement_pass_takes_the_cap(osp24, monkeypatch):
     assert partition_box(osp24, box, cap=512).to_json(osp24) == report.to_json(osp24)
 
 
-def test_partition_closes_components_through_the_public_bfs(osp24, monkeypatch):
-    """partition_box closes each component, and each enlargement, through
-    the public bfs_linkage_closure over the neighbors generator: the
+@pytest.mark.parametrize("name, box, on_walls, splits", [
+    ("osp24", WeightBox((Fraction(1), Fraction(-6), Fraction(0)),
+                        (Fraction(1), Fraction(6), Fraction(0))), 1, 4),
+    ("p2", WeightBox.cube(2, -2, 2), 0, 0),
+    ("gl21", WeightBox.cube(3, -1, 1), 4, 0),
+])
+def test_partition_closes_components_through_the_public_bfs(name, box, on_walls, splits,
+                                                            request, monkeypatch):
+    """partition_box probes each seed once with the neighbors generator: a
+    seed whose every image is itself (or that has none) is its own
+    component, and every component of more than one point, and each
+    enlargement, is closed through the public bfs_linkage_closure.  The
     benchmark's tracer counts closures and BFS edges on exactly these."""
+    datum = request.getfixturevalue(name)
     assert inspect.isgeneratorfunction(LinkageGenerators.neighbors)
     calls = []
     real = oracle.bfs_linkage_closure
     monkeypatch.setattr(oracle, "bfs_linkage_closure",
                         lambda datum, seed, b: calls.append(b) or real(datum, seed, b))
-    box = WeightBox((Fraction(1), Fraction(-6), Fraction(0)),
-                    (Fraction(1), Fraction(6), Fraction(0)))
-    report = partition_box(osp24, box, enlarge=False)
-    assert calls == [box] * len(report.components)
+    report = partition_box(datum, box, enlarge=False)
+    moving = sum(len(comp) > 1 for comp in report.components)
+    assert calls == [box] * moving
+    frame = _frame(datum, box)
+    walls = 0  # one-point components whose seed a reflection fixes
+    for comp in report.components:
+        n = comp.lattice[0]
+        images = set(LinkageGenerators().neighbors(datum, n, frame))
+        assert (len(comp) == 1) == (images <= {n})
+        walls += len(comp) == 1 and n in images
+    assert walls == on_walls
     calls.clear()
-    report = partition_box(osp24, box)
-    assert report.label_splits
-    assert calls == [box] * len(report.components) + [box.enlarged()] * len(report.label_splits)
+    report = partition_box(datum, box)
+    assert len(report.label_splits) == splits
+    assert report.to_json(datum) == partition_json(datum, box)
+    assert calls == [box] * moving + [box.enlarged()] * len(report.label_splits)
+
+
+def test_report_json_reads_only_the_weights(p2):
+    """PartitionReport.to_json formats each component from its weights: a
+    report of plain weight lists writes the same JSON, and formatting with
+    an equal datum object leaves the box's frame in place."""
+    box = WeightBox.cube(2, -2, 2)
+    report = partition_box(p2, box)
+    frame = _frame(p2, box)
+    plain = PartitionReport(box, [list(c) for c in report.components],
+                            report.component_labels, report.soundness_failures,
+                            report.label_splits)
+    assert plain.to_json(p2) == report.to_json(p2) == partition_json(p2, box)
+    assert plain.to_json(build_root_datum("p", n=2)) == report.to_json(p2)
+    assert box.__dict__["_frame"] is frame
 
 
 # -- the label pass against the point-by-point partition it replaced ----------
