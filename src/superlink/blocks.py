@@ -73,13 +73,13 @@ class BlockLabel:
         if self.family == "gl":
             core_a, core_b, k = self.payload
             return {"family": "gl",
-                    "coreA": [format_rational(c) for c in core_a],
-                    "coreB": [format_rational(c) for c in core_b],
+                    "coreA": list(map(format_rational, core_a)),
+                    "coreB": list(map(format_rational, core_b)),
                     "atyp": k}
         if self.family == "osp2":
             core, eps, atyp = self.payload
             return {"family": "osp2",
-                    "core": [format_rational(c) for c in core],
+                    "core": list(map(format_rational, core)),
                     "eps": format_rational(eps),
                     "atyp": atyp}
         if self.family == "p":
@@ -93,9 +93,9 @@ class BlockLabel:
             if atyp:
                 return {"family": "osp32", "atyp": 1, "line": format_rational(data)}
             return {"family": "osp32", "atyp": 0,
-                    "pair": [format_rational(c) for c in data]}
+                    "pair": list(map(format_rational, data))}
         rep = self.payload
-        return {"family": "reductive", "rep": [format_rational(c) for c in rep]}
+        return {"family": "reductive", "rep": list(map(format_rational, rep))}
 
     def json_str(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))

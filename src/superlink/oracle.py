@@ -27,7 +27,9 @@ The moves run on integer coordinates N = D lam over one common denominator
 D per (datum, box) (see _Frame).  partition_box probes each unvisited seed
 once: a seed whose every image is itself (it lies on a reflection's wall)
 or that has none is its own one-point component, and only a seed that moves
-is closed, through bfs_linkage_closure.
+is closed, through bfs_linkage_closure.  A component keeps its sorted
+points N and builds the Weight of a point only when it is read (see
+_Component): a validate report reads one per component, its representative.
 
 The KL cross-check recomputes every polynomial through the R-polynomial
 inversion identity q^l P(1/q) - P(q) = sum_z R_{x,z} P_{z,w} and diffs the
@@ -41,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -192,6 +195,9 @@ class LinkageGenerators:
         for root, coroot, p in frame.reflections:
             for i, c in coroot:
                 p += c * n[i]
+            if not p:  # n lies on the reflection's wall
+                yield n
+                continue
             img = list(n)
             for i, a in root:
                 v = n[i] - p * a
@@ -219,28 +225,63 @@ class LinkageGenerators:
                         continue
                     break
         if datum.family == "p":
-            d = 2 * D
+            d, img = 2 * D, list(n)
             for k, x in enumerate(n):
                 for v in (x + d, x - d):
                     if lo[k] <= v <= hi[k]:
-                        yield n[:k] + (v,) + n[k + 1:]
+                        img[k] = v
+                        yield tuple(img)
+                img[k] = x
 
 
 _GENERATORS = LinkageGenerators()
 
 
-class _Component(list):
-    """A linkage component: its weights, sorted, with the same points as
-    integer vectors N = D lam in `lattice`."""
+class _Component(Sequence):
+    """A linkage component: a read-only sequence of its weights, sorted,
+    over the same points as integer vectors N = D lam in `lattice`.
 
-    def __init__(self, weights, lattice: list[tuple[int, ...]]):
-        super().__init__(weights)
-        self.lattice = lattice
+    A weight is built from the frame only when it is first read: comp[0]
+    builds the first one, iteration or any other index builds all of them
+    once.  `first`, when given, is the Weight of lattice[0].  A component
+    equals any sequence of the same weights, from either side of ==.
+    """
+
+    __slots__ = ("lattice", "_frame", "_first", "_weights")
+
+    def __init__(self, frame: _Frame, lattice: list[tuple[int, ...]],
+                 first: Weight | None = None):
+        self.lattice, self._frame, self._first, self._weights = lattice, frame, first, None
+
+    def __len__(self) -> int:
+        return len(self.lattice)
+
+    def __getitem__(self, i):
+        if i == 0 and self._weights is None:
+            if self._first is None:
+                self._first = self._frame.weight(self.lattice[0])
+            return self._first
+        if self._weights is None:
+            self._weights = [self[0], *map(self._frame.weight, self.lattice[1:])]
+        return self._weights[i]
+
+    def __iter__(self):
+        self[-1]  # builds every weight once
+        return iter(self._weights)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"_Component({list(self)!r})"
 
 
-def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox) -> list[Weight]:
+def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox) -> Sequence[Weight]:
     """The connected component of seed under the linkage generators,
-    restricted to the box.  Refuses a box whose weights are not integral."""
+    restricted to the box, as a sorted read-only sequence of weights built
+    on first read.  Refuses a box whose weights are not integral."""
     frame = _frame(datum, box)
     n = frame.lattice(seed)
     if n is None or not frame.contains(n):
@@ -249,8 +290,9 @@ def bfs_linkage_closure(datum: RootDatum, seed: Weight, box: WeightBox) -> list[
         raise UnsupportedInputError("linkage closures are computed for integral weights")
     levels = _closure(n, lambda x: _GENERATORS.neighbors(datum, x, frame))
     lattice = sorted(itertools.chain.from_iterable(levels))
-    # a seed no move leaves is its own component: keep the caller's object
-    return _Component(map(frame.weight, lattice) if len(lattice) > 1 else [seed], lattice)
+    # a seed that is the least point (as every one-point seed is) stands
+    # for itself: the caller's object
+    return _Component(frame, lattice, seed if lattice[0] == n else None)
 
 
 @dataclass
@@ -258,7 +300,7 @@ class PartitionReport:
     """partition_box outcome: components, labels, and the two defect lists."""
 
     box: WeightBox
-    components: list[list[Weight]]
+    components: list[Sequence[Weight]]
     component_labels: list[BlockLabel]
     soundness_failures: list[dict] = field(default_factory=list)
     label_splits: list[dict] = field(default_factory=list)
@@ -336,7 +378,7 @@ def partition_box(datum: RootDatum, box: WeightBox, enlarge: bool = True,
     """
     frame, ids, labels = _box_labels(datum, box, cap)
     closed = set()  # the points of the components of more than one point
-    components: list[list[Weight]] = []
+    components: list[_Component] = []
     comp_ids = []
     failures: list[dict] = []
     for n in ids:
@@ -344,7 +386,7 @@ def partition_box(datum: RootDatum, box: WeightBox, enlarge: bool = True,
             continue
         if all(m == n for m in _GENERATORS.neighbors(datum, n, frame)):
             # a seed no move leaves is its own component
-            comp = _Component([frame.weight(n)], [n])
+            comp = _Component(frame, [n])
         else:
             comp = bfs_linkage_closure(datum, frame.weight(n), box)
             closed.update(comp.lattice)
@@ -371,8 +413,9 @@ def partition_box(datum: RootDatum, box: WeightBox, enlarge: bool = True,
                  "merged_after_enlargement": None}
         if enlarge:
             reps = [components[c][0] for c in comps]
-            reached = set(bfs_linkage_closure(datum, reps[0], big))
-            entry["merged_after_enlargement"] = all(r in reached for r in reps[1:])
+            reached = set(bfs_linkage_closure(datum, reps[0], big).lattice)
+            lattice = _frame(datum, big).lattice
+            entry["merged_after_enlargement"] = all(lattice(r) in reached for r in reps[1:])
         splits.append(entry)
     return PartitionReport(box, components, [labels[i] for i in comp_ids], failures, splits)
 

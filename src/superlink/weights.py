@@ -54,9 +54,7 @@ def format_rational(value: Fraction | int) -> str:
     >>> format_rational(Fraction(4, 2))
     '2'
     """
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)  # Fraction prints `p` or `p/q`, an int `p`
 
 
 class Weight:

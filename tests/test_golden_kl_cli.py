@@ -317,6 +317,10 @@ VALIDATE_BOXES = [
     (_flags("p", n=2), " -3..3"), (_flags("p", n=3), " -2..2"),
     (_flags("gl", m=2, n=1), " -2..2"), (_flags("gl", m=2, n=1), " -2..1, -1..2, 0..2"),
     (_flags("gl", m=1, n=1), " -1..4, -3..0"),
+    # the heaviest cells: p(4) closes a few large components, gl(2|2) and
+    # osp(2|4) many small ones
+    (_flags("p", n=4), " -2..2"), (_flags("gl", m=2, n=2), " -1..1"),
+    (_flags("osp2", n=2), " -2..2"),
     (_flags("osp2", n=1), " -3..3"), (["--family", "osp32"], " -3..3"),
 ]
 

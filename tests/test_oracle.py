@@ -270,7 +270,12 @@ def test_frame_moves_match_fraction_moves(family, params):
             if w not in reference:
                 comp = linkage_closure(datum, w, box)
                 reference.update(dict.fromkeys(comp, comp))
-            assert bfs_linkage_closure(datum, w, box) == reference[w]
+            comp = bfs_linkage_closure(datum, w, box)
+            # a read-only sequence: compared from either side, indexed from
+            # either end, iterated and searched like the reference list
+            assert comp == reference[w] and reference[w] == comp
+            assert list(comp) == reference[w] and comp[-1] == reference[w][-1]
+            assert w in comp
     assert integral
 
 
@@ -408,6 +413,30 @@ def test_partition_closes_components_through_the_public_bfs(name, box, on_walls,
     assert len(report.label_splits) == splits
     assert report.to_json(datum) == partition_json(datum, box)
     assert calls == [box] * moving + [box.enlarged()] * len(report.label_splits)
+
+
+@pytest.mark.parametrize("family, params, box, components", [
+    ("p", {"n": 4}, WeightBox.cube(4, -2, 2), 5),  # 625 points
+    ("gl", {"m": 2, "n": 2}, WeightBox.cube(4, -1, 1), 33),  # 81 points
+])
+def test_partition_builds_weights_only_where_they_are_read(family, params, box, components,
+                                                           monkeypatch):
+    """A component builds the Weight of a point only when it is read, so
+    partition_box and to_json build at most one per component (its
+    representative) and one per moving seed (handed to the public closure),
+    not one per box point."""
+    datum = build_root_datum(family, **params)
+    calls = []
+    real = oracle._Frame.weight
+    monkeypatch.setattr(oracle._Frame, "weight",
+                        lambda frame, n: calls.append(n) or real(frame, n))
+    report = partition_box(datum, box)
+    payload = report.to_json(datum)
+    built = len(calls)
+    moving = sum(len(comp) > 1 for comp in report.components)
+    assert built <= len(report.components) + moving < box.count() == payload["points"]
+    assert len(report.components) == components
+    assert payload == partition_json(datum, box)
 
 
 def test_report_json_reads_only_the_weights(p2):

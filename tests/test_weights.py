@@ -38,6 +38,10 @@ def test_format_with_separators():
     w = Weight([3, -1, 2])
     assert format_weight(w, [(2, "|")]) == "3,-1|2"
     assert parse_weight(format_weight(w, [(2, "|")])) == w
+    assert format_weight(Weight([0, "1/2", 2, -3]), [(1, ";"), (3, "|")]) == "0;1/2,2|-3"
+    # a marker outside positions 1..len-1 has no comma to replace
+    assert format_weight(Weight([1, 2]), [(0, "|"), (2, "|")]) == "1,2"
+    assert format_weight(Weight([5]), [(1, ";")]) == "5"
 
 
 def test_arithmetic_exact():
