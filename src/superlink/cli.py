@@ -10,6 +10,11 @@ Datum selection: `--family gl --m 2 --n 1`, `--family osp2 --n 2`,
 Weights use the literal grammar `3,-1|2` / `0;1/2,-3/2`; Weyl elements use
 signed cycles `(1 2)(3 -3)`; characters use 1-based indices into Pi_0
 (`--zeta 1,3`, `--zeta all`, `--zeta none`).
+
+Only the commands that call them import the KL engine (`klpoly`, `mult`)
+and the box oracle (`validate`, `enumerate-block`), each taking its default
+cap from that module when it runs; the other commands never load either.
+A `--config` file may set `box_cap` and `kl_cap` for any command.
 """
 from __future__ import annotations
 
@@ -18,9 +23,8 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import kl as kl_mod
-from . import oracle as oracle_mod
 from .blocks import block_label, same_block, typicality
 from .errors import SuperlinkError
 from .root_data import RootDatum, build_root_datum
@@ -29,7 +33,11 @@ from .weyl import (WeylElement, _refuse_above, antidominant_rep, dot, stabilizer
                    validate_element)
 from .whittaker import WhittakerCharacter, classify_simple, in_X, in_X0, upsilon_of
 
+if TYPE_CHECKING:
+    from .oracle import WeightBox
+
 SCHEMA_VERSION = 1
+_CAP_KEYS = ("box_cap", "kl_cap")  # what a --config file may set
 
 
 def _add_datum_flags(p: argparse.ArgumentParser) -> None:
@@ -52,8 +60,10 @@ def _datum(args) -> RootDatum:
     return _root_datum(args.family, args.m, args.n, args.factors)
 
 
-def _config(args) -> dict:
-    out = {"box_cap": oracle_mod.BOX_CAP, "kl_cap": kl_mod.KL_GROUP_CAP}
+def _cap(args, name: str, default: int) -> int:
+    """The cap `name`: `default`, unless the --config file sets it.  The
+    file may set any of _CAP_KEYS, whichever cap the command reads."""
+    out = {name: default}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
             for raw in handle:
@@ -62,10 +72,10 @@ def _config(args) -> dict:
                     continue
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in out:
+                if key not in _CAP_KEYS:
                     raise SuperlinkError(f"unknown config key {key!r}")
                 out[key] = int(value.strip())
-    return out
+    return out[name]
 
 
 def _default_anchor(datum: RootDatum) -> tuple[Fraction, ...]:
@@ -89,15 +99,16 @@ def _box_ranges(text: str) -> list[tuple[str, str]]:
 
 
 def _parse_box(datum: RootDatum, ranges: list[tuple[str, str]],
-               anchor_text: str | None = None) -> oracle_mod.WeightBox:
+               anchor_text: str | None = None) -> WeightBox:
+    from .oracle import WeightBox
     anchor = (_default_anchor(datum) if anchor_text is None
               else datum.parse_weight(anchor_text).coords)
     if len(ranges) == 1:
         ranges = ranges * datum.dim
     elif len(ranges) != datum.dim:
         raise SuperlinkError(f"box needs 1 or {datum.dim} ranges, got {len(ranges)}")
-    return oracle_mod.WeightBox(tuple(rational(lo) for lo, _ in ranges),
-                                tuple(rational(hi) for _, hi in ranges), anchor=anchor)
+    return WeightBox(tuple(rational(lo) for lo, _ in ranges),
+                     tuple(rational(hi) for _, hi in ranges), anchor=anchor)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -224,12 +235,13 @@ def cmd_same_block(args) -> int:
 
 
 def cmd_enumerate_block(args) -> int:
+    from . import oracle
     datum = _datum(args)
-    cfg = _config(args)
+    cap = _cap(args, "box_cap", oracle.BOX_CAP)
     lam = datum.parse_weight(args.weight)
     target = block_label(datum, lam)
     box = _parse_box(datum, args.box, args.anchor)
-    matches = oracle_mod.block_members(datum, box, target, cfg["box_cap"])
+    matches = oracle.block_members(datum, box, target, cap)
     payload = {"label": target.to_json(),
                "count": len(matches),
                "weights": [datum.format_weight(w) for w in matches]}
@@ -238,14 +250,15 @@ def cmd_enumerate_block(args) -> int:
 
 
 def cmd_klpoly(args) -> int:
-    cap = _config(args)["kl_cap"]
+    from . import kl
+    cap = _cap(args, "kl_cap", kl.KL_GROUP_CAP)
     kind = args.type.upper()
     if args.rank > 0:  # else the datum refuses the factor
         # refused from its one window before the datum is built
         size = args.rank + 1 if kind == "A" else args.rank
         _refuse_above([(kind, size)], cap, configured=bool(args.config))
     datum = _root_datum("reductive", None, None, ((kind, args.rank),))
-    W = kl_mod.FiniteWeylGroup(datum, cap)
+    W = kl.FiniteWeylGroup(datum, cap)
 
     def word_of(text: str):
         if text.strip() in ("e", ""):
@@ -258,40 +271,41 @@ def cmd_klpoly(args) -> int:
 
     x = W.from_word(word_of(args.x))
     w = W.from_word(word_of(args.w))
-    poly = kl_mod.kl_polynomial(W, x, w)
+    poly = kl.kl_polynomial(W, x, w)
     payload = {"coeffs": list(poly.coeffs), "poly": str(poly)}
     _emit(args, payload, str(poly))
     return 0
 
 
 def cmd_mult(args) -> int:
+    from . import kl
     datum = _datum(args)
-    cap = _config(args)["kl_cap"]
+    cap = _cap(args, "kl_cap", kl.KL_GROUP_CAP)
     zeta = _zeta(datum, args.zeta)
     lam = datum.parse_weight(args.weight)
     table = None
     if args.mult_table:
-        table = kl_mod.load_mult_table(datum, args.mult_table)
+        table = kl.load_mult_table(datum, args.mult_table)
     if args.mu is None and not args.length:
         raise SuperlinkError("mult needs --mu or --length")
     if args.length:
-        value = kl_mod.whittaker_length(datum, lam, zeta, table, cap)
+        value = kl.whittaker_length(datum, lam, zeta, table, cap)
         _emit(args, {"length": value}, str(value))
         return 0
     mu = datum.parse_weight(args.mu)
-    value = kl_mod.whittaker_mult(datum, lam, mu, zeta, table, cap)
+    value = kl.whittaker_mult(datum, lam, mu, zeta, table, cap)
     _emit(args, {"multiplicity": value}, str(value))
     return 0
 
 
 def cmd_validate(args) -> int:
+    from . import oracle
     datum = _datum(args)
-    cfg = _config(args)
+    cap = _cap(args, "box_cap", oracle.BOX_CAP)
     box = _parse_box(datum, args.box, args.anchor)
-    if box.count() > cfg["box_cap"]:
-        raise SuperlinkError(f"box exceeds configured cap {cfg['box_cap']}")
-    report = oracle_mod.partition_box(datum, box, enlarge=not args.no_enlarge,
-                                      cap=cfg["box_cap"])
+    if box.count() > cap:
+        raise SuperlinkError(f"box exceeds configured cap {cap}")
+    report = oracle.partition_box(datum, box, enlarge=not args.no_enlarge, cap=cap)
     payload = report.to_json(datum)
     payload["schema"] = SCHEMA_VERSION
     text = (f"{len(report.components)} components over "

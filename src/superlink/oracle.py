@@ -36,7 +36,9 @@ inversion identity q^l P(1/q) - P(q) = sum_z R_{x,z} P_{z,w} and diffs the
 two tables.  It shares neither the recursion nor the element index of the
 KL engine: it numbers the group itself by a BFS over the reflections, and
 reads Bruhat order off R_{x,w} != 0 (Bjorner-Brenti, Combinatorics of
-Coxeter Groups, Ch. 5).
+Coxeter Groups, Ch. 5).  The cross-check imports the KL engine when it runs,
+and verma_series_rank_small imports kl and verma_oracle likewise, so a box
+validation loads neither module.
 """
 from __future__ import annotations
 
@@ -46,14 +48,16 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .blocks import BlockLabel, _label, _label_shift, _payload, block_label
 from .errors import CapExceededError, DimensionMismatchError, SuperlinkError, UnsupportedInputError
-from .kl import FiniteWeylGroup, KLPolynomial, MultTable, kl_polynomial
 from .root_data import RootDatum, _integer_frame, _scaled
-from .verma_oracle import verma_multiplicities
 from .weights import Weight
 from .weyl import WeylElement, _closure
+
+if TYPE_CHECKING:
+    from .kl import FiniteWeylGroup, MultTable
 
 BOX_CAP = 10 ** 6
 
@@ -479,6 +483,7 @@ def kl_via_inversion(W: FiniteWeylGroup) -> dict:
     P_{x,w} is known, R_{y,x} P_{x,w} is added to the sum of every y < x,
     so each sum runs over [y, w] only.
     """
+    from .kl import KLPolynomial
     rp = _RPolynomials(W)
     L, elements, b = rp.length, rp.elements, rp.b
     below = [[(y, r) for y, r in row.items() if y != x] for x, row in enumerate(rp.rows)]
@@ -520,6 +525,7 @@ class CrossCheckReport:
 
 def kl_cross_check(W: FiniteWeylGroup) -> CrossCheckReport:
     """Diff the KL recursion against the R-polynomial inversion on all pairs."""
+    from .kl import KLPolynomial, kl_polynomial
     if W.order > CROSS_CHECK_CAP:
         raise CapExceededError(f"|W| = {W.order} exceeds cross-check cap {CROSS_CHECK_CAP}")
     inverted = kl_via_inversion(W)
@@ -542,5 +548,7 @@ def verma_series_rank_small(datum: RootDatum, lam: Weight) -> MultTable:
 
     Rank <= 2 reductive data only; see verma_oracle for the machinery.
     """
+    from .kl import MultTable
+    from .verma_oracle import verma_multiplicities
     entries = verma_multiplicities(datum, lam)
     return MultTable(dict(entries), provenance="character-oracle")
