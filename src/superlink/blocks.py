@@ -151,7 +151,6 @@ def _label_shift(datum: RootDatum) -> tuple[int, ...]:
 
 def block_label(datum: RootDatum, lam: Weight) -> BlockLabel:
     """The family's canonical linkage invariant of an integral weight."""
-    datum.check_dim(lam)
     if datum.family != "reductive":
         _require_integral(datum, lam)
     elif not is_integral(datum, lam):  # with antidominant_rep's refusal text

@@ -14,7 +14,9 @@ signed cycles `(1 2)(3 -3)`; characters use 1-based indices into Pi_0
 Only the commands that call them import the KL engine (`klpoly`, `mult`)
 and the box oracle (`validate`, `enumerate-block`), each taking its default
 cap from that module when it runs; the other commands never load either.
-A `--config` file may set `box_cap` and `kl_cap` for any command.
+Only those four commands take `--config`, a file that may set `box_cap`
+and `kl_cap`; `validate` and `enumerate-block` read `box_cap`, `klpoly` and
+`mult` read `kl_cap`.
 """
 from __future__ import annotations
 
@@ -47,6 +49,9 @@ def _add_datum_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int)
     p.add_argument("--factors", help="reductive factors, e.g. A2,C1")
     p.add_argument("--format", choices=["json", "text"], default="json")
+
+
+def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value lines overriding caps")
 
 
@@ -64,7 +69,7 @@ def _cap(args, name: str, default: int) -> int:
     """The cap `name`: `default`, unless the --config file sets it.  The
     file may set any of _CAP_KEYS, whichever cap the command reads."""
     out = {name: default}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             for raw in handle:
                 line = raw.split("#", 1)[0].strip()
@@ -118,10 +123,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _zeta(datum: RootDatum, spec) -> WhittakerCharacter:
-    return WhittakerCharacter.from_indices(datum, spec if spec is not None else "none")
-
-
 def cmd_root_data(args) -> int:
     datum = _datum(args)
     payload = {
@@ -155,7 +156,7 @@ def cmd_dot(args) -> int:
 def cmd_antidom(args) -> int:
     datum = _datum(args)
     lam = datum.parse_weight(args.weight)
-    sub = _zeta(datum, args.zeta if args.zeta is not None else "all").support
+    sub = WhittakerCharacter.from_indices(datum, args.zeta).support
     rep, w = antidominant_rep(datum, lam, sub)
     payload = {"rep": datum.format_weight(rep), "witness": w.to_cycles()}
     _emit(args, payload, f"{payload['rep']} via {payload['witness']}")
@@ -173,7 +174,7 @@ def cmd_stab(args) -> int:
 
 def cmd_classify(args) -> int:
     datum = _datum(args)
-    zeta = _zeta(datum, args.zeta)
+    zeta = WhittakerCharacter.from_indices(datum, args.zeta)
     lam = datum.parse_weight(args.weight)
     param = classify_simple(datum, lam, zeta)
     payload = {
@@ -281,7 +282,7 @@ def cmd_mult(args) -> int:
     from . import kl
     datum = _datum(args)
     cap = _cap(args, "kl_cap", kl.KL_GROUP_CAP)
-    zeta = _zeta(datum, args.zeta)
+    zeta = WhittakerCharacter.from_indices(datum, args.zeta)
     lam = datum.parse_weight(args.weight)
     table = None
     if args.mult_table:
@@ -303,8 +304,6 @@ def cmd_validate(args) -> int:
     datum = _datum(args)
     cap = _cap(args, "box_cap", oracle.BOX_CAP)
     box = _parse_box(datum, args.box, args.anchor)
-    if box.count() > cap:
-        raise SuperlinkError(f"box exceeds configured cap {cap}")
     report = oracle.partition_box(datum, box, enlarge=not args.no_enlarge, cap=cap)
     payload = report.to_json(datum)
     payload["schema"] = SCHEMA_VERSION
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("antidom", cmd_antidom, help="anti-dominant representative")
     p.add_argument("--weight", required=True)
-    p.add_argument("--zeta", help="parabolic (default: full Weyl group)")
+    p.add_argument("--zeta", default="all", help="parabolic (default: full Weyl group)")
 
     p = sub("stab", cmd_stab, help="dot-stabilizer roots")
     p.add_argument("--weight", required=True)
@@ -385,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--box", required=True, type=_box_ranges)
     p.add_argument("--anchor", help="lattice origin (default: integral lattice)")
+    _add_config_flag(p)
 
     p = subs.add_parser("klpoly", help="Kazhdan-Lusztig polynomial")
     p.add_argument("--type", choices=["a", "c"], required=True)
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="word in 1-based simple indices")
     p.add_argument("--w", required=True)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--config")
+    _add_config_flag(p)
     p.set_defaults(fn=cmd_klpoly)
 
     p = sub("mult", cmd_mult, help="standard Whittaker multiplicities")
@@ -401,11 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu")
     p.add_argument("--length", action="store_true")
     p.add_argument("--mult-table", dest="mult_table")
+    _add_config_flag(p)
 
     p = sub("validate", cmd_validate, help="box oracle: components vs labels")
     p.add_argument("--box", required=True, type=_box_ranges)
     p.add_argument("--anchor", help="lattice origin (default: integral lattice)")
     p.add_argument("--no-enlarge", action="store_true")
+    _add_config_flag(p)
 
     return parser
 

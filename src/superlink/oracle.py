@@ -64,14 +64,17 @@ BOX_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class WeightBox:
-    """An axis-aligned lattice box: anchor + Z^dim, clipped to [lo, hi]."""
+    """An axis-aligned lattice box: anchor + Z^dim, clipped to [lo, hi].
+    An anchor of None is stored as the origin."""
 
     lo: tuple[Fraction, ...]
     hi: tuple[Fraction, ...]
     anchor: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if not len(self.lo) == len(self.hi) == len(self._anchor()):
+        if self.anchor is None:
+            object.__setattr__(self, "anchor", tuple(Fraction(0) for _ in self.lo))
+        if not len(self.lo) == len(self.hi) == len(self.anchor):
             raise DimensionMismatchError("box lo, hi and anchor differ in length")
 
     @staticmethod
@@ -83,13 +86,9 @@ class WeightBox:
     def dim(self) -> int:
         return len(self.lo)
 
-    def _anchor(self) -> tuple[Fraction, ...]:
-        return self.anchor if self.anchor is not None else tuple(
-            Fraction(0) for _ in range(self.dim))
-
     def count(self) -> int:
         total = 1
-        for a, lo, hi in zip(self._anchor(), self.lo, self.hi):
+        for a, lo, hi in zip(self.anchor, self.lo, self.hi):
             total *= max(0, math.floor(hi - a) - math.ceil(lo - a) + 1)
         return total
 
@@ -124,7 +123,7 @@ class _Frame:
 
     def __init__(self, datum: RootDatum, box: WeightBox):
         datum.check_dim(box.lo)  # the box's lo, hi and anchor share a length
-        anchor = box._anchor()
+        anchor = box.anchor
         ints = _integer_frame(datum)
         D = math.lcm(ints.D, *(c.denominator for c in (*box.lo, *box.hi, *anchor)))
         self.datum, self.D, self.dim = datum, D, datum.dim

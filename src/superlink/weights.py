@@ -41,11 +41,6 @@ def rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _fractional(x: Fraction) -> Fraction:
-    """x minus its floor, in [0, 1)."""
-    return x - (x.numerator // x.denominator)
-
-
 def format_rational(value: Fraction | int) -> str:
     """Render a Fraction or an int as `p` or `p/q` (no spaces, no floats).
 

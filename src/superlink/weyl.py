@@ -306,7 +306,6 @@ def antidominant_rep(datum: RootDatum, lam: Weight, sub=None) -> tuple[Weight, W
     Requires an integral weight; the representative is then unique and the
     witness w satisfies w . lam = rep.
     """
-    datum.check_dim(lam)
     if not is_integral(datum, lam):
         raise UnsupportedInputError("anti-dominant representatives need an integral weight")
     return _antidominant_rep(datum, lam, sub)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import SuperlinkError, UnsupportedInputError
 from .root_data import Root, RootDatum, _integer_frame, is_integral
-from .weights import Weight, _fractional
+from .weights import Weight
 from .weyl import (WeylElement, _antidominant_rep, _parabolic, _shifted, is_antidominant,
                    is_dominant)
 
@@ -111,7 +111,7 @@ def dominant_partner(datum: RootDatum, zeta: WhittakerCharacter) -> Weight:
         covered = {i for _, coords in inside for i in coords}
         groups = sorted([coords for _, coords in inside]
                         + [[i] for i in block if i not in covered])
-        frac = _fractional(datum.rho0[start])
+        frac = datum.rho0[start] % 1
         if kind == "A":
             base = -frac if frac else Fraction(0)
         else:  # a type C window holds the sign root

@@ -23,7 +23,7 @@ def box_points(box):
     refuses a box above the oracle's cap."""
     box._check_cap()
     axes = []
-    for a, lo, hi in zip(box._anchor(), box.lo, box.hi):
+    for a, lo, hi in zip(box.anchor, box.lo, box.hi):
         v = a + math.ceil(lo - a)
         axes.append([])
         while v <= hi:
@@ -35,7 +35,7 @@ def box_points(box):
 def box_contains(box, w):
     """w lies within the bounds, on the lattice anchor + Z^dim."""
     return all(lo <= c <= hi and (c - a).denominator == 1
-               for a, lo, hi, c in zip(box._anchor(), box.lo, box.hi, w))
+               for a, lo, hi, c in zip(box.anchor, box.lo, box.hi, w))
 
 
 def linkage_reflection(datum, alpha, lam):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -302,7 +303,7 @@ def test_validate_honours_configured_box_cap(capsys, tmp_path, monkeypatch):
     cfg.write_text("box_cap=30\n")
     argv = ["validate", "--family", "p", "--n", "2", "--config", str(cfg)]
     code, out, err = run(capsys, [*argv, "--box= -3..3"])  # 49 points
-    assert (code, out, err) == (3, "", "error: box exceeds configured cap 30\n")
+    assert (code, out, err) == (3, "", "error: box holds 49 points, cap is 30\n")
     code, out, _ = run(capsys, [*argv, "--box= -2..2"])  # 25 points
     assert code == 0 and json.loads(out)["points"] == 25
     caps = []
@@ -350,6 +351,83 @@ def test_mult_honours_kl_cap(capsys, tmp_path):
                                       "--config", str(cfg)])
         assert code == 3 and out == ""
         assert "cap" in err
+
+
+# one valid argv per command that reads no cap
+_CAPLESS = {
+    "root-data": ["--family", "p", "--n", "2"],
+    "dot": ["--family", "p", "--n", "2", "--w", "(1 2)", "--weight=1,0"],
+    "antidom": ["--family", "p", "--n", "2", "--weight=1,0"],
+    "stab": ["--family", "osp2", "--n", "1", "--weight=0|0"],
+    "classify": ["--family", "p", "--n", "2", "--zeta", "1", "--weight=1,0"],
+    "upsilon": ["--family", "p", "--n", "2", "--nu=0,0"],
+    "in-x": ["--family", "p", "--n", "2", "--nu=0,0", "--weight=0,0"],
+    "typicality": ["--family", "gl", "--m", "1", "--n", "1", "--weight=0|0"],
+    "block-label": ["--family", "p", "--n", "2", "--weight=0,0"],
+    "same-block": ["--family", "p", "--n", "2", "--weight=0,0", "--mu=1,1"],
+}
+
+# one argv per command that reads a cap, each within every cap
+_CAPPED = {
+    "enumerate-block": ["--family", "p", "--n", "2", "--weight=0,0", "--box=0..1"],
+    "klpoly": ["--type", "a", "--rank", "2", "--x", "e", "--w", "1"],
+    "mult": ["--family", "reductive", "--factors", "A1", "--weight=-1,1", "--zeta",
+             "none", "--length"],
+    "validate": ["--family", "p", "--n", "2", "--box=0..1"],
+}
+
+
+def test_every_command_is_classed_by_the_caps_it_reads():
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(_CAPLESS) | set(_CAPPED)
+
+
+@pytest.mark.parametrize("command", sorted(_CAPLESS))
+def test_commands_without_a_cap_refuse_config(capsys, command):
+    """A command that reads no cap has no --config flag: argparse refuses it
+    as it does any unknown flag, and the command itself still runs."""
+    argv = [command, *_CAPLESS[command]]
+    assert run(capsys, argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", "caps.cfg"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config caps.cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_CAPPED))
+def test_commands_with_a_cap_read_config(capsys, tmp_path, command):
+    """Exactly the four cap commands take --config, and each opens the file:
+    a file setting both caps leaves the answer unchanged, and an unknown key
+    or a missing file is refused with exit 3."""
+    argv = [command, *_CAPPED[command]]
+    code, default, _ = run(capsys, argv)
+    assert code == 0
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("box_cap=100\nkl_cap=100\n")
+    assert run(capsys, [*argv, "--config", str(cfg)]) == (0, default, "")
+    cfg.write_text("bogus=1\n")
+    assert run(capsys, [*argv, "--config", str(cfg)]) \
+        == (3, "", "error: unknown config key 'bogus'\n")
+    code, out, err = run(capsys, [*argv, "--config", str(tmp_path / "missing.cfg")])
+    assert (code, out) == (3, "") and err.startswith("error: [Errno 2]")
+
+
+@pytest.mark.parametrize("config", [None, "box_cap=30\n"])
+def test_box_commands_word_an_over_cap_box_alike(capsys, tmp_path, config):
+    """validate and enumerate-block refuse a box above the cap with one text,
+    naming its size and the cap in force, configured or not."""
+    from superlink.oracle import BOX_CAP
+    if config is None:
+        extra, box, points, cap = [], "-60..60", 121 ** 3, BOX_CAP
+    else:
+        cfg = tmp_path / "caps.cfg"
+        cfg.write_text(config)
+        extra, box, points, cap = ["--config", str(cfg)], "-3..3", 7 ** 3, 30
+    datum = ["--family", "gl", "--m", "2", "--n", "1", f"--box={box}", *extra]
+    expected = (3, "", f"error: box holds {points} points, cap is {cap}\n")
+    assert run(capsys, ["validate", *datum]) == expected
+    assert run(capsys, ["enumerate-block", *datum, "--weight=0,0|0"]) == expected
 
 
 def test_per_coordinate_box(capsys):

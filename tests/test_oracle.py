@@ -165,6 +165,19 @@ def test_coroots_computed_once_per_datum(monkeypatch):
     assert first.coroots is second.coroots is root_data._integer_frame(gl22).coroots
 
 
+def test_box_stores_the_origin_for_a_missing_anchor():
+    """An anchor of None is resolved once, to the origin: the box equals,
+    and hashes like, the same box anchored at zero."""
+    lo, hi = (Fraction(-1), Fraction(-2)), (Fraction(1), Fraction(2))
+    zeros = (Fraction(0), Fraction(0))
+    box = WeightBox(lo, hi)
+    assert box.anchor == zeros
+    assert box == WeightBox(lo, hi, zeros) and hash(box) == hash(WeightBox(lo, hi, zeros))
+    assert box.enlarged().anchor == zeros
+    with pytest.raises(DimensionMismatchError):
+        WeightBox(lo, hi, zeros[:1])
+
+
 def test_box_cap():
     box = WeightBox.cube(4, -100, 100)
     with pytest.raises(CapExceededError):

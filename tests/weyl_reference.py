@@ -14,7 +14,10 @@ where the library reads it off the integer root and coroot, and a
 subgroup's elements from a BFS closure of its reflection elements.  The
 dominant partner of a character groups coordinates joined by supported
 chain roots, where the library reads the groups off the `_runs` windows.
-Tests compare the library against them.
+A subset of Pi_0 resolves to its letters and its connected windows here
+too, by equality and by joining the coordinates its roots share, so a
+fault in the library's `_parabolic` or `_runs` is not copied.  Tests compare
+the library against them.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +25,7 @@ from itertools import chain
 
 from root_data_reference import is_integral, pairing_coroot, reflect
 from superlink import UnsupportedInputError, Weight, WeylElement, upsilon_of
-from superlink.weights import _fractional
-from superlink.weyl import _closure, _parabolic, _runs
+from superlink.weyl import _closure
 
 
 @lru_cache(maxsize=None)
@@ -59,14 +61,41 @@ def simple_expansions(datum):
     return out
 
 
+def _letters(datum, sub):
+    """The Pi_0 indices of sub's roots, matched by equality (all of Pi_0 for
+    None); a root outside Pi_0 is refused."""
+    simple = list(datum.simple_even)
+    if sub is None:
+        return list(range(len(simple)))
+    if any(r not in simple for r in sub):
+        raise UnsupportedInputError("parabolic subgroups are generated by subsets of Pi_0")
+    return [simple.index(r) for r in sub]
+
+
 def _resolve(datum, sub):
-    """sub as simple even roots, refused through the library's resolver."""
-    return [datum.simple_even[i] for i in _parabolic(datum, sub).letters]
+    """sub as simple even roots."""
+    return [datum.simple_even[i] for i in _letters(datum, sub)]
+
+
+def _windows(datum, sub):
+    """The connected windows of sub: (kind, sorted coordinates) for each
+    class of the coordinates sub's roots touch, two coordinates joined when
+    one root touches both.  A window is type A when each of its roots is some
+    e_i - e_j, and type C otherwise."""
+    classes = []  # (coordinates, roots) per class
+    for r in sub:
+        coords = {i for i, c in enumerate(r.weight) if c != 0}
+        hit = [k for k in classes if k[0] & coords]
+        classes = [k for k in classes if not k[0] & coords]
+        classes.append((coords.union(*(k[0] for k in hit)),
+                        [r, *chain.from_iterable(k[1] for k in hit)]))
+    return [("A" if all(sorted(c for c in r.weight if c) == [-1, 1] for r in roots) else "C",
+             sorted(coords)) for coords, roots in classes]
 
 
 def parabolic_positive_roots(datum, sub=None):
     """Even positive roots lying in the span of the given simple subset."""
-    chosen = set(_parabolic(datum, sub).letters)
+    chosen = set(_letters(datum, sub))
     expansions = simple_expansions(datum)
     return tuple(root for root in datum.even_positive
                  if all(c == 0 or j in chosen for j, c in enumerate(expansions[root.weight])))
@@ -149,7 +178,7 @@ def antidominant_rep(datum, lam, sub=None):
     sub = _resolve(datum, sub)
     mu = lam + datum.rho0
     images = list(range(1, datum.dim + 1))
-    for kind, coords in _runs(datum, sub):
+    for kind, coords in _windows(datum, sub):
         if kind == "A":
             ranked = sorted(coords, key=lambda i: (mu[i], i))
             for slot, src in zip(coords, ranked):
@@ -185,7 +214,7 @@ def dominant_partner(datum, zeta):
                 groups[-1].append(i)
             else:
                 groups.append([i])
-        frac = _fractional(datum.rho0[start])
+        frac = datum.rho0[start] % 1
         if kind == "A":
             anchor = -frac if frac else Fraction(0)
             for g, group in enumerate(groups):
