@@ -257,7 +257,7 @@ def cmd_klpoly(args) -> int:
     if args.rank > 0:  # else the datum refuses the factor
         # refused from its one window before the datum is built
         size = args.rank + 1 if kind == "A" else args.rank
-        _refuse_above([(kind, size)], cap, configured=bool(args.config))
+        _refuse_above([(kind, size)], cap)
     datum = _root_datum("reductive", None, None, ((kind, args.rank),))
     W = kl.FiniteWeylGroup(datum, cap)
 

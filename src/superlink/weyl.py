@@ -350,14 +350,14 @@ def stabilizer_roots(datum: RootDatum, lam: Weight) -> tuple[Root, ...]:
                  if not sum(c * n[i] for i, c in coroot))
 
 
-def _refuse_above(windows, cap, configured=False) -> None:
+def _refuse_above(windows, cap) -> None:
     """Refuse a Weyl group with these (kind, size) windows above the cap.
 
     The refusal prints the order, or names it by its window formula (`400!`,
     `2^k k!`, a product as the factors side by side) once it has more digits
     than Python prints as an int; a window past those digits is not
-    multiplied out.  A configured cap words the refusal as such, as a plain
-    SuperlinkError.
+    multiplied out.  The refusal names the cap in force, built-in or
+    configured, and is a CapExceededError.
     """
     # the limit is 640 digits or more and k! > 10^k from k = 25, so a window
     # longer than the limit has an unprintable order
@@ -367,8 +367,6 @@ def _refuse_above(windows, cap, configured=False) -> None:
     if order > cap:
         shown = order if order < 10 ** digits else " ".join(
             f"2^{size} {size}!" if kind == "C" else f"{size}!" for kind, size in windows)
-        if configured:
-            raise SuperlinkError(f"|W| = {shown} exceeds configured cap")
         raise CapExceededError(f"|W| = {shown} exceeds the cap {cap}")
 
 

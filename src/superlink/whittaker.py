@@ -10,7 +10,10 @@ representative.
 
 For a dominant integral weight nu, upsilon_of returns the simple roots
 singular at nu; X0(nu) consists of the nu-integral weights that are
-W_nu-anti-dominant.  X(nu) agrees with X0(nu) for the type-I families and
+W_nu-anti-dominant.  dominant_partner gives each zeta such a nu with
+upsilon_of(nu) = Pi_zeta; it builds and self-checks the partner once per
+datum and support, and keeps it on the datum through root_data's
+`_derived`.  X(nu) agrees with X0(nu) for the type-I families and
 the reductive ones; for osp(3|2) it is the hard-coded grid
 {lam : lam + rho = a d + b e, a, b in -1/2 - Z_{>=0}} attached to the unique
 nu with full stabilizer.  Other combinations are refused explicitly.
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SuperlinkError, UnsupportedInputError
-from .root_data import Root, RootDatum, _integer_frame, is_integral
+from .root_data import Root, RootDatum, _derived, _integer_frame, is_integral
 from .weights import Weight
 from .weyl import (WeylElement, _antidominant_rep, _parabolic, _shifted, is_antidominant,
                    is_dominant)
@@ -100,9 +103,17 @@ def dominant_partner(datum: RootDatum, zeta: WhittakerCharacter) -> Weight:
     windows stay nonnegative and end at zero exactly when the sign root is
     in the support.  Values sit in the integrality class of rho0 and are
     chosen with minimal magnitude (anchor 0, or -1/2 for half-integer type
-    A classes).
+    A classes).  The partner is built and self-checked once per datum and
+    support, and kept on the datum under the support's Pi_0 letters; a
+    failed construction is refused on every call.
     """
-    windows = _parabolic(datum, zeta.support).windows
+    return _derived(datum, _partner, _parabolic(datum, zeta.support).letters)
+
+
+def _partner(datum: RootDatum, letters: tuple[int, ...]) -> Weight:
+    """dominant_partner's construction for the support of Pi_0 letters."""
+    support = tuple(datum.simple_even[i] for i in letters)
+    windows = _parabolic(datum, support).windows
     target = list(datum.rho0.coords)  # overwritten block by block
     for kind, start, size in datum.blocks:
         block = range(start, start + size)
@@ -122,7 +133,7 @@ def dominant_partner(datum: RootDatum, zeta: WhittakerCharacter) -> Weight:
             for i in group:
                 target[i] = base + (len(groups) - 1 - g)
     nu = Weight(target) - datum.rho0
-    if upsilon_of(datum, nu) != zeta.support:
+    if upsilon_of(datum, nu) != support:
         raise SuperlinkError("dominant partner construction failed")
     return nu
 

@@ -158,14 +158,66 @@ PARTNER_DATA = ([("gl", {"m": m, "n": n}) for m in range(1, 5) for n in range(1,
                    ("A1", "A3", "C1", "C3", "A1xC1", "A1xC2", "A2xC2", "C2xA2", "A3xC2")])
 
 
-def test_dominant_partner_refuses_a_failed_construction(monkeypatch, gl22):
-    """A partner whose singular roots miss the support raises the library's
-    own error, also under python -O, not an AssertionError."""
+def _refused_partner(monkeypatch, datum):
+    """Refuse datum's partner for the empty support, with upsilon_of patched
+    to miss it; the patch is left in place."""
     from superlink import whittaker
-    monkeypatch.setattr(whittaker, "upsilon_of", lambda datum, nu: (gl22.simple_even[0],))
+    monkeypatch.setattr(whittaker, "upsilon_of", lambda datum, nu: (datum.simple_even[0],))
     with pytest.raises(SuperlinkError) as got:
-        dominant_partner(gl22, zeta(gl22, "none"))
-    assert str(got.value) == "dominant partner construction failed"
+        dominant_partner(datum, zeta(datum, "none"))
+    return str(got.value)
+
+
+def test_dominant_partner_refuses_a_failed_construction(monkeypatch):
+    """A partner whose singular roots miss the support raises the library's
+    own error, also under python -O, not an AssertionError.  The datum is
+    built here: a partner kept on a shared one would skip the check."""
+    from superlink import build_root_datum
+    datum = build_root_datum("gl", m=2, n=2)
+    assert _refused_partner(monkeypatch, datum) == "dominant partner construction failed"
+
+
+def test_dominant_partner_does_not_keep_a_refusal(monkeypatch):
+    """A refused construction is not kept: once upsilon_of is restored, the
+    same datum builds its partner."""
+    from superlink import build_root_datum
+    datum = build_root_datum("gl", m=2, n=2)
+    _refused_partner(monkeypatch, datum)
+    monkeypatch.undo()
+    z = zeta(datum, "none")
+    assert dominant_partner(datum, z) == ref.dominant_partner(datum, z)
+
+
+def test_dominant_partner_is_built_once_per_support(integrality_calls):
+    """A second call on one support is a lookup: it proves no integrality and
+    returns an equal partner."""
+    from superlink import build_root_datum
+    datum = build_root_datum("reductive", factors="A3,C2")
+    z = zeta(datum, "1,4")
+    first = dominant_partner(datum, z)
+    assert integrality_calls
+    integrality_calls.clear()
+    assert dominant_partner(datum, z) == first
+    assert integrality_calls == []
+
+
+@pytest.mark.parametrize("family, params", PARTNER_DATA,
+                         ids=["-".join([f, *map(str, p.values())]) for f, p in PARTNER_DATA])
+def test_equal_data_build_equal_partners(monkeypatch, family, params):
+    """An equal but distinct datum builds its own partner for every subset of
+    Pi_0, equal to the first datum's."""
+    from superlink import build_root_datum, whittaker
+    built = []
+    partner = whittaker._partner
+    monkeypatch.setattr(whittaker, "_partner", lambda *args: built.append(args) or partner(*args))
+    first, second = build_root_datum(family, **params), build_root_datum(family, **params)
+    assert first == second and first is not second
+    subsets = [s for k in range(len(first.simple_even) + 1)
+               for s in itertools.combinations(range(1, len(first.simple_even) + 1), k)]
+    for spec in subsets:
+        assert dominant_partner(first, zeta(first, spec)) \
+            == dominant_partner(second, zeta(second, spec)), spec
+    assert len(built) == 2 * len(subsets)
 
 
 @pytest.mark.parametrize("family, params", PARTNER_DATA,
