@@ -203,7 +203,8 @@ def test_klpoly_names_an_unprintable_order_by_its_formula(capsys, tmp_path, kind
     cfg.write_text("kl_cap=40320\n")
     for extra in ([], ["--config", str(cfg)]):
         start = time.perf_counter()
-        assert run(capsys, [*argv, *extra]) == (3, "", f"error: |W| = {order} exceeds the cap 40320\n")
+        assert run(capsys, [*argv, *extra]) \
+            == (3, "", f"error: |W| = {order} exceeds the cap 40320\n")
         assert time.perf_counter() - start < 1
 
 
