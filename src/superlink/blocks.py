@@ -36,7 +36,8 @@ typicality reads the atypicality degree.
 block_label refuses a weight of the wrong length or a non-integral one,
 then runs _block_label, one unchecked body for every family.  same_block
 checks each weight once and compares two _block_labels: two integrality
-tests a query.
+tests a query; for osp(3|2) only inside the X(nu) grid of _in_osp32_grid,
+which whittaker's in_X shares: blocks sits below whittaker.
 """
 from __future__ import annotations
 
@@ -221,6 +222,11 @@ def _payload(family: str, key: tuple, q) -> tuple:
     return (1, q(data)) if atyp else (0, tuple(map(q, data)))
 
 
+def _in_osp32_grid(datum: RootDatum, lam: Weight) -> bool:
+    """Whether lam + rho = a d + b e with a, b in -1/2 - Z_{>=0}: osp(3|2)'s X(-rho0)."""
+    return all(x.denominator == 2 and x < 0 for x in (lam + datum.rho).coords)
+
+
 def same_block(datum: RootDatum, lam: Weight, mu: Weight) -> LinkStatus:
     """Block-linkage decision between two integral weights.
 
@@ -235,12 +241,10 @@ def same_block(datum: RootDatum, lam: Weight, mu: Weight) -> LinkStatus:
     _require_integral(datum, mu)
     if lam == mu:
         return LinkStatus.LINKED
-    if datum.family == "osp32":
-        from .whittaker import in_X  # deferred: whittaker sits above blocks
-        nu = -datum.rho0
-        if not (in_X(datum, nu, lam) and in_X(datum, nu, mu)):
-            raise UnsupportedInputError(
-                "osp(3|2) block membership is decided only inside the X(nu) grid")
+    if datum.family == "osp32" and not (_in_osp32_grid(datum, lam)
+                                        and _in_osp32_grid(datum, mu)):
+        raise UnsupportedInputError(
+            "osp(3|2) block membership is decided only inside the X(nu) grid")
     equal = _block_label(datum, lam) == _block_label(datum, mu)
     if datum.family == "p":
         return LinkStatus.LINKED_SUFFICIENT_ONLY if equal else LinkStatus.NO_LINK_KNOWN

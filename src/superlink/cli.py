@@ -42,13 +42,25 @@ SCHEMA_VERSION = 1
 _CAP_KEYS = ("box_cap", "kl_cap")  # what a --config file may set
 
 
+def _choices(*names: str) -> dict:
+    """add_argument keywords accepting exactly `names`, shown as argparse
+    shows `choices`; any other value is refused in the words of Python
+    3.11's argparse, which later versions print without the quotes."""
+    def pick(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+        return text
+    return {"type": pick, "metavar": "{" + ",".join(names) + "}"}
+
+
 def _add_datum_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
-                   choices=["gl", "osp2", "p", "osp32", "reductive"])
+                   **_choices("gl", "osp2", "p", "osp32", "reductive"))
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--factors", help="reductive factors, e.g. A2,C1")
-    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--format", default="json", **_choices("json", "text"))
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -96,8 +108,9 @@ def _default_anchor(datum: RootDatum) -> tuple[Fraction, ...]:
 
 def _box_ranges(text: str) -> list[tuple[str, str]]:
     """The `--box` value split into (lo, hi) literals: `lo..hi` for all
-    coordinates, or comma-separated per-coordinate ranges."""
-    ranges = [r.split("..") for r in text.split(",") if r.strip()]
+    coordinates, or comma-separated per-coordinate ranges; an empty range
+    is a usage error."""
+    ranges = [r.split("..") for r in text.split(",")]
     if any(len(r) != 2 for r in ranges):
         raise argparse.ArgumentTypeError(f"each range must read lo..hi, got {text!r}")
     return [(lo, hi) for lo, hi in ranges]
@@ -387,11 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
 
     p = subs.add_parser("klpoly", help="Kazhdan-Lusztig polynomial")
-    p.add_argument("--type", choices=["a", "c"], required=True)
+    p.add_argument("--type", required=True, **_choices("a", "c"))
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--x", required=True, help="word in 1-based simple indices")
     p.add_argument("--w", required=True)
-    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--format", default="json", **_choices("json", "text"))
     _add_config_flag(p)
     p.set_defaults(fn=cmd_klpoly)
 

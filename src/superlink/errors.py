@@ -34,3 +34,9 @@ class MissingTableEntryError(SuperlinkError):
 
 class CapExceededError(SuperlinkError):
     """An enumeration (box, Weyl group, cross-check group) exceeded its size cap."""
+
+    @classmethod
+    def group(cls, order, cap) -> "CapExceededError":
+        """The refusal of a Weyl group of this order (an int, or weyl's window
+        formula) above the cap in force; every group refusal is worded here."""
+        return cls(f"|W| = {order} exceeds the cap {cap}")

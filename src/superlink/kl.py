@@ -32,10 +32,11 @@ Standard Whittaker multiplicities reduce to these: for integral mu the sum
 
     [M(lam, zeta) : L(mu, zeta)] = sum_gamma [M(lam) : L(gamma)]
 
-runs over W_zeta-anti-dominant gamma with mu in the W_zeta dot orbit, and
-that set is asserted to be a singleton.  Built-in multiplicities exist only
-for reductive data with regular integral lam; anything else takes a
-user-supplied table (`<weight> <weight> <count>` lines, `#` comments).
+runs over W_zeta-anti-dominant gamma with mu in the W_zeta dot orbit: for
+integral mu the one point weyl's window sort finds (classify_simple's rep),
+so the sum is one lookup.  Built-in multiplicities exist only for reductive
+data with regular integral lam; anything else takes a user-supplied table
+(`<weight> <weight> <count>` lines, `#` comments).
 Without a table, gamma = y . base for the anti-dominant base of lam's orbit
 and a unique y, and gamma is W_zeta-anti-dominant exactly when y has no left
 descent in zeta's support, so a multiplicity is one KL lookup and a length
@@ -349,29 +350,24 @@ def gamma_summation_set(datum: RootDatum, mu: Weight, zeta) -> list[Weight]:
 
 def whittaker_mult(datum: RootDatum, lam: Weight, mu: Weight, zeta,
                    table: MultTable | None = None, cap: int = KL_GROUP_CAP) -> int:
-    """[M(lam, zeta) : L(mu, zeta)] by reduction to highest-weight data.
+    """[M(lam, zeta) : L(mu, zeta)] = [M(lam) : L(gamma)], gamma the window
+    sort of mu under W_zeta (classify_simple's rep).
 
     Without a table the built-in multiplicities are used; `cap` bounds |W|.
     """
     if not is_integral(datum, lam) or not is_integral(datum, mu):
         raise UnsupportedInputError("Whittaker multiplicities need integral weights")
-    gammas = gamma_summation_set(datum, mu, zeta)
-    if len(gammas) != 1:
-        raise SuperlinkError(
-            f"gamma summation set is not a singleton for integral input: {gammas}")
-    if table is None:
-        _require_reductive(datum, takes_table=True)
-        _require_regular(datum, lam)
-        ix, memo = _tables(datum, cap)
-        base, k = _position(datum, ix, lam)
-        gamma_base, j = _position(datum, ix, gammas[0])
-        if gamma_base != base:
-            raise MissingTableEntryError([(lam, gammas[0])])
-        return memo.value(k, j)
-    missing = [(lam, g) for g in gammas if (lam, g) not in table.entries]
-    if missing:
-        raise MissingTableEntryError(missing)
-    return sum(table.get(lam, g) for g in gammas)
+    gamma = _antidominant_rep(datum, mu, zeta.support)[0]
+    if table is not None:
+        return table.get(lam, gamma)
+    _require_reductive(datum, takes_table=True)
+    _require_regular(datum, lam)
+    ix, memo = _tables(datum, cap)
+    base, k = _position(datum, ix, lam)
+    gamma_base, j = _position(datum, ix, gamma)
+    if gamma_base != base:
+        raise MissingTableEntryError([(lam, gamma)])
+    return memo.value(k, j)
 
 
 def whittaker_length(datum: RootDatum, lam: Weight, zeta,

@@ -526,7 +526,7 @@ def kl_cross_check(W: FiniteWeylGroup) -> CrossCheckReport:
     """Diff the KL recursion against the R-polynomial inversion on all pairs."""
     from .kl import KLPolynomial, kl_polynomial
     if W.order > CROSS_CHECK_CAP:
-        raise CapExceededError(f"|W| = {W.order} exceeds cross-check cap {CROSS_CHECK_CAP}")
+        raise CapExceededError.group(W.order, CROSS_CHECK_CAP)
     inverted = kl_via_inversion(W)
     # the oracle's own elements, in its order: each w's first key is (w, w)
     elements = [WeylElement(w) for x, w in inverted if x == w]

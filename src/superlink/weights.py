@@ -116,15 +116,18 @@ class Weight:
 
 
 def parse_weight(text: str, dim: int | None = None) -> Weight:
-    """Parse a weight literal, treating `,`, `|` and `;` as separators.
+    """Parse a weight literal, treating `,`, `|` and `;` as separators; an
+    empty coordinate (`1,,2`, a leading or trailing separator) is refused.
 
     >>> parse_weight("3,-1|2").coords
     (Fraction(3, 1), Fraction(-1, 1), Fraction(2, 1))
     """
     flat = _SEP.sub(",", text.strip())
-    parts = [p for p in flat.split(",") if p.strip() != ""]
-    if not parts:
+    if not flat:
         raise ValueError(f"empty weight literal: {text!r}")
+    parts = flat.split(",")
+    if any(not p.strip() for p in parts):
+        raise ValueError(f"empty coordinate in weight literal {text!r}")
     w = Weight(rational(p) for p in parts)
     if dim is not None and len(w) != dim:
         raise ValueError(f"weight literal {text!r} has {len(w)} coordinates, expected {dim}")

@@ -367,7 +367,7 @@ def _refuse_above(windows, cap) -> None:
     if order > cap:
         shown = order if order < 10 ** digits else " ".join(
             f"2^{size} {size}!" if kind == "C" else f"{size}!" for kind, size in windows)
-        raise CapExceededError(f"|W| = {shown} exceeds the cap {cap}")
+        raise CapExceededError.group(shown, cap)
 
 
 def _refuse_group(datum: RootDatum, cap) -> int:

@@ -16,7 +16,8 @@ datum and support, and keeps it on the datum through root_data's
 `_derived`.  X(nu) agrees with X0(nu) for the type-I families and
 the reductive ones; for osp(3|2) it is the hard-coded grid
 {lam : lam + rho = a d + b e, a, b in -1/2 - Z_{>=0}} attached to the unique
-nu with full stabilizer.  Other combinations are refused explicitly.
+nu with full stabilizer, tested by blocks' _in_osp32_grid (blocks sits
+below this module).  Other combinations are refused explicitly.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .blocks import _in_osp32_grid
 from .errors import SuperlinkError, UnsupportedInputError
 from .root_data import Root, RootDatum, _derived, _integer_frame, is_integral
 from .weights import Weight
@@ -146,11 +148,6 @@ def in_X0(datum: RootDatum, nu: Weight, lam: Weight) -> bool:
     return is_antidominant(datum, lam, upsilon)
 
 
-def _osp32_fixed_nu(datum: RootDatum) -> Weight:
-    # the unique weight with full dot stabilizer: nu + rho0 = 0
-    return -datum.rho0
-
-
 def in_X(datum: RootDatum, nu: Weight, lam: Weight) -> bool:
     """Membership in X(nu).
 
@@ -162,11 +159,8 @@ def in_X(datum: RootDatum, nu: Weight, lam: Weight) -> bool:
     if datum.family in ("gl", "osp2", "p", "reductive"):
         return in_X0(datum, nu, lam)
     if datum.family == "osp32":
-        if nu != _osp32_fixed_nu(datum):
+        if nu != -datum.rho0:  # the unique weight with full dot stabilizer
             raise UnsupportedInputError(
                 "for osp(3|2) only the full-stabilizer nu = -rho0 is supported")
-        a, b = (lam + datum.rho).coords
-        def in_neg_half(x: Fraction) -> bool:
-            return (x + Fraction(1, 2)).denominator == 1 and x <= Fraction(-1, 2)
-        return in_neg_half(a) and in_neg_half(b)
+        return _in_osp32_grid(datum, lam)
     raise UnsupportedInputError(f"X(nu) is not available for family {datum.family!r}")

@@ -262,6 +262,44 @@ def test_same_block_osp32_in_grid(osp32):
     assert same_block(osp32, lam, other) == LinkStatus.NOT_LINKED
 
 
+def test_same_block_osp32_reads_the_grid_without_whittaker(osp32, monkeypatch):
+    """same_block tests osp(3|2)'s X(nu) grid itself: with whittaker.in_X
+    refusing every call, statuses and refusals are unchanged."""
+    from superlink import whittaker
+
+    def refuse(*args):
+        raise AssertionError("same_block called whittaker.in_X")
+    monkeypatch.setattr(whittaker, "in_X", refuse)
+    half = Fraction(1, 2)
+    lam = Weight([-half, -half]) - osp32.rho
+    assert same_block(osp32, lam, lam) == LinkStatus.LINKED
+    assert same_block(osp32, lam, Weight([-3 * half, -3 * half]) - osp32.rho) \
+        == LinkStatus.LINKED
+    assert same_block(osp32, lam, Weight([-half, -3 * half]) - osp32.rho) \
+        == LinkStatus.NOT_LINKED
+    for outside in (Weight([half, -half]) - osp32.rho, Weight([-half, 3 * half]) - osp32.rho,
+                    Weight([2, half])):
+        for pair in ((lam, outside), (outside, lam)):
+            with pytest.raises(UnsupportedInputError) as err:
+                same_block(osp32, *pair)
+            assert str(err.value) == \
+                "osp(3|2) block membership is decided only inside the X(nu) grid"
+
+
+def test_blocks_imports_nothing_from_whittaker():
+    """blocks sits below whittaker: the osp(3|2) grid predicate lives in
+    blocks, and whittaker's in_X calls it."""
+    import ast
+    from pathlib import Path
+
+    from superlink import blocks, whittaker
+    tree = ast.parse(Path(blocks.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert "whittaker" not in imported
+    assert not hasattr(whittaker, "_osp32_fixed_nu")
+
+
 def _query_weights(rng, datum):
     """Two integral weights that same_block decides: for osp(3|2), two of
     the X(nu) grid, lam + rho = (a, b) with a, b in -1/2 - N."""

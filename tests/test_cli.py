@@ -275,6 +275,62 @@ def test_usage_exits_2(capsys):
         assert "argument --box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["1,,2", ",1|2,"])
+def test_weight_with_an_empty_coordinate_exits_3(capsys, weight):
+    argv = ["block-label", "--family", "p", "--n", "2", f"--weight={weight}"]
+    assert run(capsys, argv) == (
+        3, "", f"error: empty coordinate in weight literal {weight!r}\n")
+
+
+def test_mult_table_with_an_empty_coordinate_exits_3(capsys, tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("-1,,1 -1,1 1\n", encoding="utf-8")
+    argv = ["mult", "--family", "reductive", "--factors", "A1", "--weight=-1,1",
+            "--zeta", "none", "--mu=-1,1", f"--mult-table={path}"]
+    assert run(capsys, argv) == (
+        3, "", "error: line 1: empty coordinate in weight literal '-1,,1'\n")
+
+
+@pytest.mark.parametrize("box", ["0..1,,0..1", "", "0..1,"])
+def test_box_with_an_empty_range_exits_2(capsys, box):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--family", "p", "--n", "2", f"--box={box}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"superlink validate: error: argument --box: each range must read lo..hi, got {box!r}")
+
+
+@pytest.mark.parametrize("argv, flag, value, names", [
+    (["root-data", "--family", "q", "--n", "2"], "--family", "q",
+     "'gl', 'osp2', 'p', 'osp32', 'reductive'"),
+    (["root-data", "--family", "p", "--n", "2", "--format", "xml"], "--format", "xml",
+     "'json', 'text'"),
+    (["klpoly", "--type", "b", "--rank", "2", "--x", "1", "--w", "1"], "--type", "b",
+     "'a', 'c'"),
+    (["klpoly", "--type", "a", "--rank", "2", "--x", "1", "--w", "1", "--format", "yaml"],
+     "--format", "yaml", "'json', 'text'")])
+def test_invalid_choice_is_worded_alike_on_every_python(capsys, argv, flag, value, names):
+    """The CLI words a bad choice itself, with the choices quoted, as
+    argparse does up to Python 3.11 (later versions drop the quotes)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"superlink {argv[0]}: error: argument {flag}: invalid choice: {value!r} "
+        f"(choose from {names})")
+
+
+def test_choice_flags_show_their_choices():
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    # whitespace folded: argparse wraps the usage to the terminal width
+    usage = {name: " ".join(subs.choices[name].format_usage().split())
+             for name in ("root-data", "klpoly")}
+    assert "--family {gl,osp2,p,osp32,reductive}" in usage["root-data"]
+    assert "[--format {json,text}]" in usage["root-data"]
+    assert "--type {a,c}" in usage["klpoly"] and "[--format {json,text}]" in usage["klpoly"]
+
+
 def test_klpoly_letter_out_of_range(capsys):
     # letters are 1-based on the command line, and so is the message
     for x, message in (("7", "word letter 7 out of range 1..2"),

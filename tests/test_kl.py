@@ -5,6 +5,7 @@ import pytest
 from superlink import (MissingTableEntryError, SuperlinkError, UnsupportedInputError,
                        WhittakerCharacter, builtin_verma_table, gamma_summation_set,
                        verma_mult, whittaker_length, whittaker_mult)
+from superlink import kl
 from superlink.kl import (FiniteWeylGroup, KLPolynomial, bruhat_leq, kl_polynomial,
                           parse_mult_table)
 from superlink.weights import Weight
@@ -298,8 +299,7 @@ def _zetas(datum):
 
 @pytest.mark.parametrize("factors,base,mu_step", [
     ("A2", "-2,0,2", 1), ("C2", "-4,-2", 1), ("A1xC2", "-1,1|-4,-2", 8),
-    # all 16 mu of A1xC2 are slow: gamma_summation_set dominates every call
-    pytest.param("A1xC2", "-1,1|-4,-2", 1, marks=pytest.mark.slow)])
+    ("A1xC2", "-1,1|-4,-2", 1)])
 def test_table_free_whittaker_matches_builtin_table(factors, base, mu_step):
     """Every lam of the orbit, every zeta subset and every mu_step-th mu."""
     from superlink import build_root_datum, orbit_dot
@@ -314,6 +314,61 @@ def test_table_free_whittaker_matches_builtin_table(factors, base, mu_step):
             for mu in orbit[::mu_step]:
                 assert (whittaker_mult(datum, lam, mu, zeta)
                         == whittaker_mult(datum, lam, mu, zeta, table))
+
+
+def test_whittaker_mult_closes_no_orbit(red_a2, gl21, monkeypatch):
+    """gamma is the window sort's W_zeta-anti-dominant point, with a table
+    or without: no W_zeta orbit is closed."""
+    def refuse(*args):
+        raise AssertionError("whittaker_mult closed a W_zeta orbit")
+    monkeypatch.setattr(kl, "_antidominant_points", refuse)
+    zall = WhittakerCharacter.from_indices(red_a2, "all")
+    lam0, dom = Weight([-2, 0, 2]), Weight([0, 0, 0])
+    assert whittaker_mult(red_a2, dom, lam0, zall) == 1
+    assert whittaker_mult(red_a2, dom, dom, zall, builtin_verma_table(red_a2, lam0)) == 1
+    z1 = WhittakerCharacter.from_indices(gl21, "1")
+    table = parse_mult_table(gl21, "0,-2|5 -3,1|5 1\n")
+    lam = gl21.parse_weight("0,-2|5")  # its W_zeta rep is -3,1|5
+    assert whittaker_mult(gl21, lam, lam, z1, table) == 1
+
+
+def _agreement_data():
+    """(datum, table, lams, mus) for A2, A1xC2 (built-in tables over a regular
+    orbit) and gl(2|1) (a user table over the W_zeta-anti-dominant points of
+    a weight grid, with distinct counts)."""
+    import itertools
+    from superlink import build_root_datum, orbit_dot
+    for factors, base in (("A2", "-2,0,2"), ("A1xC2", "-1,1|-4,-2")):
+        datum = build_root_datum("reductive", factors=factors)
+        orbit = sorted(orbit_dot(datum, datum.parse_weight(base)))
+        yield datum, builtin_verma_table(datum, orbit[0]), orbit[::3], orbit
+    gl21 = build_root_datum("gl", m=2, n=1)
+    mus = [Weight(c) for c in itertools.product(range(-2, 2), range(-2, 2), (0, 3))]
+    gammas = sorted({gamma_summation_set(gl21, mu, zeta)[0]
+                     for mu in mus for zeta in _zetas(gl21)})
+    lams = [gl21.parse_weight("0,-2|5"), gl21.parse_weight("-1,0|0")]
+    entries = {(lam, g): 2 + i for lam in lams for i, g in enumerate(gammas)}
+    yield gl21, kl.MultTable(entries), lams, mus
+
+
+def test_whittaker_mult_reads_the_one_gamma():
+    """For every zeta: with a table, whittaker_mult is the table's entry at
+    the one point of gamma_summation_set; without one, the built-in value,
+    which is that entry of the built-in table; and a table lacking the
+    pair names (lam, gamma)."""
+    for datum, table, lams, mus in _agreement_data():
+        builtin = table.provenance == "builtin-KL"
+        for zeta in _zetas(datum):
+            for lam in lams:
+                for mu in mus:
+                    gamma = gamma_summation_set(datum, mu, zeta)[0]
+                    value = table.get(lam, gamma)
+                    assert whittaker_mult(datum, lam, mu, zeta, table) == value
+                    if builtin:
+                        assert whittaker_mult(datum, lam, mu, zeta) == value
+                    with pytest.raises(MissingTableEntryError) as err:
+                        whittaker_mult(datum, lam, mu, zeta, kl.MultTable({}))
+                    assert err.value.missing == [(lam, gamma)]
 
 
 def test_table_free_refusals_keep_their_order(red_a2, gl21):

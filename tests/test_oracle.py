@@ -698,7 +698,7 @@ def test_kl_cross_check_extended():
 
 
 def test_cross_check_cap():
-    with pytest.raises(CapExceededError, match=r"^\|W\| = 5040 exceeds cross-check cap 1152$"):
+    with pytest.raises(CapExceededError, match=r"^\|W\| = 5040 exceeds the cap 1152$"):
         kl_cross_check(FiniteWeylGroup.symmetric(7))
 
 

@@ -104,3 +104,14 @@ def test_docstring_examples_hold():
     """The five `>>>` examples in the weights docstrings run and hold."""
     results = doctest.testmod(weights)
     assert (results.attempted, results.failed) == (5, 0)
+
+
+def test_empty_coordinate_is_refused():
+    """An empty field is malformed, not dropped: `1,,2` never reads as `1,2`.
+    A literal with no field at all keeps its own refusal."""
+    for text in ("1,,2", ",1|2,", "1,2,", "1|;2", "1, ,2"):
+        with pytest.raises(ValueError) as err:
+            parse_weight(text)
+        assert str(err.value) == f"empty coordinate in weight literal {text!r}"
+    with pytest.raises(ValueError, match="^empty weight literal: '  '$"):
+        parse_weight("  ")
